@@ -64,16 +64,16 @@ DEFAULT_STATE_UNIT_NS = 400.0
 DEFAULT_MC_WORLD_ROW_NS = 30.0
 DEFAULT_PREFIX_ROW_NS = 1_500.0
 DEFAULT_STORAGE_ROW_NS = 2_500.0
-DEFAULT_PARALLEL_SPAWN_MS = 150.0
 
 #: Calibration knob defaults (milliseconds).
 DEFAULT_TARGET_MS = 1_000.0
 DEFAULT_SMALL_CASE_MS = 0.5
 
 #: Persisted-file schema version.  Schema 2 added the kernel-backend
-#: rates (``dp_native_unit_ns``, ``parallel_spawn_ms``) and the
-#: ``backends`` report section; schema-1 files still load, with the
-#: builtin defaults filling the new fields.
+#: rate ``dp_native_unit_ns`` and the ``backends`` report section;
+#: schema-1 files still load, with the builtin defaults filling the new
+#: fields.  Constants this version no longer reads (such as the retired
+#: ``parallel_spawn_ms``) are ignored on load.
 SCHEMA = 2
 _ACCEPTED_SCHEMAS = (1, 2)
 
@@ -96,7 +96,6 @@ class CostModel:
     mc_world_row_ns: float = DEFAULT_MC_WORLD_ROW_NS
     prefix_row_ns: float = DEFAULT_PREFIX_ROW_NS
     storage_row_ns: float = DEFAULT_STORAGE_ROW_NS
-    parallel_spawn_ms: float = DEFAULT_PARALLEL_SPAWN_MS
     source: str = "builtin"
 
     def est_ms(self, units: float, unit_ns: float) -> float:
@@ -161,9 +160,6 @@ def load_cost_model(path: str | Path | None = None) -> CostModel:
             ),
             dp_native_unit_ns=float(
                 constants.get("dp_native_unit_ns", DEFAULT_DP_NATIVE_UNIT_NS)
-            ),
-            parallel_spawn_ms=float(
-                constants.get("parallel_spawn_ms", DEFAULT_PARALLEL_SPAWN_MS)
             ),
             source=str(target),
         )
@@ -237,18 +233,6 @@ def run_calibration(
             repeats,
         )
 
-    # Process-pool spin-up: what one parallel per-ending fan-out pays
-    # before any work happens (prices the planner's worker decision).
-    spawn_s: float | None = None
-    if (os.cpu_count() or 1) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        def spawn_case() -> object:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                return list(pool.map(int, (0, 1)))
-
-        spawn_s = _best_of(spawn_case, max(1, repeats - 1))
-
     # k-Combo, per enumerated combination.
     combo_prefix = dp_prefix.prefix(12)
     combo_units = math.comb(12, 4)
@@ -317,9 +301,6 @@ def run_calibration(
         if dp_native_s is not None
         else DEFAULT_DP_NATIVE_UNIT_NS
     )
-    parallel_spawn_ms = (
-        spawn_s * 1e3 if spawn_s is not None else DEFAULT_PARALLEL_SPAWN_MS
-    )
 
     constants = {
         "mc_cost_budget": max(1, int(target_ms * 1e6 / dp_unit_ns)),
@@ -334,7 +315,6 @@ def run_calibration(
         "mc_world_row_ns": round(mc_world_row_ns, 3),
         "prefix_row_ns": round(prefix_row_ns, 3),
         "storage_row_ns": round(storage_row_ns, 3),
-        "parallel_spawn_ms": round(parallel_spawn_ms, 3),
     }
     probes = {
         "prefix_s": prefix_s,
@@ -346,8 +326,6 @@ def run_calibration(
     }
     if dp_native_s is not None:
         probes["dp_native_s"] = dp_native_s
-    if spawn_s is not None:
-        probes["parallel_spawn_s"] = spawn_s
     return {
         "schema": SCHEMA,
         "meta": {

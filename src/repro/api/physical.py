@@ -182,17 +182,12 @@ class PerEndingDPOp(_PmfOp):
     me_members: int = 0
     ending_units: int = 1
     backend: str = "python"
-    workers: int = 1
 
     def run(self, prefix: ScoredTable, spec) -> ScorePMF:
         from repro.api import plan as stages
 
         return stages.dp_distribution_per_ending(
-            prefix,
-            self.k,
-            max_lines=self.max_lines,
-            backend=self.backend,
-            workers=self.workers,
+            prefix, self.k, max_lines=self.max_lines, backend=self.backend
         )
 
     def cost_units(self) -> float:
@@ -204,17 +199,6 @@ class PerEndingDPOp(_PmfOp):
             return model.dp_native_unit_ns
         return model.dp_unit_ns
 
-    def explain(self, model) -> dict[str, Any]:
-        node = super().explain(model)
-        if self.workers > 1:
-            # Fan-out divides the serial estimate and pays one pool
-            # spin-up; the estimate stays honest about both.
-            serial = node["est_ms"]
-            node["est_ms"] = round(
-                serial / self.workers + model.parallel_spawn_ms, 4
-            )
-        return node
-
     def describe(self) -> dict[str, Any]:
         document = {
             **super().describe(),
@@ -223,8 +207,6 @@ class PerEndingDPOp(_PmfOp):
         }
         if self.backend != "python":
             document["backend"] = self.backend
-        if self.workers > 1:
-            document["workers"] = self.workers
         return document
 
 

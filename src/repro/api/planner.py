@@ -223,14 +223,12 @@ class Planner:
                 )
             elif op_type is PerEndingDPOp:
                 backend = self.choose_backend(spec.max_lines)
-                units = ending_unit_count(prefix)
                 pmf_op = PerEndingDPOp(
                     **common,
                     me_members=me_members,
-                    ending_units=units,
+                    ending_units=ending_unit_count(prefix),
                     backend=backend,
                 )
-                pmf_op = self._with_workers(pmf_op, units)
             elif op_type is StateExpansionOp:
                 pmf_op = StateExpansionOp(**common, p_tau=spec.p_tau)
             elif op_type is MCSampleOp:
@@ -261,9 +259,6 @@ class Planner:
             notes = (f"algorithm resolved by cost model: {algorithm}",)
         if backend == "native":
             notes += ("dp backend: native (compiled kernel)",)
-        workers = getattr(pmf_op, "workers", 1)
-        if workers > 1:
-            notes += (f"per-ending fan-out: {workers} workers",)
         return PhysicalPlan(
             logical=logical,
             algorithm=algorithm,
@@ -272,21 +267,6 @@ class Planner:
             semantics_op=semantics_op,
             notes=notes,
         )
-
-    def _with_workers(self, op: PerEndingDPOp, units: int) -> PerEndingDPOp:
-        """Size the per-ending process fan-out from the cost model."""
-        from dataclasses import replace
-
-        from repro.core.kernels.parallel import default_workers
-
-        model = self.cost_model
-        est_serial_ms = model.est_ms(op.cost_units(), op.unit_ns(model))
-        workers = default_workers(
-            units, est_serial_ms, model.parallel_spawn_ms
-        )
-        if workers <= 1:
-            return op
-        return replace(op, workers=workers)
 
     # ------------------------------------------------------------------
     # Multi-query fusion

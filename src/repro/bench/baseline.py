@@ -3,8 +3,7 @@
 One fixed set of named workloads covering the three performance
 pillars — the independent-tuples dynamic program, the shared-prefix
 mutual-exclusion path (with its per-ending ablation twin for the
-trajectory), and the delta-maintained sliding window (with its
-from-scratch twin) — timed with
+trajectory), and the sliding window — timed with
 :func:`repro.bench.runner.time_callable` and written to
 ``BENCH_core.json`` at the repository root.  The committed file gives
 future changes a trajectory to compare against; the ``tiny_*``
@@ -17,7 +16,9 @@ are comparable; absolute numbers across machines are not, which is why
 every baseline also times a fixed *calibration* workload in the same
 run and the regression guard compares calibration-normalized ratios —
 a uniformly slower CI runner cancels out, and only genuine relative
-slowdowns (beyond the generous factor) trip the guard.
+slowdowns (beyond the generous factor) trip the guard.  The committed
+file is recorded under ``REPRO_BACKEND=python``, the slowest DP
+engine, so runs that load the compiled kernel only ever read faster.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.bench.runner import time_callable
 from repro.bench.workloads import cartel_workload, congestion_scorer
+from repro.core import kernels
 from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import dp_distribution, dp_distribution_per_ending
 from repro.stream.window import SlidingWindowTopK
@@ -63,11 +65,9 @@ def _me_case(
     return lambda: algorithm(prefix, k)
 
 
-def _streaming_case(
-    window: int, k: int, slides: int, incremental: bool
-) -> Callable[[], object]:
+def _streaming_case(window: int, k: int, slides: int) -> Callable[[], object]:
     def run() -> float:
-        win = SlidingWindowTopK(window=window, k=k, incremental=incremental)
+        win = SlidingWindowTopK(window=window, k=k)
         rng = np.random.default_rng(11)
         for _ in range(window):
             win.append(
@@ -95,9 +95,7 @@ def workload_factories(tiny_only: bool = False) -> dict[str, Callable]:
     tiny: dict[str, Callable[[], Callable]] = {
         "tiny_independent_dp_n80_k5": lambda: _independent_case(80, 5),
         "tiny_me_shared_prefix_cartel40_k5": lambda: _me_case(40, 5, False),
-        "tiny_streaming_delta_w60_k3": lambda: _streaming_case(
-            60, 3, 30, True
-        ),
+        "tiny_streaming_w60_k3": lambda: _streaming_case(60, 3, 30),
     }
     if tiny_only:
         return tiny
@@ -105,12 +103,7 @@ def workload_factories(tiny_only: bool = False) -> dict[str, Callable]:
         "independent_dp_n300_k10": lambda: _independent_case(300, 10),
         "me_shared_prefix_cartel120_k10": lambda: _me_case(120, 10, False),
         "me_per_ending_cartel120_k10": lambda: _me_case(120, 10, True),
-        "streaming_delta_w500_k5": lambda: _streaming_case(
-            500, 5, 100, True
-        ),
-        "streaming_scratch_w500_k5": lambda: _streaming_case(
-            500, 5, 100, False
-        ),
+        "streaming_w500_k5": lambda: _streaming_case(500, 5, 100),
     }
     return {**tiny, **full}
 
@@ -118,10 +111,39 @@ def workload_factories(tiny_only: bool = False) -> dict[str, Callable]:
 def _calibration_factory() -> Callable[[], object]:
     """The fixed machine-speed probe timed alongside every baseline.
 
-    A small independent-tuples dynamic program: deterministic, numpy-
-    bound like the guarded workloads, and fast enough to repeat.
+    Plain Python + numpy that calls nothing in :mod:`repro`, so its
+    speed cannot depend on which DP backend loads: a probe that ran the
+    DP itself sped up with the compiled kernel while the other
+    workloads did not, and reported false regressions.  It folds rows
+    into a coalesced sum distribution — Python loops over small numpy
+    arrays, like the guarded workloads — deterministically, and fast
+    enough to repeat.
     """
-    return _independent_case(60, 4)
+    rng = np.random.default_rng(7)
+    rows = [
+        (float(score), float(prob))
+        for score, prob in zip(
+            rng.uniform(0.0, 1000.0, 400), rng.uniform(0.05, 1.0, 400)
+        )
+    ]
+
+    def run() -> float:
+        scores, probs = np.zeros(1), np.ones(1)
+        for score, prob in rows:
+            scores = np.concatenate((scores, scores + score))
+            probs = np.concatenate((probs * (1.0 - prob), probs * prob))
+            order = np.argsort(scores, kind="stable")
+            scores, probs = scores[order], probs[order]
+            if len(scores) > 64:
+                span = scores[-1] - scores[0]
+                bucket = ((scores - scores[0]) * (63.0 / span)).astype(int)
+                starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
+                weighted = np.add.reduceat(probs * scores, starts)
+                probs = np.add.reduceat(probs, starts)
+                scores = weighted / probs
+        return float(scores @ probs)
+
+    return run
 
 
 def run_baseline(
@@ -140,6 +162,7 @@ def run_baseline(
         "meta": {
             "repeats": repeats,
             "tiny_only": tiny_only,
+            "backend": kernels.resolve_backend(None),
             "python": platform.python_version(),
             "machine": platform.machine(),
         },

@@ -991,11 +991,7 @@ def _per_ending_cell(
 ) -> _Cell | None:
     """Final cell of one ending unit's bottom-up program (or None).
 
-    The per-span unit of work of :func:`dp_distribution_per_ending`,
-    shared with the process-parallel executor
-    (:mod:`repro.core.kernels.parallel`): the returned cell's vectors
-    are already materialized tid tuples, so it pickles cleanly across
-    a worker-pool boundary.
+    The per-span unit of work of :func:`dp_distribution_per_ending`.
     """
     if end <= k - 1:
         # A top-k vector's ending tuple sits at position >= k - 1.
@@ -1023,7 +1019,6 @@ def dp_distribution_per_ending(
     *,
     max_lines: int = DEFAULT_MAX_LINES,
     backend: str | None = None,
-    workers: int | None = None,
 ) -> ScorePMF:
     """Ablation: one bottom-up dynamic program per ending unit.
 
@@ -1036,12 +1031,6 @@ def dp_distribution_per_ending(
     prefix state); kept for the ablation benchmark
     ``benchmarks/bench_ablation_shared_prefix.py``, mirroring
     :func:`dp_distribution_without_lead_regions`.
-
-    Because the per-ending programs are independent, ``workers > 1``
-    fans them out over a process pool (contiguous span chunks, results
-    reassembled in span order — deterministic regardless of worker
-    scheduling); the merged answer is byte-identical to the serial
-    loop.  The sweep counter then reflects only parent-process work.
     """
     if k < 1:
         raise AlgorithmError(f"k must be >= 1, got {k}")
@@ -1055,19 +1044,11 @@ def dp_distribution_per_ending(
         ]
         return _cell_to_pmf(_dp_run(units, k, [True] * n, max_lines, backend))
 
-    spans = _ending_units(scored)
-    if workers is not None and workers > 1 and len(spans) > 1:
-        from repro.core.kernels.parallel import per_ending_cells
-
-        partial = per_ending_cells(
-            scored, k, spans, max_lines, backend, workers
-        )
-    else:
-        partial = []
-        for start, end in spans:
-            cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
-            if cell is not None:
-                partial.append(cell)
+    partial = []
+    for start, end in _ending_units(scored):
+        cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
+        if cell is not None:
+            partial.append(cell)
     merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
     return _cell_to_pmf(merged)
 

@@ -2,9 +2,8 @@
 
 The numpy implementation in :mod:`repro.core.dp` is always available;
 this package adds a compiled backend (``_kernel.c`` driven through
-ctypes/cffi, see :mod:`repro.core.kernels.build`) and a process-
-parallel per-ending executor (:mod:`repro.core.kernels.parallel`).
-Outputs are byte-identical across backends — the planner and the
+ctypes/cffi, see :mod:`repro.core.kernels.build`).  Outputs are
+byte-identical across backends — the planner and the
 ``REPRO_BACKEND`` override only trade wall-clock, never answers.
 
 Backend names:
@@ -113,8 +112,4 @@ def backends_report() -> dict:
         native["error"] = (
             build.load_error() or "no C compiler and no prebuilt kernel"
         )
-    return {
-        "python": {"available": True},
-        "native": native,
-        "parallel": {"cpus": os.cpu_count() or 1},
-    }
+    return {"python": {"available": True}, "native": native}

@@ -104,24 +104,16 @@ class ScorePMF:
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
-    def _materialize_vectors(self) -> None:
-        """Hook for subclasses whose vectors are computed on demand
-        (:class:`LazyVectorPMF`); a no-op here.  Called before any
-        read of the vector column — scores and probabilities are
-        always materialized eagerly."""
-
     def __len__(self) -> int:
         return len(self._scores)
 
     def __iter__(self) -> Iterator[ScoreLine]:
-        self._materialize_vectors()
         return (
             ScoreLine(s, p, v)
             for s, p, v in zip(self._scores, self._probs, self._vectors)
         )
 
     def __getitem__(self, index: int) -> ScoreLine:
-        self._materialize_vectors()
         return ScoreLine(
             self._scores[index], self._probs[index], self._vectors[index]
         )
@@ -147,7 +139,6 @@ class ScorePMF:
     @property
     def vectors(self) -> tuple[Vector | None, ...]:
         """Representative vectors, aligned with :attr:`scores`."""
-        self._materialize_vectors()
         return self._vectors
 
     def to_dict(self) -> dict[float, float]:
@@ -170,7 +161,6 @@ class ScorePMF:
         mass = self.total_mass()
         if mass <= 0.0:
             raise EmptyDistributionError("cannot normalize an empty PMF")
-        self._materialize_vectors()
         return ScorePMF(
             (s, p / mass, v)
             for s, p, v in zip(self._scores, self._probs, self._vectors)
@@ -301,7 +291,6 @@ class ScorePMF:
             raise AlgorithmError(
                 f"empty restriction: low {low!r} > high {high!r}"
             )
-        self._materialize_vectors()
         return ScorePMF(
             (s, p, v)
             for s, p, v in zip(self._scores, self._probs, self._vectors)
@@ -391,49 +380,6 @@ class ScorePMF:
             f"range [{self._scores[0]:.2f}, {self._scores[-1]:.2f}], "
             f"mode {mode.score:.2f} (p={mode.prob:.4f})"
         )
-
-
-class LazyVectorPMF(ScorePMF):
-    """A :class:`ScorePMF` whose representative vectors are computed on
-    first access.
-
-    The delta-maintained sliding window (:mod:`repro.stream.delta`)
-    tracks scores and probabilities only — reconstructing each line's
-    most probable top-k vector costs a vector-carrying dynamic program
-    over the consumed prefix, which most consumers (expectations,
-    histograms, threshold queries) never need.  This subclass defers
-    that cost: scores and probabilities are materialized eagerly, and
-    the first read of the vector column invokes ``fill`` — a callable
-    receiving the ascending score tuple and returning the aligned
-    vector tuple — exactly once, memoizing the result.
-
-    Equality, hashing and mass/moment queries never trigger the fill
-    (they consult scores and probabilities only), so cache lookups on
-    lazy distributions stay cheap.
-    """
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, lines: Iterable[tuple], fill) -> None:
-        super().__init__(lines)
-        self._fill = fill
-
-    def _materialize_vectors(self) -> None:
-        fill = self._fill
-        if fill is None:
-            return
-        self._fill = None
-        vectors = tuple(fill(self._scores))
-        if len(vectors) != len(self._scores):
-            raise AlgorithmError(
-                f"lazy vector fill returned {len(vectors)} vectors for "
-                f"{len(self._scores)} lines"
-            )
-        self._vectors = vectors
-
-    def vectors_materialized(self) -> bool:
-        """Whether the vector column has been computed yet."""
-        return self._fill is None
 
 
 def vector_as_tids(vector: Vector | None) -> tuple[Any, ...]:

@@ -23,7 +23,7 @@ leaves the answer untouched.
 
 **patch** — the prefix may change, but it can be rebuilt from the
 subscription's :class:`PrefixMirror` — a
-:class:`~repro.stream.segments.RankedSegments` rank index over the
+:class:`~repro.standing.segments.RankedSegments` rank index over the
 whole table, maintained in O(segment) per delta — instead of
 re-scoring and re-sorting the table in O(n log n).  The rebuilt prefix
 is row-identical to the cold sort (arrival sequence reproduces the
@@ -56,10 +56,7 @@ from repro.api.spec import QuerySpec
 from repro.core.distribution import resolve_scorer
 from repro.exceptions import DataModelError, ScoringError, ServiceError
 from repro.standing.changelog import Delta, MutableUncertainTable
-from repro.stream.segments import (
-    DEFAULT_SEGMENT_SIZE,
-    RankedSegments,
-)
+from repro.standing.segments import DEFAULT_SEGMENT_SIZE, RankedSegments
 from repro.uncertain.model import UncertainTuple
 from repro.uncertain.scoring import ScoredItem, ScoredTable, Scorer
 from repro.uncertain.table import UncertainTable
@@ -160,7 +157,7 @@ class PrefixMirror:
     """An incrementally maintained rank order for one (table, scorer).
 
     Mirrors the *whole* table as a
-    :class:`~repro.stream.segments.RankedSegments` index keyed by
+    :class:`~repro.standing.segments.RankedSegments` index keyed by
     descending ``(score, prob)`` with the tuple's arrival sequence
     breaking ties — which reproduces the stable
     :meth:`ScoredTable.from_table` sort exactly, because mutable

@@ -1,4 +1,4 @@
-"""Rank-ordered segment index: the shared delta-maintenance substrate.
+"""Rank-ordered segment index behind the standing-query prefix mirror.
 
 :class:`RankedSegments` keeps a changing set of ``(tid, score, prob)``
 entries in the canonical rank order of the paper's algorithms —
@@ -6,21 +6,13 @@ descending ``(score, prob)`` with a caller-supplied arrival sequence
 breaking remaining ties, i.e. exactly the stable
 :class:`~repro.uncertain.scoring.ScoredTable` sort — split into small
 contiguous *segments* with per-segment probability-mass sums.
-
-Two delta-maintenance layers build on it:
-
-* :class:`repro.stream.delta.DeltaWindowState` attaches cached partial
-  DP states to each segment (via :attr:`RankedSegments.segment_class`)
-  and folds them per query — the sliding-window path of PR 2;
-* :class:`repro.standing.registry.PrefixMirror` uses the bare index to
-  keep a mutable table's scored rank order (and Theorem-2 scan depth)
-  current per mutation, so a standing query's prefix stage is patched
-  in O(segment) instead of re-scored and re-sorted in O(n log n).
+:class:`repro.standing.registry.PrefixMirror` uses it to keep a
+mutable table's scored rank order (and Theorem-2 scan depth) current
+per mutation, so a standing query's prefix stage is patched in
+O(segment) instead of re-scored and re-sorted in O(n log n).
 
 ``insert``/``remove`` edit exactly one segment (splitting it at twice
-the target size) and mark it stale through :meth:`RankSegment.
-on_change`, which subclasses override to invalidate their cached
-state.  :meth:`RankedSegments.scan_depth` replicates
+the target size).  :meth:`RankedSegments.scan_depth` replicates
 :func:`repro.core.scan_depth.scan_depth` for singleton ME groups
 (``mu`` degenerates to the plain prefix mass), using the per-segment
 mass sums to skip whole segments in O(1) while the accumulated mass
@@ -30,7 +22,7 @@ cannot yet reach the threshold.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.scan_depth import scan_depth_threshold
 
@@ -64,22 +56,13 @@ class RankEntry:
 
 
 class RankSegment:
-    """A contiguous run of rank-ordered entries with a mass sum.
+    """A contiguous run of rank-ordered entries with a mass sum."""
 
-    Subclasses attach cached per-segment state (e.g. partial DP
-    columns) and override :meth:`on_change` to invalidate it.
-    """
-
-    __slots__ = ("entries", "mass", "stale")
+    __slots__ = ("entries", "mass")
 
     def __init__(self, entries: list[RankEntry]):
         self.entries = entries
         self.mass = sum(e.prob for e in entries)
-        self.stale = True
-
-    def on_change(self) -> None:
-        """Called after this segment's entry list was edited."""
-        self.stale = True
 
 
 class RankedSegments:
@@ -87,9 +70,6 @@ class RankedSegments:
 
     :param segment_size: target rows per segment (splits at twice it).
     """
-
-    #: The segment type; subclass to attach cached per-segment state.
-    segment_class: type[RankSegment] = RankSegment
 
     def __init__(self, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> None:
         self._segment_size = max(2, segment_size)
@@ -99,11 +79,6 @@ class RankedSegments:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def segments(self) -> list[RankSegment]:
-        """The segments in rank order (read-only by convention)."""
-        return self._segments
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -111,24 +86,20 @@ class RankedSegments:
         """Add one entry at its canonical rank position (O(segment))."""
         entry = RankEntry(rank_key(score, prob, seq), tid, score, prob)
         if not self._segments:
-            self._segments.append(self.segment_class([entry]))
+            self._segments.append(RankSegment([entry]))
             self._count += 1
             return
         index = max(
             0,
-            bisect_left(
-                [seg.entries[0].key for seg in self._segments], entry.key
-            )
-            - 1,
+            bisect_left([seg.entries[0].key for seg in self._segments], entry.key) - 1,
         )
         segment = self._segments[index]
         insort(segment.entries, entry)
         segment.mass += prob
-        segment.on_change()
         self._count += 1
         if len(segment.entries) > 2 * self._segment_size:
             mid = len(segment.entries) // 2
-            right = self.segment_class(segment.entries[mid:])
+            right = RankSegment(segment.entries[mid:])
             del segment.entries[mid:]
             segment.mass = sum(e.prob for e in segment.entries)
             self._segments.insert(index + 1, right)
@@ -141,14 +112,11 @@ class RankedSegments:
         key = rank_key(score, prob, seq)
         for si, segment in enumerate(self._segments):
             if segment.entries and segment.entries[-1].key >= key:
-                position = bisect_left(
-                    [e.key for e in segment.entries], key
-                )
+                position = bisect_left([e.key for e in segment.entries], key)
                 while position < len(segment.entries):
                     if segment.entries[position].tid == tid:
                         segment.mass -= segment.entries[position].prob
                         del segment.entries[position]
-                        segment.on_change()
                         self._count -= 1
                         if not segment.entries:
                             del self._segments[si]
@@ -167,10 +135,6 @@ class RankedSegments:
                 return segment.entries[index]
             index -= len(segment.entries)
         raise IndexError(index)
-
-    def __iter__(self) -> Iterator[RankEntry]:
-        for segment in self._segments:
-            yield from segment.entries
 
     def rows(self, depth: int) -> list[RankEntry]:
         """The first ``depth`` entries in rank order."""

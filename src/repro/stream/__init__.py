@@ -6,10 +6,10 @@ subpackage carries the paper's *score-distribution* semantics into
 that setting: :class:`~repro.stream.window.SlidingWindowTopK`
 maintains the most recent W uncertain tuples (with their ME groups)
 and serves the top-k score distribution and c-Typical answers of the
-current window.
+current window through the same session pipeline and dynamic program
+as any other query.
 """
 
-from repro.stream.delta import DeltaWindowState
 from repro.stream.window import SlidingWindowTopK, WindowSnapshot
 
-__all__ = ["DeltaWindowState", "SlidingWindowTopK", "WindowSnapshot"]
+__all__ = ["SlidingWindowTopK", "WindowSnapshot"]

@@ -7,41 +7,19 @@ live only while at least two of its members are inside the window
 which is sound for the first-k-existing semantics because an expired
 tuple can no longer appear in any answer).
 
-Maintenance strategy: while the window holds only independent tuples
-(no live multi-member ME group) and ``incremental=True`` (the
-default), queries are served by a delta-maintained
-:class:`~repro.stream.delta.DeltaWindowState` — the window's rank
-order and per-segment partial DP states are updated in amortized
-sub-window time per slide, instead of rebuilding, re-scoring and
-re-sorting the whole window per query.  Windows with a live ME group
-(and ``incremental=False`` windows) fall back to a from-scratch
-recompute through a private :class:`~repro.api.session.Session`,
-whose stage caches are keyed by the materialized window table, so
-repeated queries over an unchanged window stay memoized either way
-and :meth:`SlidingWindowTopK.typical` at a new ``c`` reuses the
-cached distribution instead of re-running the dynamic program.
-
-The two paths agree on the consumed tuple set (the delta state
-replicates the Theorem-2 scan depth incrementally); once the per-cell
-line budget forces coalescing the two paths may place coalesced lines
-a grid width apart (same bound as the DP's internal coalescing).
-
-Delta-mode PMFs carry **lazily reconstructed** representative vectors:
-the segment caches track scores and probabilities only, so the window
-wraps delta results in a :class:`~repro.core.pmf.LazyVectorPMF` — the
-first read of the vector column (JSON serialization, typical-answer
-vectors) runs one vector-carrying dynamic program over the cached rank
-order (:func:`repro.stream.delta.reconstruct_vector_pmf`), memoized
-until the window slides.  Consumers that never touch vectors
-(expectations, histograms, threshold queries) keep paying nothing, so
-the delta path's slide-and-query speedup survives intact.  Under
-line-budget coalescing the reconstruction pass may bucket lines
-slightly differently; lines it cannot match keep ``vector=None``.
+Every query materializes the window as an uncertain table (memoized
+until the next slide) and runs it through a private
+:class:`~repro.api.session.Session` — the same planner, dynamic
+program and kernel backends as any other request.  The session's
+stage caches are keyed by the materialized table, so repeated queries
+over an unchanged window stay memoized and
+:meth:`SlidingWindowTopK.typical` at a new ``c`` reuses the cached
+distribution instead of re-running the dynamic program.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -49,61 +27,16 @@ from repro.api.session import Session
 from repro.api.spec import DEFAULT_MC_CONFIDENCE, SPEC_ALGORITHMS, QuerySpec
 from repro.core.distribution import DEFAULT_P_TAU
 from repro.core.dp import DEFAULT_MAX_LINES
-from repro.core.pmf import LazyVectorPMF, ScorePMF
-from repro.core.typical import TypicalResult, select_typical_clamped
+from repro.core.pmf import ScorePMF
+from repro.core.typical import TypicalResult
 from repro.exceptions import (
     AlgorithmError,
     DataModelError,
     InvalidProbabilityError,
     ScoringError,
 )
-from repro.stream.delta import DeltaWindowState, reconstruct_vector_pmf
 from repro.uncertain.model import UncertainTuple, validate_probability
 from repro.uncertain.table import UncertainTable
-
-
-def _match_vectors(
-    scores: tuple[float, ...], vector_pmf: ScorePMF
-) -> list:
-    """Align a reconstruction pass's vectors with delta-query scores.
-
-    The two computations are mathematically identical over the same
-    rows, so in the common (un-coalesced) regime the line sets match
-    one to one — score for score — and the vectors transfer
-    positionally.  Once the line budget forces coalescing, bucket
-    boundaries may differ between the passes; every line is then
-    matched by nearest score within a relative tolerance, and
-    unmatched lines keep ``vector=None`` (a vector must attain its
-    line's score, never merely sit at the same position).
-    """
-    from bisect import bisect_left
-
-    def tolerance(score: float) -> float:
-        return 1e-9 * max(1.0, abs(score))
-
-    if len(vector_pmf) == len(scores) and all(
-        abs(a - b) <= tolerance(a)
-        for a, b in zip(scores, vector_pmf.scores)
-    ):
-        return list(vector_pmf.vectors)
-    reference = vector_pmf.scores
-    matched: list = []
-    for score in scores:
-        index = bisect_left(reference, score)
-        best = None
-        distance = float("inf")
-        for candidate in (index - 1, index):
-            if 0 <= candidate < len(reference):
-                gap = abs(reference[candidate] - score)
-                if gap < distance:
-                    distance = gap
-                    best = candidate
-        matched.append(
-            vector_pmf.vectors[best]
-            if best is not None and distance <= tolerance(score)
-            else None
-        )
-    return matched
 
 
 class WindowSnapshot(NamedTuple):
@@ -127,19 +60,13 @@ class SlidingWindowTopK:
     :param score_attribute: the numeric attribute used as the score.
     :param p_tau: Theorem-2 truncation threshold for queries.
     :param max_lines: line-coalescing budget for queries.
-    :param incremental: serve queries from the delta-maintained state
-        while no ME group is live (default); ``False`` forces the
-        from-scratch session path on every query.  Delta-mode PMFs
-        (and the typical answers drawn from them) reconstruct their
-        representative vectors lazily: the segment caches track
-        scores and probabilities only, and the first vector access
-        pays one vector-carrying DP over the cached rank order
-        (memoized until the window slides).
+    :param incremental: ignored.  Accepted so existing callers keep
+        working; every query runs the session path over the
+        materialized window.
     :param algorithm: the query pipeline's algorithm (default
         ``"dp"``).  ``"mc"`` serves every query from the Monte-Carlo
         answer engine — the escape hatch for windows too wide for the
-        exact sweep — and (like any non-``"dp"`` choice) disables the
-        delta-maintained path.  ``"auto"`` lets the planner apply its
+        exact sweep.  ``"auto"`` lets the planner apply its
         exact-cost model per query.
     :param epsilon: MC target CI half-width ±ε (``algorithm="mc"``).
     :param confidence: MC confidence level.
@@ -178,8 +105,8 @@ class SlidingWindowTopK:
                 f"k must be in [1, window={window}], got {k}"
             )
         if not 0.0 <= p_tau < 1.0:
-            # Validated up front so the delta and session paths cannot
-            # diverge on invalid thresholds at query time.
+            # Validated up front: a bad threshold fails at
+            # construction, not on the first query.
             raise InvalidProbabilityError(
                 f"p_tau must be in [0, 1), got {p_tau!r}"
             )
@@ -193,27 +120,19 @@ class SlidingWindowTopK:
         self._score_attribute = score_attribute
         self._p_tau = p_tau
         self._max_lines = max_lines
-        self._incremental = incremental
         self._algorithm = algorithm
         self._epsilon = epsilon
         self._confidence = confidence
         self._samples = samples
         self._seed = seed
-        self._entries: deque[
-            tuple[Any, Mapping[str, Any], float, Any, float, int]
-        ] = deque()
+        #: ``(tuple, ME-group label or None)`` in arrival order.
+        self._entries: deque[tuple[UncertainTuple, Any]] = deque()
         self._arrivals = 0
-        self._counter = itertools.count()
+        self._auto_tids = 0
         # Stage caches live in a private session keyed by the
         # materialized window table; a handful of entries suffice.
-        # It serves ME-group windows and ``incremental=False``.
         self._session = Session(cache_size=8)
         self._cached_table: UncertainTable | None = None
-        self._delta = DeltaWindowState(k, max_lines=max_lines)
-        self._group_counts: dict[Any, int] = {}
-        # Delta-path memoization, dropped whenever the window slides.
-        self._cached_pmf: ScorePMF | None = None
-        self._cached_typical: dict[int, TypicalResult] = {}
 
     # ------------------------------------------------------------------
     # Stream maintenance
@@ -236,6 +155,8 @@ class SlidingWindowTopK:
         :param tid: optional explicit tuple id (auto-assigned when
             omitted).
         :returns: the tuple id.
+        :raises ScoringError: when the score is not numeric or is NaN;
+            the window is left unchanged.
         """
         if self._score_attribute not in attributes:
             raise DataModelError(
@@ -252,31 +173,22 @@ class SlidingWindowTopK:
         probability = validate_probability(
             probability, context="window append"
         )
+        new_tid = f"s{self._auto_tids}" if tid is None else tid
+        if math.isnan(score):
+            # NaN scores cannot be ranked: reject the row here, with
+            # the message the scored-table sort raises, rather than
+            # fail every query until it expires.
+            raise ScoringError(f"score of tuple {new_tid!r} is NaN")
         if tid is None:
-            tid = f"s{next(self._counter)}"
-        seq = self._arrivals
+            self._auto_tids += 1
         self._entries.append(
-            (tid, dict(attributes), probability, group, score, seq)
+            (UncertainTuple(new_tid, attributes, probability), group)
         )
-        if self._incremental:
-            self._delta.insert(tid, score, probability, seq)
-        if group is not None:
-            self._group_counts[group] = self._group_counts.get(group, 0) + 1
         self._arrivals += 1
         while len(self._entries) > self._window:
-            old = self._entries.popleft()
-            if self._incremental:
-                self._delta.remove(old[0], old[4], old[2], old[5])
-            if old[3] is not None:
-                remaining = self._group_counts[old[3]] - 1
-                if remaining:
-                    self._group_counts[old[3]] = remaining
-                else:
-                    del self._group_counts[old[3]]
+            self._entries.popleft()
         self._cached_table = None
-        self._cached_pmf = None
-        self._cached_typical.clear()
-        return tid
+        return new_tid
 
     def extend(
         self,
@@ -322,20 +234,18 @@ class SlidingWindowTopK:
         """
         if self._cached_table is not None:
             return self._cached_table
-        tuples = [
-            UncertainTuple(entry[0], entry[1], entry[2])
-            for entry in self._entries
-        ]
         groups: dict[Any, list[Any]] = {}
-        for entry in self._entries:
-            if entry[3] is not None:
-                groups.setdefault(entry[3], []).append(entry[0])
+        for row, group in self._entries:
+            if group is not None:
+                groups.setdefault(group, []).append(row.tid)
         rules = [
             tuple(members)
             for members in groups.values()
             if len(members) > 1
         ]
-        self._cached_table = UncertainTable(tuples, rules, name="window")
+        self._cached_table = UncertainTable(
+            [row for row, _group in self._entries], rules, name="window"
+        )
         return self._cached_table
 
     def _spec(self) -> QuerySpec:
@@ -353,51 +263,13 @@ class SlidingWindowTopK:
             seed=self._seed,
         )
 
-    def _delta_eligible(self) -> bool:
-        """True when the delta-maintained state may serve queries.
-
-        A live multi-member ME group forces the full Section-3
-        pipeline (the delta state models independent tuples only), as
-        does any explicit non-``"dp"`` algorithm choice (the delta
-        caches replicate the exact DP specifically); group expiry
-        re-enables the delta path automatically.
-        """
-        return (
-            self._incremental
-            and self._algorithm == "dp"
-            and not any(
-                count > 1 for count in self._group_counts.values()
-            )
-        )
-
     def distribution(self) -> ScorePMF:
-        """Top-k score distribution of the current window (memoized).
+        """Top-k score distribution of the current window.
 
-        Served from the delta-maintained segment states when eligible
-        (see :mod:`repro.stream.delta`); otherwise recomputed through
-        the session pipeline, whose stage caches memoize until the
-        window slides.  Delta-mode results reconstruct their
-        representative vectors lazily on first access (see the module
-        docstring).
+        The session's stage caches return the same object until the
+        window slides.
         """
-        if not self._delta_eligible():
-            return self._session.distribution(self._spec())
-        if self._cached_pmf is None:
-            base = self._delta.query(self._p_tau)
-            if base.is_empty():
-                self._cached_pmf = base
-            else:
-                rows = self._delta.vector_inputs(self._p_tau)
-                k, max_lines = self._k, self._max_lines
-
-                def fill(scores: tuple[float, ...]) -> list:
-                    vector_pmf = reconstruct_vector_pmf(rows, k, max_lines)
-                    return _match_vectors(scores, vector_pmf)
-
-                self._cached_pmf = LazyVectorPMF(
-                    zip(base.scores, base.probs, base.vectors), fill
-                )
-        return self._cached_pmf
+        return self._session.distribution(self._spec())
 
     def typical(self, c: int) -> TypicalResult:
         """c-Typical-Topk answers of the current window.
@@ -405,15 +277,7 @@ class SlidingWindowTopK:
         Different ``c`` values over an unchanged window reuse the
         cached distribution (the end-of-Section-4 pattern).
         """
-        if not self._delta_eligible():
-            return self._session.execute(self._spec().with_(c=c))
-        result = self._cached_typical.get(c)
-        if result is None:
-            # Clamped: a window shorter than k has an empty PMF and
-            # must yield the empty result, same as the session path.
-            result = select_typical_clamped(self.distribution(), c)
-            self._cached_typical[c] = result
-        return result
+        return self._session.execute(self._spec().with_(c=c))
 
     def snapshot(self) -> WindowSnapshot:
         """Freeze the current window state for downstream analysis."""

@@ -376,8 +376,8 @@ class TestConsumersRouteThroughSession:
         assert [row.score for row in result.answers] == [118.0, 183.0, 235.0]
 
     def test_sliding_window_reuses_pmf_across_c(self, monkeypatch):
-        # incremental=False routes through the session pipeline, whose
-        # pmf cache serves every c from one dp run.
+        # The window's session pmf cache serves every c from one dp
+        # run.
         from repro.stream.window import SlidingWindowTopK
 
         calls = []
@@ -395,27 +395,6 @@ class TestConsumersRouteThroughSession:
         win.typical(2)
         win.typical(3)
         assert len(calls) == 1  # one dp run serves every c
-
-    def test_sliding_window_delta_reuses_pmf_across_c(self, monkeypatch):
-        # The delta path likewise answers every c from one query.
-        from repro.stream.delta import DeltaWindowState
-        from repro.stream.window import SlidingWindowTopK
-
-        calls = []
-        real_query = DeltaWindowState.query
-
-        def counting_query(self, p_tau):
-            calls.append(1)
-            return real_query(self, p_tau)
-
-        monkeypatch.setattr(DeltaWindowState, "query", counting_query)
-        win = SlidingWindowTopK(window=4, k=2, p_tau=0.0)
-        for i in range(4):
-            win.append({"score": float(i)}, probability=0.9)
-        win.typical(1)
-        win.typical(2)
-        win.typical(3)
-        assert len(calls) == 1  # one delta query serves every c
 
     def test_cli_answer_command(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bench.baseline import (
+    _calibration_factory,
     check_against_baseline,
     read_baseline,
     run_baseline,
@@ -25,6 +28,7 @@ class TestBaselineModule:
         data = run_baseline(tiny_only=True, repeats=1)
         assert data["schema"] == 1
         assert data["meta"]["tiny_only"] is True
+        assert data["meta"]["backend"] in ("python", "native")
         assert data["calibration"]["seconds"] > 0.0
         for entry in data["workloads"].values():
             assert entry["seconds"] > 0.0
@@ -43,6 +47,20 @@ class TestBaselineModule:
         assert check_against_baseline(ok, committed) == []
         assert len(check_against_baseline(slow, committed)) == 1
         assert check_against_baseline(unknown, committed) == []
+
+    def test_calibration_probe_runs_no_repro_code(self, monkeypatch):
+        # The probe must time the machine, not whichever DP backend
+        # loads, so it must never reach the dynamic program.
+        import repro.bench.baseline
+        import repro.core.dp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration probe ran the DP")
+
+        for module in (repro.core.dp, repro.bench.baseline):
+            monkeypatch.setattr(module, "dp_distribution", refuse)
+        probe = _calibration_factory()
+        assert probe() == pytest.approx(probe())
 
     def test_check_normalizes_by_calibration(self):
         # A uniformly 5x-slower machine (same calibration ratio) must
@@ -75,12 +93,14 @@ class TestBenchCLI:
         )
 
     def test_bench_check_passes_against_self(self, tmp_path, capsys):
+        # Best of three on both sides: one timing of a 2 ms workload
+        # can read 3x slow on a busy machine.
         path = tmp_path / "BENCH_core.json"
         assert main(
-            ["bench", "--tiny", "--repeats", "1", "--json", str(path)]
+            ["bench", "--tiny", "--repeats", "3", "--json", str(path)]
         ) == 0
         assert main(
-            ["bench", "--tiny", "--repeats", "1", "--check", str(path)]
+            ["bench", "--tiny", "--repeats", "3", "--check", str(path)]
         ) == 0
         assert "perf guard ok" in capsys.readouterr().out
 

@@ -8,16 +8,11 @@ native backend's PMFs — scores, probabilities and vectors — are
 
 The rest covers the machinery around the kernel: the
 ``REPRO_BACKEND`` override, forced-fallback when the extension cannot
-load, the planner's backend decision surfacing in EXPLAIN, the
-``max_lines`` slab cap, and the process-parallel per-ending executor's
-determinism (including under ``PYTHONHASHSEED=random``).
+load, the planner's backend decision surfacing in EXPLAIN, and the
+``max_lines`` slab cap.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -249,57 +244,3 @@ class TestPlannerDecision:
         )
         dp = session.explain(spec)["physical"]["operators"][1]
         assert "backend" not in dp["params"]
-
-
-class TestParallelPerEnding:
-    def test_workers_match_serial_exactly(self) -> None:
-        prefix = prepare_scored_prefix(
-            cartel_workload(segments=12), congestion_scorer(), 4, p_tau=0.0
-        )
-        serial = dp_distribution_per_ending(prefix, 4, max_lines=200)
-        parallel = dp_distribution_per_ending(
-            prefix, 4, max_lines=200, workers=2
-        )
-        assert_identical(serial, parallel)
-
-    def test_default_workers_gates_on_payoff(self) -> None:
-        from repro.core.kernels.parallel import default_workers
-
-        cpus = os.cpu_count() or 1
-        # Too small to amortize a pool spin-up: stay serial.
-        assert default_workers(64, est_serial_ms=10.0, spawn_ms=150.0) == 1
-        # One unit cannot fan out.
-        assert default_workers(1, est_serial_ms=1e6, spawn_ms=150.0) == 1
-        big = default_workers(64, est_serial_ms=1e6, spawn_ms=150.0)
-        assert big == (min(cpus, 64) if cpus > 1 else 1)
-
-    def test_deterministic_under_random_hash_seed(self, tmp_path) -> None:
-        """Two runs with ``PYTHONHASHSEED=random`` agree bit for bit."""
-        script = tmp_path / "per_ending_digest.py"
-        script.write_text(
-            "from repro.bench.workloads import cartel_workload, "
-            "congestion_scorer\n"
-            "from repro.core.distribution import prepare_scored_prefix\n"
-            "from repro.core.dp import dp_distribution_per_ending\n"
-            "prefix = prepare_scored_prefix(\n"
-            "    cartel_workload(segments=12), congestion_scorer(), 4,\n"
-            "    p_tau=0.0)\n"
-            "pmf = dp_distribution_per_ending(\n"
-            "    prefix, 4, max_lines=200, workers=2)\n"
-            "print(repr((pmf.scores, pmf.probs, pmf.vectors)))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = "random"
-        env.pop(kernels.BACKEND_ENV, None)
-        outputs = []
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, str(script)],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]

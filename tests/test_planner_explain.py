@@ -255,7 +255,7 @@ class TestCostModelCalibration:
         assert constants["k_combo_max_combinations"] >= 1
         assert 1 <= constants["state_expansion_max_depth"] < 24
         assert constants["dp_native_unit_ns"] > 0
-        assert constants["parallel_spawn_ms"] > 0
+        assert "parallel_spawn_ms" not in constants
         path = write_calibration(document, tmp_path / "cal.json")
         model = load_cost_model(path)
         assert model.source == str(path)
@@ -275,10 +275,7 @@ class TestCostModelCalibration:
         self, tmp_path
     ) -> None:
         """Pre-backend calibration files keep working untouched."""
-        from repro.api.calibration import (
-            DEFAULT_DP_NATIVE_UNIT_NS,
-            DEFAULT_PARALLEL_SPAWN_MS,
-        )
+        from repro.api.calibration import DEFAULT_DP_NATIVE_UNIT_NS
 
         old = tmp_path / "old.json"
         old.write_text(
@@ -302,7 +299,39 @@ class TestCostModelCalibration:
         assert model.source == str(old)
         assert model.mc_cost_budget == 123
         assert model.dp_native_unit_ns == DEFAULT_DP_NATIVE_UNIT_NS
-        assert model.parallel_spawn_ms == DEFAULT_PARALLEL_SPAWN_MS
+
+    def test_file_with_retired_parallel_spawn_ms_loads(
+        self, tmp_path
+    ) -> None:
+        """Schema-2 files written while the per-ending fan-out existed
+        carry ``parallel_spawn_ms``; they load, ignoring it."""
+        path = tmp_path / "cal.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 2,
+                    "constants": {
+                        "mc_cost_budget": 123,
+                        "k_combo_max_combinations": 45,
+                        "state_expansion_max_depth": 6,
+                        "dp_unit_ns": 7.0,
+                        "dp_native_unit_ns": 2.0,
+                        "k_combo_unit_ns": 8.0,
+                        "state_unit_ns": 9.0,
+                        "mc_world_row_ns": 10.0,
+                        "prefix_row_ns": 11.0,
+                        "storage_row_ns": 12.0,
+                        "parallel_spawn_ms": 150.0,
+                    },
+                }
+            )
+        )
+        model = load_cost_model(path)
+        assert model.source == str(path)
+        assert model.mc_cost_budget == 123
+        assert model.dp_native_unit_ns == 2.0
+        assert model.storage_row_ns == 12.0
+        assert "parallel_spawn_ms" not in model.describe()
 
     def test_unreadable_calibration_falls_back(self, tmp_path) -> None:
         bad = tmp_path / "broken.json"

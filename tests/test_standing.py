@@ -22,7 +22,7 @@ from repro.standing import (
     StandingRegistry,
     classify_delta,
 )
-from repro.stream.segments import RankedSegments
+from repro.standing.segments import RankedSegments
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from repro.uncertain.table import UncertainTable
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import AlgorithmError, DataModelError
+from repro.exceptions import AlgorithmError, DataModelError, ScoringError
 from repro.stream.window import SlidingWindowTopK
 from tests.conftest import assert_pmf_equal, oracle_pmf
 
@@ -48,6 +48,19 @@ class TestWindowMaintenance:
         with pytest.raises(AlgorithmError):
             SlidingWindowTopK(window=3, k=4)
 
+    def test_nan_score_rejected_at_append(self):
+        win = SlidingWindowTopK(window=3, k=1, p_tau=0.0)
+        fill(win, [1, 2, 3, 4])
+        before = win.distribution()
+        with pytest.raises(ScoringError, match="score of tuple 's4' is NaN"):
+            win.append({"score": float("nan")}, probability=0.5)
+        with pytest.raises(ScoringError, match="'mine' is NaN"):
+            win.append({"score": "nan"}, probability=0.5, tid="mine")
+        assert len(win) == 3
+        assert win.arrivals == 4
+        assert win.distribution() is before
+        assert win.append({"score": 5.0}, probability=0.9) == "s4"
+
 
 class TestDistribution:
     def test_matches_oracle_on_window(self):
@@ -72,6 +85,38 @@ class TestDistribution:
         assert win.distribution().scores == (100.0,)
         win.append({"score": 2.0}, probability=1.0)  # 100 evicted
         assert win.distribution().scores == (2.0,)
+
+    def test_incremental_flag_is_ignored(self):
+        wins = [
+            SlidingWindowTopK(window=6, k=2, p_tau=0.0, incremental=flag)
+            for flag in (True, False)
+        ]
+        for win in wins:
+            fill(win, [5, 1, 4, 4, 2, 8, 3, 7], probability=0.6)
+        a, b = (win.distribution() for win in wins)
+        assert (a.scores, a.probs, a.vectors) == (
+            b.scores,
+            b.probs,
+            b.vectors,
+        )
+
+    def test_mc_and_auto_algorithms(self):
+        exact, mc, auto = (
+            SlidingWindowTopK(window=6, k=2, p_tau=0.0, **options)
+            for options in (
+                {},
+                {"algorithm": "mc", "samples": 20000, "seed": 3},
+                {"algorithm": "auto"},
+            )
+        )
+        for win in (exact, mc, auto):
+            fill(win, [10, 20, 30, 40, 50, 60, 70], probability=0.5)
+        assert_pmf_equal(
+            auto.distribution().to_dict(), oracle_pmf(auto.table(), 2)
+        )
+        assert mc.expected_top_k_score() == pytest.approx(
+            exact.expected_top_k_score(), abs=2.0
+        )
 
     def test_expected_top_k_score(self):
         win = SlidingWindowTopK(window=2, k=1, p_tau=0.0)

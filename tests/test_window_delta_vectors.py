@@ -1,13 +1,8 @@
-"""Delta-window representative vectors, reconstructed lazily.
+"""Sliding-window PMFs carry representative vectors.
 
-The shared-prefix PR left a caveat: delta-mode PMFs carried
-``vector=None`` lines (the segment caches track scores and
-probabilities only).  The window now wraps delta results in a
-:class:`~repro.core.pmf.LazyVectorPMF` whose first vector access runs
-one vector-carrying dynamic program over the cached rank order — so
-window PMFs round-trip like session PMFs, consumers that never touch
-vectors keep paying nothing, and the vectors agree with the
-from-scratch (``incremental=False``) path.
+Every window line records the most probable top-k vector attaining its
+score, so window PMFs round-trip through JSON and the CLI like session
+PMFs, and typical answers drawn from them name their tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.pmf import LazyVectorPMF
 from repro.core.typical import select_typical_clamped
 from repro.io.csv_io import write_table_csv
 from repro.io.json_io import pmf_from_json, pmf_to_json
@@ -34,45 +28,37 @@ def _fill_window(win: SlidingWindowTopK) -> SlidingWindowTopK:
 
 
 @pytest.fixture
-def delta_window() -> SlidingWindowTopK:
-    """A delta-eligible window (independent tuples, incremental)."""
+def window() -> SlidingWindowTopK:
+    """A window of independent tuples, default construction."""
     return _fill_window(SlidingWindowTopK(window=12, k=3, p_tau=0.0))
 
 
 @pytest.fixture
 def scratch_window() -> SlidingWindowTopK:
-    """The same stream through the from-scratch session path."""
+    """The same stream with ``incremental=False`` (ignored)."""
     return _fill_window(
         SlidingWindowTopK(window=12, k=3, p_tau=0.0, incremental=False)
     )
 
 
-def test_delta_pmf_vectors_are_lazy(delta_window):
-    pmf = delta_window.distribution()
-    assert isinstance(pmf, LazyVectorPMF)
-    assert not pmf.vectors_materialized()
-    # Vector-free consumers never trigger the reconstruction...
-    assert pmf.expectation() > 0.0
-    assert pmf.total_mass() == pytest.approx(sum(pmf.probs))
-    assert not pmf.vectors_materialized()
-    # ...and the first vector read materializes exactly once.
-    vectors = pmf.vectors
-    assert pmf.vectors_materialized()
-    assert len(vectors) == len(pmf)
-    assert pmf.vectors is vectors
-
-
-def test_delta_vectors_match_scratch_path(delta_window, scratch_window):
-    delta_pmf = delta_window.distribution()
+def test_delta_vectors_match_scratch_path(window, scratch_window):
+    pmf = window.distribution()
     scratch_pmf = scratch_window.distribution()
-    assert delta_pmf.scores == pytest.approx(scratch_pmf.scores)
-    assert list(delta_pmf.vectors) == list(scratch_pmf.vectors)
+    assert pmf.scores == scratch_pmf.scores
+    assert list(pmf.vectors) == list(scratch_pmf.vectors)
+    # Each vector holds k window tuples and attains its line's score.
+    table = window.table()
+    for score, vector in zip(pmf.scores, pmf.vectors):
+        assert len(vector) == 3
+        assert sum(table[tid]["score"] for tid in vector) == pytest.approx(
+            score
+        )
 
 
-def test_delta_pmf_json_round_trip(delta_window):
-    pmf = delta_window.distribution()
+def test_delta_pmf_json_round_trip(window):
+    pmf = window.distribution()
     text = pmf_to_json(pmf)
-    assert "vector" in text  # vectors are now part of the document
+    assert "vector" in text
     restored = pmf_from_json(text)
     assert restored.scores == pmf.scores
     assert restored.probs == pytest.approx(pmf.probs)
@@ -82,20 +68,18 @@ def test_delta_pmf_json_round_trip(delta_window):
     assert all(vector is not None for vector in restored.vectors)
 
 
-def test_delta_pmf_histogram_consumers(delta_window):
-    pmf = delta_window.distribution()
+def test_delta_pmf_histogram_consumers(window):
+    pmf = window.distribution()
     rendered = render_pmf(pmf, buckets=8)
     assert rendered.count("\n") >= 1
     buckets = pmf.histogram(2.0)
     assert sum(prob for _, _, prob in buckets) == pytest.approx(
         pmf.total_mass()
     )
-    # Histogram access is vector-free: still lazy afterwards.
-    assert not pmf.vectors_materialized()
 
 
-def test_delta_typical_answers_carry_vectors(delta_window, scratch_window):
-    pmf = delta_window.distribution()
+def test_delta_typical_answers_carry_vectors(window, scratch_window):
+    pmf = window.distribution()
     result = select_typical_clamped(pmf, 2)
     assert len(result.answers) == 2
     assert all(answer.vector is not None for answer in result.answers)
@@ -103,36 +87,32 @@ def test_delta_typical_answers_carry_vectors(delta_window, scratch_window):
     assert [a.vector for a in result.answers] == [
         a.vector for a in reference.answers
     ]
-    # The window's own typical() path agrees and caches per c.
-    again = delta_window.typical(2)
+    # The window's own typical() path agrees.
+    again = window.typical(2)
     assert [a.score for a in again.answers] == [
         a.score for a in result.answers
     ]
 
 
-def test_reconstruction_snapshot_survives_slides(delta_window):
-    """Vectors requested *after* the window slid reflect the queried
-    state, not the current one (the reconstruction inputs are a
-    snapshot)."""
-    pmf = delta_window.distribution()
-    expected_scores = pmf.scores
+def test_reconstruction_snapshot_survives_slides(window):
+    """A PMF taken before the window slides keeps its lines and
+    vectors afterwards; the new window state gets its own."""
+    pmf = window.distribution()
+    expected = (pmf.scores, pmf.probs, pmf.vectors)
     for i in range(12):  # slide the whole window away
-        delta_window.append({"score": 1000.0 + i}, probability=0.9)
-    vectors = pmf.vectors  # materialize late
-    assert pmf.scores == expected_scores
-    assert len(vectors) == len(expected_scores)
-    assert all(v is not None for v in vectors)
-    # The new window state is unaffected and lazily vectored again.
-    fresh = delta_window.distribution()
-    assert fresh.scores != expected_scores
+        window.append({"score": 1000.0 + i}, probability=0.9)
+    assert (pmf.scores, pmf.probs, pmf.vectors) == expected
+    assert all(v is not None for v in pmf.vectors)
+    fresh = window.distribution()
+    assert fresh.scores != expected[0]
     assert all(v is not None for v in fresh.vectors)
 
 
-def test_cli_answer_json_round_trips_window_table(delta_window, tmp_path, capsys):
-    """End to end: the delta window's table through ``repro answer
+def test_cli_answer_json_round_trips_window_table(window, tmp_path, capsys):
+    """End to end: the window's table through ``repro answer
     --json`` parses back with the pmf document reader."""
     path = tmp_path / "window.csv"
-    write_table_csv(delta_window.table(), path)
+    write_table_csv(window.table(), path)
     code = main(
         [
             "answer",
@@ -150,21 +130,20 @@ def test_cli_answer_json_round_trips_window_table(delta_window, tmp_path, capsys
     )
     assert code == 0
     restored = pmf_from_json(capsys.readouterr().out)
-    # Same tuple set, same exact semantics: the session-path PMF the
-    # CLI computes matches the delta-maintained one line for line —
-    # vectors included, now that delta PMFs reconstruct them.
-    delta_pmf = delta_window.distribution()
-    assert restored.scores == pytest.approx(delta_pmf.scores)
-    assert restored.probs == pytest.approx(delta_pmf.probs)
+    # Same tuple set, same exact semantics: the PMF the CLI computes
+    # matches the window's line for line, vectors included.
+    window_pmf = window.distribution()
+    assert restored.scores == pytest.approx(window_pmf.scores)
+    assert restored.probs == pytest.approx(window_pmf.probs)
     assert list(restored.vectors) == [
-        tuple(v) if v is not None else None for v in delta_pmf.vectors
+        tuple(v) if v is not None else None for v in window_pmf.vectors
     ]
 
 
-def test_cli_answer_json_mc_estimates(delta_window, tmp_path, capsys):
+def test_cli_answer_json_mc_estimates(window, tmp_path, capsys):
     """The MC path serves the same document shape through --json."""
     path = tmp_path / "window.csv"
-    write_table_csv(delta_window.table(), path)
+    write_table_csv(window.table(), path)
     code = main(
         [
             "answer",
@@ -188,16 +167,16 @@ def test_cli_answer_json_mc_estimates(delta_window, tmp_path, capsys):
     )
     assert code == 0
     restored = pmf_from_json(capsys.readouterr().out)
-    delta_pmf = delta_window.distribution()
+    window_pmf = window.distribution()
     assert restored.expectation() == pytest.approx(
-        delta_pmf.expectation(), abs=0.5
+        window_pmf.expectation(), abs=0.5
     )
 
 
-def test_cli_answer_json_non_pmf_semantics(delta_window, tmp_path, capsys):
+def test_cli_answer_json_non_pmf_semantics(window, tmp_path, capsys):
     """--json also serializes non-PMF answers (no crash on tuples)."""
     path = tmp_path / "window.csv"
-    write_table_csv(delta_window.table(), path)
+    write_table_csv(window.table(), path)
     code = main(
         [
             "answer",
