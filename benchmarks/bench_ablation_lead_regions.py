@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dp import (
-    dp_distribution,
-    dp_distribution_without_lead_regions,
-)
+from repro.bench.ablations import dp_distribution_without_lead_regions
+from repro.core.dp import dp_distribution
 from repro.stats.metrics import wasserstein_distance
 
 K = 10

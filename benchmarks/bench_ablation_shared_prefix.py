@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.ablations import dp_distribution_per_ending
 from repro.bench.reporting import print_series
 from repro.bench.runner import time_callable
 from repro.bench.workloads import cartel_workload, congestion_scorer
 from repro.core.distribution import prepare_scored_prefix
-from repro.core.dp import (
-    _ending_units,
-    dp_distribution,
-    dp_distribution_per_ending,
-)
+from repro.core.dp import _ending_units, dp_distribution
 from repro.stats.metrics import wasserstein_distance
 
 K = 10

@@ -44,21 +44,13 @@ from repro.api.calibration import (
 )
 from repro.api.logical import LogicalPlan
 from repro.api.physical import PhysicalPlan
-from repro.api.plan import (
-    AUTO_MC_COST_BUDGET,
-    choose_algorithm,
-    distribution_from_prefix,
-    exact_cost,
-    resolve_algorithm,
-    scored_prefix_for,
-)
+from repro.api.plan import distribution_from_prefix, exact_cost
 from repro.api.planner import DEFAULT_PLANNER, Planner
 from repro.api.registry import (
     SemanticsHandler,
     available_semantics,
     get_semantics,
     register_semantics,
-    semantics_variants,
     unregister_semantics,
 )
 from repro.api import builtin as _builtin  # noqa: F401  (registers built-ins)
@@ -88,13 +80,8 @@ __all__ = [
     "unregister_semantics",
     "get_semantics",
     "available_semantics",
-    "semantics_variants",
-    "choose_algorithm",
-    "resolve_algorithm",
     "exact_cost",
-    "scored_prefix_for",
     "distribution_from_prefix",
-    "AUTO_MC_COST_BUDGET",
     "SPEC_ALGORITHMS",
     "DEFAULT_C",
     "DEFAULT_THRESHOLD",

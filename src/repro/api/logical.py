@@ -122,22 +122,6 @@ class LogicalPlan:
             return ("resolve", "prefix", "semantics")
         return ("resolve", "prefix", "pmf", "semantics")
 
-    def truncates(self, table_rows: int) -> bool:
-        """Whether stage 1 can bound the scan below ``table_rows``.
-
-        True when an explicit depth override cuts the table, or when
-        ``p_tau > 0`` arms the Theorem-2 stopping condition.  This is
-        the standing-query maintainer's first gate: a request that
-        never truncates is touched by *every* mutation of its table,
-        while a truncating request is only touched by mutations that
-        reach into its depth prefix (see
-        :func:`repro.standing.registry.classify_delta`).
-        """
-        spec = self.spec
-        if spec.depth is not None:
-            return spec.depth < table_rows
-        return spec.p_tau > 0.0
-
     # ------------------------------------------------------------------
     # Key derivation (the single source shared by Session and service)
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ where the pmf operator is one of
 
 * :class:`SharedPrefixDPOp` — the Section-3.3.3 forward sweep (the
   production exact engine; O(kmn));
-* :class:`PerEndingDPOp` — the one-program-per-ending ablation;
 * :class:`KComboOp` — exhaustive k-combination enumeration;
 * :class:`StateExpansionOp` — the possible-states baseline;
 * :class:`MCSampleOp` — the vectorized Monte-Carlo estimator;
@@ -21,17 +20,21 @@ or absent entirely for prefix-consuming semantics (U-Topk, PT-k, …).
 sweep serving several ``(k, depth)`` slices
 (:func:`repro.core.dp.dp_distribution_sliced`).
 
-Operators execute through the stage-function namespace of
+Stage 1 (:class:`ScorePrefixOp`) is priced and rendered here but run
+by the Session, which truncates its cached sort of the table; the
+other operators execute through the stage-function namespace of
 :mod:`repro.api.plan` (one patchable seam for tests and plugins), so a
 plan's answers are byte-identical to the pre-planner engine.  Each
 operator prices itself in machine-independent *cost units*; the
 planner's :class:`~repro.api.calibration.CostModel` turns units into
 per-machine time estimates for EXPLAIN.
 
-Adding a new physical operator is three steps (see CONTRIBUTING.md):
-subclass :class:`PhysicalOp` with ``run``/``cost_units``/``describe``,
-map an algorithm name to it in ``PMF_OPERATORS``, and register the
-algorithm in the spec layer so requests can ask for it.
+Adding a new stage-2 operator is four steps (see CONTRIBUTING.md):
+subclass :class:`_PmfOp` with ``run``/``cost_units``/``unit_ns``/
+``describe``, map an algorithm name to it in ``PMF_OPERATORS``, build
+it in :meth:`~repro.api.planner.Planner.lower` when it needs more
+than ``k``/``n``/``max_lines``, and add the name to
+:data:`repro.core.distribution.ALGORITHMS` so specs accept it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import Any, Sequence
 from repro.api.logical import LogicalPlan
 from repro.core.pmf import ScorePMF
 from repro.uncertain.scoring import ScoredTable
-from repro.uncertain.table import UncertainTable
 
 #: Exponent cap for state-space unit counts (keeps them finite).
 _MAX_STATE_EXPONENT = 60
@@ -95,13 +97,6 @@ class ScorePrefixOp(PhysicalOp):
     rows_in: int = 0
     rows_out: int = 0
     storage: str = "ram"
-
-    def run(self, table: UncertainTable, spec) -> ScoredTable:
-        from repro.api import plan as stages
-
-        return stages.prepare_scored_prefix(
-            table, spec.scorer, spec.k, p_tau=spec.p_tau, depth=spec.depth
-        )
 
     def cost_units(self) -> float:
         if self.storage == "disk":
@@ -169,42 +164,6 @@ class SharedPrefixDPOp(_PmfOp):
 
     def describe(self) -> dict[str, Any]:
         document = {**super().describe(), "me_members": self.me_members}
-        if self.backend != "python":
-            document["backend"] = self.backend
-        return document
-
-
-@dataclass(frozen=True)
-class PerEndingDPOp(_PmfOp):
-    """The per-ending ablation DP (``algorithm="dp_per_ending"``)."""
-
-    name = "PerEndingDPOp"
-    me_members: int = 0
-    ending_units: int = 1
-    backend: str = "python"
-
-    def run(self, prefix: ScoredTable, spec) -> ScorePMF:
-        from repro.api import plan as stages
-
-        return stages.dp_distribution_per_ending(
-            prefix, self.k, max_lines=self.max_lines, backend=self.backend
-        )
-
-    def cost_units(self) -> float:
-        # One bottom-up O(kn) program per ending unit.
-        return float(self.k * self.n * max(1, self.ending_units))
-
-    def unit_ns(self, model) -> float:
-        if self.backend == "native":
-            return model.dp_native_unit_ns
-        return model.dp_unit_ns
-
-    def describe(self) -> dict[str, Any]:
-        document = {
-            **super().describe(),
-            "me_members": self.me_members,
-            "ending_units": self.ending_units,
-        }
         if self.backend != "python":
             document["backend"] = self.backend
         return document
@@ -313,19 +272,18 @@ class MCSampleOp(_PmfOp):
 
 
 @dataclass(frozen=True)
-class FusedSweepOp(PhysicalOp):
+class FusedSweepOp:
     """One shared sweep serving several ``(k, depth)`` slices.
 
     The batch-fusion operator: requests over one table/scorer whose
     exact DP can be sliced byte-identically run as a single
     :func:`repro.core.dp.dp_distribution_sliced` call at the deepest
-    prefix and largest ``k``.
+    prefix and largest ``k``.  Fusion always pays (one sweep instead
+    of several), so the planner never prices it and EXPLAIN, which
+    renders single requests, never shows it.
     """
 
-    name = "FusedSweepOp"
     requests: tuple[tuple[int, int], ...] = ()
-    n: int = 0
-    me_members: int = 0
     max_lines: int = 0
     backend: str = "python"
 
@@ -338,28 +296,6 @@ class FusedSweepOp(PhysicalOp):
             max_lines=self.max_lines,
             backend=self.backend,
         )
-
-    def cost_units(self) -> float:
-        from repro.api.plan import exact_cost
-
-        k_max = max((k for k, _ in self.requests), default=1)
-        return float(exact_cost(self.n, k_max, self.me_members))
-
-    def unit_ns(self, model) -> float:
-        if self.backend == "native":
-            return model.dp_native_unit_ns
-        return model.dp_unit_ns
-
-    def describe(self) -> dict[str, Any]:
-        document: dict[str, Any] = {
-            "requests": [list(pair) for pair in self.requests],
-            "n": self.n,
-            "me_members": self.me_members,
-            "max_lines": self.max_lines,
-        }
-        if self.backend != "python":
-            document["backend"] = self.backend
-        return document
 
 
 @dataclass(frozen=True)
@@ -400,7 +336,6 @@ class SemanticsOp(PhysicalOp):
 #: Stage-2 operator per concrete algorithm name.
 PMF_OPERATORS: dict[str, type[_PmfOp]] = {
     "dp": SharedPrefixDPOp,
-    "dp_per_ending": PerEndingDPOp,
     "k_combo": KComboOp,
     "state_expansion": StateExpansionOp,
     "mc": MCSampleOp,

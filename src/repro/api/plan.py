@@ -1,10 +1,11 @@
-"""Stage functions and planning shims of the query pipeline.
+"""Stage functions of the query pipeline.
 
 The pipeline a :class:`~repro.api.session.Session` plans — and that
 the legacy free functions execute one-shot — has three stages:
 
 1. **prefix** — score, rank-order and Theorem-2-truncate the table
-   (:func:`scored_prefix_for`);
+   (:func:`prepare_scored_prefix`; the Session scores each table once
+   through it and truncates the cached sort per request);
 2. **pmf** — run a Section-3 algorithm over the prefix to obtain the
    top-k score distribution (:func:`distribution_from_prefix`);
 3. **semantics** — apply the requested answer semantics (dispatched
@@ -14,31 +15,18 @@ Planning itself lives in the explicit logical→physical layer:
 :mod:`repro.api.logical` normalizes a spec,
 :mod:`repro.api.planner` chooses the concrete algorithm from the
 machine's cost model and lowers it to the executable operators of
-:mod:`repro.api.physical`.  This module remains the *stage-function
+:mod:`repro.api.physical`.  This module is the *stage-function
 namespace* those operators execute through — one patchable seam for
-tests and plugins — plus backward-compatible wrappers
-(:func:`choose_algorithm`, :func:`resolve_algorithm`,
-:func:`exact_cost`) that delegate to the process-wide planner.
-
-The ``AUTO_*`` constants below are the planner's builtin (frozen)
-thresholds; a machine calibrated with ``repro calibrate`` overrides
-them through :mod:`repro.api.calibration` without touching this
-module.
+tests, plugins and tracing.
 """
 
 from __future__ import annotations
 
-from repro.api.calibration import (
-    DEFAULT_K_COMBO_MAX_COMBINATIONS,
-    DEFAULT_MC_COST_BUDGET,
-    DEFAULT_STATE_EXPANSION_MAX_DEPTH,
-)
 from repro.api.logical import LogicalPlan
 from repro.api.planner import DEFAULT_PLANNER, exact_cost
 from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import (  # noqa: F401  (stage-function namespace)
     dp_distribution,
-    dp_distribution_per_ending,
     dp_distribution_sliced,
 )
 from repro.core.k_combo import k_combo_distribution  # noqa: F401
@@ -47,66 +35,13 @@ from repro.core.state_expansion import (  # noqa: F401
     state_expansion_distribution,
 )
 from repro.uncertain.scoring import ScoredTable
-from repro.uncertain.table import UncertainTable
 
 __all__ = [
-    "AUTO_K_COMBO_MAX_COMBINATIONS",
-    "AUTO_STATE_EXPANSION_MAX_DEPTH",
-    "AUTO_MC_COST_BUDGET",
     "exact_cost",
-    "choose_algorithm",
-    "resolve_algorithm",
-    "scored_prefix_for",
+    "prepare_scored_prefix",
     "distribution_from_prefix",
     "mc_distribution",
 ]
-
-#: ``algorithm="auto"`` builtin threshold: use k-Combo when the full
-#: combination count is below this (exhaustive enumeration is then
-#: cheapest).  Calibration may override per machine.
-AUTO_K_COMBO_MAX_COMBINATIONS = DEFAULT_K_COMBO_MAX_COMBINATIONS
-
-#: ``algorithm="auto"`` builtin threshold: use StateExpansion for
-#: prefixes at most this deep (its 2^n state space stays trivial
-#: there).
-AUTO_STATE_EXPANSION_MAX_DEPTH = DEFAULT_STATE_EXPANSION_MAX_DEPTH
-
-#: ``algorithm="auto"`` builtin threshold: fall back to the
-#: Monte-Carlo estimator when the exact-cost model
-#: (:func:`exact_cost` units) exceeds this.  The exact sweep at the
-#: budget takes on the order of a second of pure Python/numpy; beyond
-#: it sampling with explicit ±ε bounds is the better trade.
-AUTO_MC_COST_BUDGET = DEFAULT_MC_COST_BUDGET
-
-
-def choose_algorithm(
-    n: int, k: int, depth: int | None = None, *, me_members: int = 0
-) -> str:
-    """Pick an algorithm from the problem shape.
-
-    Delegates to the process-wide :data:`~repro.api.planner.DEFAULT_PLANNER`
-    (cost-model thresholds; the builtin model reproduces the frozen
-    ``AUTO_*`` literals exactly).
-
-    :param me_members: the prefix's mutual-exclusion member count
-        (``ScoredTable.me_member_count()``); drives the exact-cost
-        escape hatch to ``"mc"``.
-    """
-    return DEFAULT_PLANNER.choose_algorithm(
-        n, k, depth, me_members=me_members
-    )
-
-
-def resolve_algorithm(spec, n: int, *, me_members: int = 0) -> str:
-    """The concrete algorithm a spec runs over a length-``n`` prefix."""
-    return DEFAULT_PLANNER.resolve_algorithm(spec, n, me_members=me_members)
-
-
-def scored_prefix_for(table: UncertainTable, spec) -> ScoredTable:
-    """Stage 1: the scored, rank-ordered, truncated prefix."""
-    return prepare_scored_prefix(
-        table, spec.scorer, spec.k, p_tau=spec.p_tau, depth=spec.depth
-    )
 
 
 def mc_distribution(prefix: ScoredTable, spec) -> ScorePMF:
@@ -117,24 +52,19 @@ def mc_distribution(prefix: ScoredTable, spec) -> ScorePMF:
     return run_mc(prefix, spec)
 
 
-def distribution_from_prefix(
-    prefix: ScoredTable, spec, *, algorithm: str | None = None
-) -> ScorePMF:
+def distribution_from_prefix(prefix: ScoredTable, spec) -> ScorePMF:
     """Stage 2: the top-k score distribution of a prepared prefix.
 
-    Lowers the request through the planner and runs the resulting
-    stage-2 physical operator (which executes back through this
-    module's stage functions, so patched stage functions are honored).
-
-    :param algorithm: concrete algorithm override; when ``None`` it is
-        resolved from the spec (including ``"auto"``).
+    Lowers the request through the planner (resolving ``"auto"``) and
+    runs the resulting stage-2 physical operator, which executes back
+    through this module's stage functions, so patched stage functions
+    are honored.
     """
     physical = DEFAULT_PLANNER.lower(
         LogicalPlan.from_spec(spec),
         prefix,
         table_rows=len(prefix),
         include_semantics=False,
-        algorithm=algorithm,
     )
     assert physical.pmf_op is not None
     return physical.pmf_op.run(prefix, spec)

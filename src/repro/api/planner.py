@@ -38,7 +38,6 @@ from repro.api.logical import LogicalPlan
 from repro.api.physical import (
     FusedSweepOp,
     MCSampleOp,
-    PerEndingDPOp,
     PhysicalPlan,
     PMF_OPERATORS,
     ScorePrefixOp,
@@ -130,8 +129,7 @@ class Planner:
         if exact_cost(size, k, me_members) > model.mc_cost_budget:
             return "mc"
         # "dp" is the shared-prefix engine: on mutual-exclusion inputs
-        # it realizes the Section-3.3.3 O(kmn) bound; the per-ending
-        # ablation ("dp_per_ending") is never auto-selected.
+        # it realizes the Section-3.3.3 O(kmn) bound.
         return "dp"
 
     def resolve_algorithm(self, spec, n: int, *, me_members: int = 0) -> str:
@@ -170,7 +168,6 @@ class Planner:
         *,
         table_rows: int,
         include_semantics: bool = True,
-        algorithm: str | None = None,
         storage: str = "ram",
     ) -> PhysicalPlan:
         """Lower a logical plan over a resolved stage-1 prefix.
@@ -179,8 +176,6 @@ class Planner:
             cost input).
         :param include_semantics: ``False`` for raw ``distribution``
             runs, which stop after stage 2.
-        :param algorithm: concrete-algorithm override; ``None``
-            resolves from the spec (including ``"auto"``).
         :param storage: where stage 1 reads from — ``"ram"`` (score
             and sort the resident relation) or ``"disk"`` (stream the
             pre-ranked prefix of a packed table); prices the prefix
@@ -189,10 +184,7 @@ class Planner:
         spec = logical.spec
         n = len(prefix)
         me_members = prefix.me_member_count()
-        if algorithm is None:
-            algorithm = self.resolve_algorithm(
-                spec, n, me_members=me_members
-            )
+        algorithm = self.resolve_algorithm(spec, n, me_members=me_members)
         prefix_op = ScorePrefixOp(
             k=spec.k,
             p_tau=spec.p_tau,
@@ -220,14 +212,6 @@ class Planner:
                 backend = self.choose_backend(spec.max_lines)
                 pmf_op = SharedPrefixDPOp(
                     **common, me_members=me_members, backend=backend
-                )
-            elif op_type is PerEndingDPOp:
-                backend = self.choose_backend(spec.max_lines)
-                pmf_op = PerEndingDPOp(
-                    **common,
-                    me_members=me_members,
-                    ending_units=ending_unit_count(prefix),
-                    backend=backend,
                 )
             elif op_type is StateExpansionOp:
                 pmf_op = StateExpansionOp(**common, p_tau=spec.p_tau)
@@ -331,8 +315,6 @@ class Planner:
             return
         op = FusedSweepOp(
             requests=requests,
-            n=len(anchor),
-            me_members=anchor.me_member_count(),
             max_lines=members[0].max_lines,
             backend=self.choose_backend(members[0].max_lines),
         )
@@ -348,13 +330,6 @@ def exact_cost(n: int, k: int, me_members: int = 0) -> int:
     tuple (the Section-3.3.3 bound); independent prefixes cost O(kn).
     """
     return k * n * (me_members + 1)
-
-
-def ending_unit_count(scored: ScoredTable) -> int:
-    """Ending units of a prefix (the ``E`` of the per-ending ablation)."""
-    from repro.core.dp import _ending_units
-
-    return len(_ending_units(scored))
 
 
 #: The process-wide planner (lazy calibration load).  Sessions may be

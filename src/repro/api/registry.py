@@ -185,13 +185,6 @@ def available_semantics() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def semantics_variants(name: str) -> tuple[str, ...]:
-    """Algorithms with a registered variant of ``name``, sorted."""
-    return tuple(
-        sorted(alg for (base, alg) in _VARIANTS if base == name)
-    )
-
-
 def unregister_semantics(name: str, algorithm: str | None = None) -> None:
     """Remove a registration (primarily for tests and plugins).
 

@@ -5,11 +5,13 @@ A session wraps a :class:`~repro.query.engine.Catalog` and executes
 logical→physical plan layer: each spec is normalized into a
 :class:`~repro.api.logical.LogicalPlan`, lowered by the cost-based
 :class:`~repro.api.planner.Planner` into a
-:class:`~repro.api.physical.PhysicalPlan` of executable operators, and
-run with every stage memoized in a keyed LRU:
+:class:`~repro.api.physical.PhysicalPlan` of executable operators —
+once per request, every stage then running from that one plan — with
+every stage memoized in a keyed LRU:
 
-* **scored cache** — keyed by ``(table, scorer)``: the fully scored,
-  rank-ordered table the fused batch path slices prefixes from;
+* **scored cache** — one entry per ``(table, scorer)``: the whole
+  table scored and rank-ordered, which every stage-1 miss truncates
+  (a mutable table's newer version replaces the older sort);
 * **prefix cache** — keyed by ``(table, scorer, k, p_tau, depth)``:
   changing only the semantics (or ``c``, ``max_lines``, the
   algorithm) reuses the scored, Theorem-2-truncated prefix;
@@ -31,10 +33,11 @@ the catalog therefore invalidates naturally — the next ``execute``
 resolves a different object and misses.  ``cache_info()`` exposes
 hit/miss counters per stage.
 
-**Multi-query fusion**: :meth:`Session.execute_many` hands the whole
-batch to the planner, which merges exact-DP requests over one table
-and scorer into a single shared-prefix sweep at the largest ``k`` and
-deepest prefix (:class:`~repro.api.physical.FusedSweepOp`), slices the
+**Multi-query fusion**: :meth:`Session.execute_many` plans each spec
+once and hands the plans to the planner, which merges exact-DP
+requests over one table and scorer into a single shared-prefix sweep
+at the largest ``k`` and deepest prefix
+(:class:`~repro.api.physical.FusedSweepOp`), slices the
 per-request distributions out, and seeds the ordinary stage caches —
 so a mixed-``k`` batch pays one DP instead of one per ``(k,
 algorithm)`` group, while every answer stays byte-identical to a
@@ -67,9 +70,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Literal, Mapping, Sequence
+from typing import Any, Hashable, Literal, Mapping, NamedTuple, Sequence
 
-from repro.api.logical import ByIdentity, LogicalPlan, hashable
+from repro.api.logical import ByIdentity, LogicalPlan
+from repro.api.physical import PhysicalPlan, SharedPrefixDPOp
 from repro.api.planner import (
     DEFAULT_PLANNER,
     FusionCandidate,
@@ -86,10 +90,6 @@ from repro.uncertain.table import UncertainTable
 
 #: Default per-stage LRU capacity.
 DEFAULT_CACHE_SIZE = 64
-
-#: Backward-compatible aliases (pre-planner private names).
-_ByIdentity = ByIdentity
-_hashable = hashable
 
 #: The operation a batch entry runs.
 BatchOp = Literal["execute", "distribution"]
@@ -239,6 +239,34 @@ class _LRU:
 _MISSING = object()
 
 
+class _Planned(NamedTuple):
+    """One request, planned once: what every later stage reads."""
+
+    logical: LogicalPlan
+    table: UncertainTable
+    prefix: ScoredTable
+    prefix_hit: bool
+    physical: PhysicalPlan
+
+    def pmf_key(self) -> Hashable:
+        # The sampling knobs only shape MC estimates; exact-algorithm
+        # entries stay shared across specs differing in a knob only.
+        return (self.prefix,) + self.logical.pmf_params(
+            self.physical.algorithm
+        )
+
+    def answer_key(self, pmf: ScorePMF | None) -> Hashable:
+        # Keyed by the consumed stage's *identity*: ScorePMF compares
+        # by (scores, probs) only, so value-equal distributions from
+        # different tables must not share an answer entry.  The
+        # resolved algorithm participates, plus the MC knobs when an
+        # MC variant's answer depends on them.
+        source = self.prefix if pmf is None else pmf
+        return (ByIdentity(source),) + self.logical.answer_params(
+            self.physical.algorithm
+        )
+
+
 class Session:
     """A planning, caching façade over a catalog of uncertain tables.
 
@@ -301,8 +329,28 @@ class Session:
         return self._catalog.resolve(spec.table)
 
     # ------------------------------------------------------------------
-    # Staged execution
+    # Planning: once per request
     # ------------------------------------------------------------------
+    def _plan(self, spec: QuerySpec, op: BatchOp = "execute") -> _Planned:
+        """Plan one request: normalize the spec, resolve the table, get
+        the stage-1 prefix and lower it — each exactly once.
+
+        Every entry point runs from the returned plan, so no stage is
+        planned twice.  ``op="distribution"`` lowers without the
+        semantics stage (a raw PMF request).
+        """
+        logical = LogicalPlan.from_spec(spec)
+        table = self.resolve(spec)
+        prefix, prefix_hit = self._stage1(table, logical)
+        physical = self._planner.lower(
+            logical,
+            prefix,
+            table_rows=len(table),
+            include_semantics=op == "execute",
+            storage=self._storage_kind(table, logical),
+        )
+        return _Planned(logical, table, prefix, prefix_hit, physical)
+
     def _prefix_key(
         self, table: UncertainTable, logical: LogicalPlan
     ) -> Hashable:
@@ -323,24 +371,96 @@ class Session:
         view = storage_pushdown_view(table, logical.spec.scorer)
         return "ram" if view is None else "disk"
 
-    def _prefix_for(
+    def _stage1(
         self, table: UncertainTable, logical: LogicalPlan
-    ) -> ScoredTable:
-        """Stage 1 get-or-compute (the one population point of the
-        prefix cache besides the batch path's shared-sort slicing)."""
+    ) -> tuple[ScoredTable, bool]:
+        """Stage 1 get-or-compute, and whether the prefix cache hit.
+
+        A miss truncates the session's scored view of the whole table
+        at the request's Theorem-2 (or explicit) depth — the same rows
+        :func:`~repro.core.distribution.prepare_scored_prefix` returns
+        — so one sort serves every ``(k, p_tau, depth)`` and every
+        semantics that reads the table.
+        """
         key = self._prefix_key(table, logical)
         prefix = self._prefixes.get(key)
-        if prefix is None:
-            from repro.api import plan
+        if prefix is not None:
+            return prefix, True
+        spec = logical.spec
+        scored = self._scored_view(table, logical)
+        depth = spec.depth
+        if depth is None:
+            depth = (
+                scan_depth(scored, spec.k, spec.p_tau)
+                if spec.p_tau > 0.0
+                else len(scored)
+            )
+        prefix = scored.prefix(min(depth, len(scored)))
+        self._prefixes.put(key, prefix)
+        return prefix, False
 
-            prefix = plan.scored_prefix_for(table, logical.spec)
-            self._prefixes.put(key, prefix)
-        return prefix
+    def _scored_view(
+        self, table: UncertainTable, logical: LogicalPlan
+    ) -> ScoredTable:
+        """The whole table, scored and rank-ordered (cached).
+
+        Holds one entry per ``(table, scorer)``: a mutable table's
+        newer version replaces the older sort.  Resident tables score
+        through :func:`repro.api.plan.prepare_scored_prefix` (untruncated,
+        so the sort is its own prefix); disk-backed tables packed on
+        the request's scorer return their lazy rank-ordered view, so
+        pushdown I/O stays bounded by the deepest prefix sliced.
+        """
+        from repro.api import plan
+        from repro.core.distribution import storage_pushdown_view
+
+        spec = logical.spec
+        key = (table, logical.scorer_key)
+        version = table.version
+        entry = self._scored.get(key)
+        if entry is not None and entry[0] == version:
+            return entry[1]
+        scored = storage_pushdown_view(table, spec.scorer)
+        if scored is None:
+            scored = plan.prepare_scored_prefix(
+                table, spec.scorer, spec.k, p_tau=0.0
+            )
+        self._scored.put(key, (version, scored))
+        return scored
+
+    # ------------------------------------------------------------------
+    # Staged execution
+    # ------------------------------------------------------------------
+    def _pmf(self, planned: _Planned) -> ScorePMF:
+        """Stage 2 get-or-compute for a planned request."""
+        key = planned.pmf_key()
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            pmf_op = planned.physical.pmf_op
+            assert pmf_op is not None
+            pmf = pmf_op.run(planned.prefix, planned.logical.spec)
+            self._pmfs.put(key, pmf)
+        return pmf
+
+    def _run(self, planned: _Planned) -> Any:
+        """Stages 2–3 of a planned request: the PMF for a raw
+        ``distribution`` plan, else the (cached) answer."""
+        semantics_op = planned.physical.semantics_op
+        if semantics_op is None:
+            return self._pmf(planned)
+        pmf = self._pmf(planned) if semantics_op.requires == "pmf" else None
+        key = planned.answer_key(pmf)
+        answer = self._answers.get(key, _MISSING)
+        if answer is _MISSING:
+            answer = semantics_op.run(
+                planned.prefix, planned.logical.spec, pmf=pmf
+            )
+            self._answers.put(key, answer)
+        return answer
 
     def scored_prefix(self, spec: QuerySpec) -> ScoredTable:
         """Stage 1 (cached): the scored, truncated prefix."""
-        logical = LogicalPlan.from_spec(spec)
-        return self._prefix_for(self.resolve(spec), logical)
+        return self._plan(spec, "distribution").prefix
 
     def seed_prefix(self, spec: QuerySpec, prefix: ScoredTable) -> None:
         """Install ``prefix`` as the stage-1 entry for ``spec`` at the
@@ -391,25 +511,7 @@ class Session:
 
     def distribution(self, spec: QuerySpec) -> ScorePMF:
         """Stage 2 (cached): the top-k total-score distribution."""
-        logical = LogicalPlan.from_spec(spec)
-        table = self.resolve(spec)
-        prefix = self._prefix_for(table, logical)
-        physical = self._planner.lower(
-            logical,
-            prefix,
-            table_rows=len(table),
-            include_semantics=False,
-            storage=self._storage_kind(table, logical),
-        )
-        # The sampling knobs only shape MC estimates; exact-algorithm
-        # entries stay shared across specs differing in a knob only.
-        key = (prefix,) + logical.pmf_params(physical.algorithm)
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            assert physical.pmf_op is not None
-            pmf = physical.pmf_op.run(prefix, spec)
-            self._pmfs.put(key, pmf)
-        return pmf
+        return self._pmf(self._plan(spec, "distribution"))
 
     def execute(self, spec: QuerySpec) -> Any:
         """Stage 3 (cached): the answer under ``spec.semantics``.
@@ -421,36 +523,7 @@ class Session:
         MC variant (:mod:`repro.mc.semantics`), the variant runs
         instead of the exact implementation.
         """
-        logical = LogicalPlan.from_spec(spec)
-        table = self.resolve(spec)
-        prefix = self._prefix_for(table, logical)
-        physical = self._planner.lower(
-            logical,
-            prefix,
-            table_rows=len(table),
-            storage=self._storage_kind(table, logical),
-        )
-        semantics_op = physical.semantics_op
-        assert semantics_op is not None
-        pmf: ScorePMF | None = None
-        if semantics_op.requires == "pmf":
-            pmf = self.distribution(spec)
-            source: Any = pmf
-        else:
-            source = prefix
-        # Keyed by *identity*, like the other stages: ScorePMF compares
-        # by (scores, probs) only, so value-equal distributions from
-        # different tables must not share an answer entry.  The
-        # resolved algorithm participates, plus the MC knobs when an
-        # MC variant's answer depends on them.
-        key = (ByIdentity(source),) + logical.answer_params(
-            physical.algorithm
-        )
-        answer = self._answers.get(key, _MISSING)
-        if answer is _MISSING:
-            answer = semantics_op.run(prefix, spec, pmf=pmf)
-            self._answers.put(key, answer)
-        return answer
+        return self._run(self._plan(spec))
 
     def typical(self, spec: QuerySpec, c: int | None = None):
         """Convenience: the c-Typical-Topk answers for ``spec``.
@@ -466,56 +539,6 @@ class Session:
     # ------------------------------------------------------------------
     # Batch execution with multi-query fusion
     # ------------------------------------------------------------------
-    def _scored_table(
-        self, table: UncertainTable, logical: LogicalPlan
-    ) -> ScoredTable:
-        """The fully scored, rank-ordered table (cached; fusion only).
-
-        Disk-backed tables packed on the request's scorer return the
-        lazy rank-ordered view instead: the batch path's scan-depth
-        and prefix slicing consume the same surface, so pushdown
-        I/O stays bounded by the deepest prefix in the batch.
-        """
-        from repro.core.distribution import (
-            resolve_scorer,
-            storage_pushdown_view,
-        )
-
-        key = (table, table.version, logical.scorer_key)
-        scored = self._scored.get(key)
-        if scored is None:
-            scored = storage_pushdown_view(table, logical.spec.scorer)
-            if scored is None:
-                scored = ScoredTable.from_table(
-                    table, resolve_scorer(logical.spec.scorer)
-                )
-            self._scored.put(key, scored)
-        return scored
-
-    def _batch_prefix(
-        self, table: UncertainTable, logical: LogicalPlan
-    ) -> ScoredTable:
-        """Stage 1 for the batch path: slice from the shared scored
-        table (byte-identical to :func:`prepare_scored_prefix`, which
-        sorts then truncates the same way), so one sort serves every
-        ``(k, p_tau, depth)`` in the batch."""
-        key = self._prefix_key(table, logical)
-        prefix = self._prefixes.get(key)
-        if prefix is not None:
-            return prefix
-        spec = logical.spec
-        scored = self._scored_table(table, logical)
-        depth = spec.depth
-        if depth is None:
-            depth = (
-                scan_depth(scored, spec.k, spec.p_tau)
-                if spec.p_tau > 0.0
-                else len(scored)
-            )
-        prefix = scored.prefix(min(depth, len(scored)))
-        self._prefixes.put(key, prefix)
-        return prefix
-
     def execute_many(
         self,
         specs: Sequence[QuerySpec],
@@ -525,14 +548,14 @@ class Session:
     ) -> list[Any]:
         """Execute a batch of specs with multi-query plan fusion.
 
-        The batch is handed to the planner, which merges fusable
+        Each spec is planned once; the planner then merges fusable
         exact-DP requests (same table, scorer and line budget; any mix
-        of ``k``) into single shared-prefix sweeps; every other
-        request runs through the ordinary per-spec path.  Answers are
-        byte-identical to per-spec :meth:`execute` calls — fused
-        distributions are sliced with
-        :func:`repro.core.dp.dp_distribution_sliced`, seeded into the
-        stage caches, and consumed by the exact same stage-3 code.
+        of ``k``) into single shared-prefix sweeps, and every request
+        runs from its own plan.  Answers are byte-identical to
+        per-spec :meth:`execute` calls — fused distributions are
+        sliced with :func:`repro.core.dp.dp_distribution_sliced`,
+        seeded into the stage caches, and consumed by the exact same
+        stage-3 code.
 
         :param ops: per-spec operation (``"execute"`` default, or
             ``"distribution"`` for the raw PMF).
@@ -549,73 +572,68 @@ class Session:
             )
         with self._fusion_lock:
             self._fusion["batches"] += 1
-        self._fuse_batch(specs, batch_ops)
-        results: list[Any] = []
+        planned: list[_Planned | Exception] = []
         for spec, op in zip(specs, batch_ops):
             try:
-                if op == "distribution":
-                    results.append(self.distribution(spec))
-                else:
-                    results.append(self.execute(spec))
+                planned.append(self._plan(spec, op))
+            except Exception as exc:
+                if not return_exceptions:
+                    raise
+                planned.append(exc)
+        self._fuse_batch(planned)
+        results: list[Any] = []
+        for request in planned:
+            if isinstance(request, Exception):
+                results.append(request)
+                continue
+            try:
+                results.append(self._run(request))
             except Exception as exc:
                 if not return_exceptions:
                     raise
                 results.append(exc)
         return results
 
-    def _fuse_batch(
-        self, specs: Sequence[QuerySpec], ops: Sequence[BatchOp]
-    ) -> None:
-        """Run fused sweeps for the batch and seed the stage caches.
+    def _fuse_batch(self, planned: Sequence[_Planned | Exception]) -> None:
+        """Run fused sweeps for the batch and seed the PMF cache.
 
-        Best-effort by design: any planning failure simply leaves the
-        caches unseeded and the ordinary per-spec path takes over (so
-        fusion can never break an answer — only speed it up).
+        Only exact-DP plans whose PMF is not cached yet take part;
+        everything else runs per spec, so fusion can never change an
+        answer — only speed it up.
         """
         candidates: list[FusionCandidate] = []
-        seen_pmf_keys: set[Hashable] = set()
+        seen: set[Hashable] = set()
         keyed: dict[int, Hashable] = {}
-        for index, (spec, op) in enumerate(zip(specs, ops)):
-            try:
-                logical = LogicalPlan.from_spec(spec)
-                needs_pmf = op == "distribution" or logical.requires == "pmf"
-                if not needs_pmf:
-                    continue
-                table = self.resolve(spec)
-                prefix = self._batch_prefix(table, logical)
-                algorithm = self._planner.resolve_algorithm(
-                    spec, len(prefix), me_members=prefix.me_member_count()
+        for index, request in enumerate(planned):
+            if isinstance(request, Exception):
+                continue
+            pmf_op = request.physical.pmf_op
+            if not isinstance(pmf_op, SharedPrefixDPOp):
+                continue
+            pmf_key = request.pmf_key()
+            if pmf_key in seen or self._pmfs.contains(pmf_key):
+                continue  # cached, or a duplicate the first one seeds
+            seen.add(pmf_key)
+            keyed[index] = pmf_key
+            spec = request.logical.spec
+            candidates.append(
+                FusionCandidate(
+                    index=index,
+                    fusion_key=(
+                        ByIdentity(request.table),
+                        request.logical.scorer_key,
+                        spec.max_lines,
+                    ),
+                    prefix=request.prefix,
+                    k=spec.k,
+                    depth=len(request.prefix),
+                    has_me=pmf_op.me_members > 0,
+                    max_lines=spec.max_lines,
                 )
-                if algorithm != "dp":
-                    continue
-                pmf_key = (prefix,) + logical.pmf_params(algorithm)
-                if self._pmfs.contains(key=pmf_key):
-                    continue
-                if pmf_key in seen_pmf_keys:
-                    continue  # duplicate slice; first one seeds it
-                seen_pmf_keys.add(pmf_key)
-                keyed[index] = pmf_key
-                candidates.append(
-                    FusionCandidate(
-                        index=index,
-                        fusion_key=(
-                            ByIdentity(table),
-                            logical.scorer_key,
-                            spec.max_lines,
-                        ),
-                        prefix=prefix,
-                        k=spec.k,
-                        depth=len(prefix),
-                        has_me=prefix.me_member_count() > 0,
-                        max_lines=spec.max_lines,
-                    )
-                )
-            except Exception:
-                continue  # the per-spec path will surface the error
+            )
         if not candidates:
             return
-        groups = self._planner.fuse(candidates)
-        for group in groups:
+        for group in self._planner.fuse(candidates):
             self._run_fused(group, keyed)
 
     def _run_fused(
@@ -655,39 +673,23 @@ class Session:
         the truncated prefix's shape; the expensive stages (DP,
         sampling, semantics) are never run.
         """
-        logical = LogicalPlan.from_spec(spec)
-        table = self.resolve(spec)
-        prefix_key = self._prefix_key(table, logical)
-        prefix_hit = self._prefixes.contains(prefix_key)
-        prefix = self.scored_prefix(spec)
-        physical = self._planner.lower(
-            logical,
-            prefix,
-            table_rows=len(table),
-            storage=self._storage_kind(table, logical),
-        )
-        algorithm = physical.algorithm
-        pmf_key = (prefix,) + logical.pmf_params(algorithm)
-        pmf = self._pmfs.peek(pmf_key)
-        cache: dict[str, str] = {
-            "prefix": "hit" if prefix_hit else "miss",
-        }
+        planned = self._plan(spec)
+        logical, physical = planned.logical, planned.physical
         semantics_op = physical.semantics_op
-        if semantics_op is not None and semantics_op.requires == "prefix":
+        assert semantics_op is not None
+        cache: dict[str, str] = {
+            "prefix": "hit" if planned.prefix_hit else "miss",
+        }
+        if semantics_op.requires == "prefix":
             cache["pmf"] = "not required"
-            source: Any = prefix
+            answer_hit = self._answers.contains(planned.answer_key(None))
         else:
+            pmf = self._pmfs.peek(planned.pmf_key())
             cache["pmf"] = "hit" if pmf is not None else "miss"
-            source = pmf
-        if source is None:
-            cache["answer"] = "miss"
-        else:
-            answer_key = (ByIdentity(source),) + logical.answer_params(
-                algorithm
+            answer_hit = pmf is not None and self._answers.contains(
+                planned.answer_key(pmf)
             )
-            cache["answer"] = (
-                "hit" if self._answers.contains(answer_key) else "miss"
-            )
+        cache["answer"] = "hit" if answer_hit else "miss"
         model = self._planner.cost_model
         return {
             "spec": logical.describe(),

@@ -207,33 +207,7 @@ class QuerySpec:
             raise AlgorithmError(f"unknown spec fields: {unknown}")
         return cls(**document)
 
-    # ------------------------------------------------------------------
-    # Stage parameter tuples (legacy accessors)
-    # ------------------------------------------------------------------
-    # Batch/cache *keys* derive from the normalized
-    # :class:`repro.api.logical.LogicalPlan` — the single source shared
-    # by the Session's LRUs and the service's batch grouping.  These
-    # accessors remain for callers that only need the raw knob tuples
-    # (e.g. the MC engine's per-prefix sample cache) and must stay
-    # ordered consistently with ``LogicalPlan.mc``.
-    def prefix_params(self) -> tuple:
-        """Parameters that determine the scored, truncated prefix."""
-        return (self.k, self.p_tau, self.depth)
-
-    def pmf_params(self) -> tuple:
-        """Parameters (beyond the prefix) that determine the PMF.
-
-        The MC knobs are deliberately excluded: the Session appends
-        :meth:`mc_params` only when the resolved algorithm is
-        ``"mc"``, so exact-DP cache entries are shared across specs
-        that differ only in a sampling knob.
-        """
-        return (self.max_lines, self.p_tau)
-
     def mc_params(self) -> tuple:
-        """The Monte-Carlo estimation knobs."""
+        """The Monte-Carlo estimation knobs (the MC engine's sample-set
+        key), ordered like :attr:`repro.api.logical.LogicalPlan.mc`."""
         return (self.epsilon, self.confidence, self.samples, self.seed)
-
-    def semantics_params(self) -> tuple:
-        """Parameters (beyond the prefix/PMF) of the answer semantics."""
-        return (self.semantics, self.k, self.c, self.threshold)

@@ -1,0 +1,172 @@
+"""Ablation twins of the production dynamic program.
+
+Two earlier shapes of the mutual-exclusion path of
+:func:`repro.core.dp.dp_distribution`, kept only so the ablation
+benchmarks and figures can measure what the production engine saves —
+and so the tests can use them as independent references:
+
+* :func:`dp_distribution_per_ending` — one bottom-up dynamic program
+  per ending unit (``benchmarks/bench_ablation_shared_prefix.py``,
+  the ``me_per_ending_*`` workload of ``repro bench``);
+* :func:`dp_distribution_without_lead_regions` — the "simple
+  extension" of Section 3.3.2, one program per ending tuple
+  (``benchmarks/bench_ablation_lead_regions.py``,
+  :func:`repro.bench.figures.ablation_lead_regions`).
+
+Both compute the same distributions as the production engine; they
+reuse its cell machinery and are reachable from no query path.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from repro.core.dp import (
+    DEFAULT_MAX_LINES,
+    _Cell,
+    _cell_to_pmf,
+    _dp_run,
+    _ending_units,
+    _merge_cells,
+    _order_cell_vectors,
+    _Unit,
+)
+from repro.core.pmf import ScorePMF
+from repro.exceptions import AlgorithmError
+from repro.uncertain.scoring import ScoredTable
+
+
+def _compressed_units(
+    scored: ScoredTable,
+    cutoff: int,
+    exclude_group: int | None,
+) -> list[_Unit]:
+    """Rule tuples for the rows above ``cutoff`` (positions < cutoff).
+
+    Every ME group is reduced to its members ranked above the cutoff
+    (the truncation of Section 3.3.2) and compressed into one rule
+    tuple.  ``exclude_group`` (the ending tuple's own group) is removed
+    entirely: given that the ending tuple exists, its group mates are
+    absent with probability 1 and must not contribute ``1 - p``
+    factors.  Units are ordered by their highest-ranked member for
+    determinism (order is semantically irrelevant once the ending is
+    fixed).
+    """
+    members_by_group: dict[int, list[tuple[float, float, Any]]] = {}
+    order: list[int] = []
+    for pos in range(cutoff):
+        item = scored[pos]
+        if item.group == exclude_group:
+            continue
+        if item.group not in members_by_group:
+            members_by_group[item.group] = []
+            order.append(item.group)
+        members_by_group[item.group].append(
+            (item.score, item.prob, item.tid)
+        )
+    return [_Unit(members_by_group[g]) for g in order]
+
+
+def _per_ending_cell(
+    scored: ScoredTable,
+    k: int,
+    start: int,
+    end: int,
+    max_lines: int,
+    backend: str | None = None,
+) -> _Cell | None:
+    """Final cell of one ending unit's bottom-up program (or None).
+
+    The per-span unit of work of :func:`dp_distribution_per_ending`.
+    """
+    if end <= k - 1:
+        # A top-k vector's ending tuple sits at position >= k - 1.
+        return None
+    if end - start == 1 and not scored.is_lead(start):
+        pos = start
+        units = _compressed_units(scored, pos, scored[pos].group)
+        item = scored[pos]
+        units.append(_Unit([(item.score, item.prob, item.tid)]))
+        exits = [False] * len(units)
+        exits[-1] = True
+    else:
+        units = _compressed_units(scored, start, None)
+        exits = [False] * len(units)
+        for pos in range(start, end):
+            item = scored[pos]
+            units.append(_Unit([(item.score, item.prob, item.tid)]))
+            exits.append(True)
+    return _dp_run(units, k, exits, max_lines, backend)
+
+
+def dp_distribution_per_ending(
+    scored: ScoredTable,
+    k: int,
+    *,
+    max_lines: int = DEFAULT_MAX_LINES,
+    backend: str | None = None,
+) -> ScorePMF:
+    """Ablation: one bottom-up dynamic program per ending unit.
+
+    This is the pre-shared-prefix implementation of the ME path: every
+    ending unit (lead-tuple region or individual non-lead tuple)
+    launches a fresh bottom-up dynamic program and rebuilds the
+    compressed prefix units from scratch, degrading toward O(kEn) with
+    E ending units.  Semantically equivalent to :func:`dp_distribution`
+    (which realizes the Section-3.3.3 O(kmn) bound by sharing the
+    prefix state); kept for the ablation benchmark
+    ``benchmarks/bench_ablation_shared_prefix.py``, mirroring
+    :func:`dp_distribution_without_lead_regions`.
+    """
+    if k < 1:
+        raise AlgorithmError(f"k must be >= 1, got {k}")
+    n = len(scored)
+    if n < k:
+        return ScorePMF(())
+
+    if scored.me_member_count() == 0:
+        units = [
+            _Unit([(item.score, item.prob, item.tid)]) for item in scored
+        ]
+        return _cell_to_pmf(_dp_run(units, k, [True] * n, max_lines, backend))
+
+    partial = []
+    for start, end in _ending_units(scored):
+        cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
+        if cell is not None:
+            partial.append(cell)
+    merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
+    return _cell_to_pmf(merged)
+
+
+def dp_distribution_without_lead_regions(
+    scored: ScoredTable,
+    k: int,
+    *,
+    max_lines: int = DEFAULT_MAX_LINES,
+) -> ScorePMF:
+    """Ablation: the "simple extension" of Section 3.3.2.
+
+    Runs one dynamic program per ending *tuple* (positions k-1 .. n-1),
+    never batching lead-tuple regions.  Semantically identical to
+    :func:`dp_distribution`; asymptotically slower when most tuples are
+    independent.  Used by ``benchmarks/bench_ablation_lead_regions.py``
+    to quantify the Section 3.3.3 refinement.
+    """
+    if k < 1:
+        raise AlgorithmError(f"k must be >= 1, got {k}")
+    n = len(scored)
+    if n < k:
+        return ScorePMF(())
+    partial: list[_Cell] = []
+    for pos in range(k - 1, n):
+        item = scored[pos]
+        units = _compressed_units(scored, pos, item.group)
+        units.append(_Unit([(item.score, item.prob, item.tid)]))
+        exits = [False] * len(units)
+        exits[-1] = True
+        cell = _dp_run(units, k, exits, max_lines)
+        if cell is not None:
+            partial.append(cell)
+    merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
+    return _cell_to_pmf(merged)

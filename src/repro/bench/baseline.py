@@ -30,11 +30,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bench.ablations import dp_distribution_per_ending
 from repro.bench.runner import time_callable
 from repro.bench.workloads import cartel_workload, congestion_scorer
 from repro.core import kernels
 from repro.core.distribution import prepare_scored_prefix
-from repro.core.dp import dp_distribution, dp_distribution_per_ending
+from repro.core.dp import dp_distribution
 from repro.stream.window import SlidingWindowTopK
 
 #: Default output path, relative to the working directory.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.bench.ablations import dp_distribution_without_lead_regions
 from repro.bench.reporting import print_series
 from repro.bench.runner import time_callable
 from repro.bench.workloads import (
@@ -30,7 +31,7 @@ from repro.core.distribution import (
     prepare_scored_prefix,
     top_k_score_distribution,
 )
-from repro.core.dp import dp_distribution, dp_distribution_without_lead_regions
+from repro.core.dp import dp_distribution
 from repro.core.k_combo import k_combo_distribution
 from repro.core.scan_depth import scan_depth
 from repro.core.state_expansion import state_expansion_distribution

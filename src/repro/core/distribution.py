@@ -30,9 +30,8 @@ from repro.uncertain.table import UncertainTable
 DEFAULT_P_TAU = 1e-3
 
 #: The algorithms of Section 3, by name.  ``"dp"`` is the shared-prefix
-#: O(kmn) engine; ``"dp_per_ending"`` is its one-dynamic-program-per-
-#: ending ablation twin (kept for benchmarking, not for production).
-ALGORITHMS = ("dp", "dp_per_ending", "state_expansion", "k_combo")
+#: O(kmn) engine; its ablation twins live in :mod:`repro.bench.ablations`.
+ALGORITHMS = ("dp", "state_expansion", "k_combo")
 
 #: A scorer argument: a callable, or the name of a numeric attribute.
 ScorerLike = Union[Scorer, str]

@@ -38,10 +38,8 @@ from typing import Callable
 __all__ = [
     "KernelLib",
     "ensure_built",
-    "kernel_source",
     "load",
     "load_error",
-    "reset",
 ]
 
 #: Name of a prebuilt library shipped inside the package directory.
@@ -76,11 +74,6 @@ class KernelLib:
         self.vectors = vectors
         self.strategy = strategy
         self.path = path
-
-
-def kernel_source() -> Path:
-    """Path of the in-tree C source."""
-    return _SOURCE
 
 
 def _cache_dir() -> Path:
@@ -272,10 +265,3 @@ def load() -> KernelLib | None:
 def load_error() -> str | None:
     """Why the native kernel is unavailable (``None`` when it loaded)."""
     return _ERROR
-
-
-def reset() -> None:
-    """Forget the cached load state (tests poke at the environment)."""
-    global _LIB, _ERROR
-    _LIB = _UNSET
-    _ERROR = None

@@ -40,6 +40,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.api.session import DEFAULT_CACHE_SIZE, Session
 from repro.api.spec import QuerySpec
+from repro.core.distribution import DEFAULT_P_TAU
 from repro.datasets.specs import generate_from_spec, is_generator_spec
 from repro.exceptions import ServiceError
 from repro.io import load_table_file
@@ -304,10 +305,10 @@ class DatasetCatalog:
     def storage_info(self) -> dict[str, Any] | None:
         """Page-cache counters of every disk-backed table, or ``None``.
 
-        One entry per packed table (``item_pages``/``attr_pages``, each
-        with byte-budget fields) — the ``storage`` section of
-        ``/metrics``.  An all-resident catalog reports ``None`` so the
-        section is simply absent.
+        One entry per packed table (``item_pages``, with byte-budget
+        fields) — the ``storage`` section of ``/metrics``.  An
+        all-resident catalog reports ``None`` so the section is simply
+        absent.
         """
         document: dict[str, Any] = {}
         for name in self.names():
@@ -318,15 +319,23 @@ class DatasetCatalog:
         return document or None
 
     def warm(
-        self, k: int, *, scorer: str = "score", p_tau: float = 0.0
+        self,
+        k: int,
+        *,
+        scorer: str = "score",
+        p_tau: float = DEFAULT_P_TAU,
+        tables: Iterable[str] | None = None,
     ) -> int:
         """Precompute each table's prefix + distribution for a shape.
 
         Returns the number of tables warmed.  Useful at startup so the
-        first real request never pays the cold DP cost.
+        first real request never pays the cold DP cost; ``p_tau``
+        defaults to the one requests default to.  ``tables`` limits
+        warming to a subset (a sharded worker's own keys).
         """
-        for name in self.names():
+        names = self.names() if tables is None else tuple(tables)
+        for name in names:
             self.session.distribution(
                 QuerySpec(table=name, scorer=scorer, k=k, p_tau=p_tau)
             )
-        return len(self._entries)
+        return len(names)

@@ -64,8 +64,12 @@ class _Histogram:
         self.total += value
         self.count += 1
 
-    def quantile(self, q: float) -> float | None:
-        """Upper-bound estimate of the q-quantile from the buckets."""
+    def quantile(self, q: float) -> float | str | None:
+        """Upper-bound estimate of the q-quantile from the buckets.
+
+        A quantile past the last bound is the overflow bucket's label
+        ``"+inf"``: a float infinity has no strict-JSON form.
+        """
         if self.count == 0:
             return None
         target = q * self.count
@@ -75,8 +79,8 @@ class _Histogram:
             if seen >= target and bucket_count:
                 if index < len(self.bounds):
                     return self.bounds[index]
-                return float("inf")
-        return float("inf")
+                return "+inf"
+        return "+inf"
 
     def snapshot(self) -> dict[str, Any]:
         labels = [f"<={b:g}" for b in self.bounds] + ["+inf"]

@@ -339,7 +339,7 @@ class ShardedQueryService:
             )
         try:
             timeout = self.request_timeout_s + FORWARD_TIMEOUT_SLACK_S
-            status, document, retry_after = self.pool.request(
+            status, document, retry_after, body = self.pool.request(
                 index, "handle", endpoint, payload, timeout=timeout
             )
         except FutureTimeoutError:
@@ -360,7 +360,7 @@ class ShardedQueryService:
             self.metrics.record_rejection()
             if isinstance(retry_after, (int, float)) and retry_after > 0:
                 self._last_retry_hint[index] = float(retry_after)
-        return _Reply(status, document, retry_after=retry_after)
+        return _Reply(status, document, retry_after=retry_after, body=body)
 
     def _sid_worker(self, sid: str) -> int | None:
         """The worker index a sid encodes (``w{i}-sub-N``), or None."""

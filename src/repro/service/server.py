@@ -51,7 +51,8 @@ true``, the trigger under ``degrade_reason``, and a
 Status codes: ``200`` success, ``400`` malformed request, ``404``
 unknown table or path, ``429`` queue full (with ``Retry-After``),
 ``504`` request timed out in the queue, ``500`` internal error.
-Responses always carry ``application/json``.
+Responses always carry strict ``application/json``: a result with a
+non-finite number (an overflowed score sum) is a ``500`` error.
 
 The server is a ``ThreadingHTTPServer`` so slow clients do not block
 each other; actual query execution is delegated to the bounded
@@ -131,11 +132,14 @@ class _Reply:
     ``retry_after`` is set on 429 replies: the (possibly fractional)
     seconds hint derived from the live queue depth and the recent
     batch drain rate, emitted as the ``Retry-After`` header.
+    ``body`` is the document's wire form when the service already
+    encoded it (so it is encoded once).
     """
 
     status: int
     document: dict[str, Any]
     retry_after: float | None = None
+    body: bytes | None = None
 
 
 def build_spec(payload: dict[str, Any], endpoint: str) -> QuerySpec:
@@ -329,29 +333,33 @@ class QueryService:
     )
 
     def handle(self, endpoint: str, payload: dict[str, Any]) -> _Reply:
-        """Serve one POST endpoint; never raises."""
-        if endpoint in self._INLINE_HANDLERS:
-            handler = getattr(self, f"_{endpoint}")
-            start = time.perf_counter()
-            status, document = handler(payload)
-            elapsed = time.perf_counter() - start
-            self.metrics.record_request(
-                endpoint, elapsed, error=status != 200
-            )
-            document.setdefault("elapsed_ms", round(elapsed * 1e3, 3))
-            return _Reply(status, document)
-        op = self.ENDPOINT_OPS.get(endpoint)
-        if op is None:
-            return _Reply(404, {"error": f"unknown endpoint {endpoint!r}"})
+        """Serve one POST endpoint; never raises.
+
+        The reply carries its strict-JSON body; a document with no
+        such form (a non-finite number) is served, and counted, as a
+        500 error.
+        """
         start = time.perf_counter()
-        status, document = self._run(endpoint, op, payload)
+        if endpoint in self._INLINE_HANDLERS:
+            status, document = getattr(self, f"_{endpoint}")(payload)
+        else:
+            op = self.ENDPOINT_OPS.get(endpoint)
+            if op is None:
+                return _Reply(404, {"error": f"unknown endpoint {endpoint!r}"})
+            status, document = self._run(endpoint, op, payload)
         elapsed = time.perf_counter() - start
-        self.metrics.record_request(endpoint, elapsed, error=status != 200)
         document.setdefault("elapsed_ms", round(elapsed * 1e3, 3))
+        try:
+            body = _wire_json(document).encode()
+        except ValueError as exc:
+            status = 500
+            document = {"error": str(exc), "elapsed_ms": document["elapsed_ms"]}
+            body = _wire_json(document).encode()
+        self.metrics.record_request(endpoint, elapsed, error=status != 200)
         retry_after = None
         if status == 429:
             retry_after = document.get("retry_after_s")
-        return _Reply(status, document, retry_after=retry_after)
+        return _Reply(status, document, retry_after=retry_after, body=body)
 
     def _explain(
         self, payload: dict[str, Any]
@@ -675,6 +683,21 @@ class QueryService:
             self.catalog.store.close()
 
 
+def _wire_json(document: Any) -> str:
+    """Strict RFC 8259 JSON for the wire.
+
+    A non-finite float (an overflowed top-k score sum, say) has no
+    JSON form; it raises :class:`ValueError` instead of leaking a bare
+    ``Infinity``/``NaN`` token that strict clients reject.
+    """
+    try:
+        return json.dumps(document, default=str, allow_nan=False)
+    except ValueError:
+        raise ValueError(
+            "response holds a non-finite number and has no JSON form"
+        ) from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Maps HTTP to :class:`QueryService`; JSON in, JSON out."""
 
@@ -691,7 +714,13 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send(self, reply: _Reply) -> None:
-        body = json.dumps(reply.document, default=str).encode()
+        body = reply.body
+        if body is None:
+            try:
+                body = _wire_json(reply.document).encode()
+            except ValueError as exc:  # last guard; handle() checks first
+                reply = _Reply(500, {"error": str(exc)})
+                body = _wire_json(reply.document).encode()
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -776,7 +805,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
         try:
             for snapshot in events:
-                payload = json.dumps(snapshot, default=str)
+                try:
+                    payload = _wire_json(snapshot)
+                except ValueError as exc:
+                    error = _wire_json({"status": 500, "error": str(exc)})
+                    self._chunk(f"event: error\ndata: {error}\n\n")
+                    break
                 self._chunk(
                     f"event: update\nid: {snapshot['version']}\n"
                     f"data: {payload}\n\n"

@@ -7,15 +7,15 @@ catalog replica, session caches, batching executor, standing registry
 — plus a thin message loop speaking tuples over a pair of
 ``multiprocessing`` queues:
 
-================  =============================================  ===========================
+================  =============================================  =========================================
 request                                                           response payload
-================  =============================================  ===========================
-``("handle", id, endpoint, payload)``                             ``(status, document, retry_after)``
+================  =============================================  =========================================
+``("handle", id, endpoint, payload)``                             ``(status, document, retry_after, body)``
 ``("healthz", id)`` / ``("metrics", id)``                         ``(status, document)``
 ``("has_sub", id, sid)``                                          ``bool``
 ``("watch_wait", id, sid, after, timeout_s)``                     snapshot dict or ``None``
 ``("stop", id, drain, timeout)``                                  ``"stopped"`` (loop exits)
-================  =============================================  ===========================
+================  =============================================  =========================================
 
 Responses are ``(id, ok, payload)``; ``ok=False`` carries the error
 string.  The boot acknowledgement uses the reserved id :data:`BOOT_ID`
@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.distribution import DEFAULT_P_TAU
 from repro.service.shard import ShardRing
 
 #: Reserved response id of the one boot acknowledgement.
@@ -112,9 +113,9 @@ def _build_service(
             faults=faults,
             manifest_name=f"subscriptions.w{index}.json",
         )
+    ring = ShardRing(workers) if workers > 1 else None
     wal_tables = None
-    if workers > 1:
-        ring = ShardRing(workers)
+    if ring is not None:
         wal_tables = {
             name for name in bindings if ring.table_owner(name) == index
         }
@@ -143,7 +144,19 @@ def _build_service(
         sid_prefix=f"w{index}-sub-",
     )
     if config.warm is not None:
-        catalog.warm(config.warm)
+        # Warm only the default-p_tau keys the front routes here.
+        catalog.warm(
+            config.warm,
+            tables=(
+                None
+                if ring is None
+                else [
+                    name
+                    for name in catalog.names()
+                    if ring.query_owner(name, DEFAULT_P_TAU) == index
+                ]
+            ),
+        )
     return service
 
 
@@ -173,7 +186,7 @@ def _dispatch(service: Any, message: tuple, response_q: Any) -> None:
         result: Any
         if kind == "handle":
             reply = service.handle(message[2], message[3])
-            result = (reply.status, reply.document, reply.retry_after)
+            result = (reply.status, reply.document, reply.retry_after, reply.body)
         elif kind == "healthz":
             reply = service.healthz()
             result = (reply.status, reply.document)

@@ -54,11 +54,16 @@ from repro.api.logical import LogicalPlan
 from repro.api.session import Session
 from repro.api.spec import QuerySpec
 from repro.core.distribution import resolve_scorer
-from repro.exceptions import DataModelError, ScoringError, ServiceError
+from repro.exceptions import DataModelError, ServiceError
 from repro.standing.changelog import Delta, MutableUncertainTable
 from repro.standing.segments import DEFAULT_SEGMENT_SIZE, RankedSegments
 from repro.uncertain.model import UncertainTuple
-from repro.uncertain.scoring import ScoredItem, ScoredTable, Scorer
+from repro.uncertain.scoring import (
+    ScoredItem,
+    ScoredTable,
+    Scorer,
+    finite_score,
+)
 from repro.uncertain.table import UncertainTable
 
 #: The maintenance tiers, cheapest first.
@@ -145,10 +150,11 @@ def classify_delta(
         # Strictly below the boundary: the delta row sorts after every
         # prefix row and cannot join the boundary tie group, so the
         # stop position, its justifying mass, and the prefix rows are
-        # all unchanged.
+        # all unchanged.  A non-finite score never skips: the cold
+        # sort rejects it, so the subscription must error too.
         if score is None:
             continue
-        if math.isnan(score) or score >= boundary:
+        if not math.isfinite(score) or score >= boundary:
             return PATCH
     return SKIP
 
@@ -186,11 +192,9 @@ class PrefixMirror:
         return len(self._index)
 
     def score_of(self, t: UncertainTuple) -> float:
-        """The tuple's score; NaN raises exactly like the cold sort."""
-        score = float(self._scorer(t))
-        if math.isnan(score):
-            raise ScoringError(f"score of tuple {t.tid!r} is NaN")
-        return score
+        """The tuple's score; NaN or ±inf raises exactly like the cold
+        sort."""
+        return finite_score(float(self._scorer(t)), t.tid)
 
     def _add(
         self, tid: Any, score: float, prob: float, seq: int | None = None
@@ -233,7 +237,7 @@ class PrefixMirror:
     ) -> ScoredTable:
         """The subscription's stage-1 prefix, straight off the index.
 
-        Row-identical to ``scored_prefix_for(table, spec)``: same
+        Row-identical to the session's cold stage 1: same
         order (stable-sort reproduction), same depth (explicit depth,
         or the Theorem-2 depth — the caller guarantees the table is
         ME-free when ``p_tau`` governs the depth), same group ids

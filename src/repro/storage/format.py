@@ -72,14 +72,12 @@ _COLUMNS = (
 )
 
 
-#: Byte budgets of the per-store decoded-page caches.  The entry
-#: counts (64 item pages, 8 attr pages) bound small-tuple tables; the
-#: byte budgets bound tables with large JSON blobs, where 64 pages of
-#: 4096 rows each could otherwise dwarf the mapped columns.  The
-#: ``REPRO_STORE_CACHE_BYTES`` environment variable overrides the
-#: item-page budget (attr pages get a quarter of it).
+#: Byte budget of the per-store decoded item-page cache.  The entry
+#: count (64 pages) bounds small-tuple tables; the byte budget bounds
+#: tables with large tid blobs, where 64 pages of 4096 rows each could
+#: otherwise dwarf the mapped columns.  The ``REPRO_STORE_CACHE_BYTES``
+#: environment variable overrides it.
 DEFAULT_ITEM_CACHE_BYTES = 16 * 1024 * 1024
-DEFAULT_ATTR_CACHE_BYTES = 4 * 1024 * 1024
 STORE_CACHE_ENV = "REPRO_STORE_CACHE_BYTES"
 
 #: Rough decoded footprint of one cached item beyond its tid blob
@@ -87,16 +85,13 @@ STORE_CACHE_ENV = "REPRO_STORE_CACHE_BYTES"
 _ITEM_OVERHEAD_BYTES = 120
 
 
-def _cache_budgets() -> tuple[int, int]:
-    """The ``(item, attr)`` page-cache byte budgets for new stores."""
+def _cache_budget() -> int:
+    """The item-page cache byte budget for new stores."""
     raw = os.environ.get(STORE_CACHE_ENV, "").strip()
-    if raw:
-        try:
-            total = max(1, int(raw))
-        except ValueError:
-            return DEFAULT_ITEM_CACHE_BYTES, DEFAULT_ATTR_CACHE_BYTES
-        return total, max(1, total // 4)
-    return DEFAULT_ITEM_CACHE_BYTES, DEFAULT_ATTR_CACHE_BYTES
+    try:
+        return max(1, int(raw)) if raw else DEFAULT_ITEM_CACHE_BYTES
+    except ValueError:
+        return DEFAULT_ITEM_CACHE_BYTES
 
 
 class StorageFormatError(DataModelError):
@@ -229,10 +224,10 @@ def pack_table(
 class TableStore:
     """Read side of a packed-table directory.
 
-    Columns are memory-mapped lazily and read-only; tuple ids (and,
-    for fallback materialization, attributes) decode per *page*
-    through a small LRU, so serving "the ordered prefix up to depth
-    ``d``" touches O(d) bytes regardless of the table size.
+    Columns are memory-mapped lazily and read-only; tuple ids decode
+    per *page* through a small LRU, so serving "the ordered prefix up
+    to depth ``d``" touches O(d) bytes regardless of the table size
+    (attributes decode only for a full fallback reconstruction).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -257,18 +252,16 @@ class TableStore:
         self.scorer: str = str(meta["scorer"])
         self.name: str = str(meta["name"])
         self._arrays: dict[str, np.ndarray] = {}
-        # The page caches reuse the session's staged-LRU machinery
+        # The page cache reuses the session's staged-LRU machinery
         # (thread-safe, counted) — one items cache shared by every
         # view over this store.  Imported lazily here to keep the
         # storage package importable without the api layer.  Beyond
-        # the entry count, each cache carries a byte budget (decoded
-        # page sizes come from the blob offset tables, so a store
-        # with huge tuples cannot balloon a 64-entry cache).
+        # the entry count, it carries a byte budget (decoded page
+        # sizes come from the blob offset tables, so a store with
+        # huge tuples cannot balloon a 64-entry cache).
         from repro.api.session import _LRU
 
-        item_bytes, attr_bytes = _cache_budgets()
-        self._item_pages = _LRU(64, max_bytes=item_bytes)
-        self._attr_pages = _LRU(8, max_bytes=attr_bytes)
+        self._item_pages = _LRU(64, max_bytes=_cache_budget())
 
     # ------------------------------------------------------------------
     # Columns
@@ -437,31 +430,14 @@ class TableStore:
     def clear_page_cache(self) -> None:
         """Drop decoded pages (calibration and tests)."""
         self._item_pages.clear()
-        self._attr_pages.clear()
 
     def cache_info(self) -> dict[str, dict[str, int]]:
-        """Hit/miss counters of the page caches."""
-        return {
-            "item_pages": self._item_pages.info(),
-            "attr_pages": self._attr_pages.info(),
-        }
+        """Hit/miss counters of the page cache."""
+        return {"item_pages": self._item_pages.info()}
 
     # ------------------------------------------------------------------
     # Fallback reconstruction
     # ------------------------------------------------------------------
-    def attr_page(self, page: int) -> Sequence[Mapping[str, Any]]:
-        """The ``page``-th page of attribute mappings (LRU-cached)."""
-        cached = self._attr_pages.get(page)
-        if cached is not None:
-            return cached
-        start = page * self.page_size
-        stop = min(start + self.page_size, self.count)
-        attrs = tuple(self._blob_slice("attr", start, stop))
-        self._attr_pages.put(
-            page, attrs, nbytes=self._page_nbytes("attr", start, stop)
-        )
-        return attrs
-
     def reconstruct(self) -> UncertainTable:
         """The original :class:`UncertainTable`, rebuilt in full.
 

@@ -19,7 +19,6 @@ distribution instead of re-running the dynamic program.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -36,6 +35,7 @@ from repro.exceptions import (
     ScoringError,
 )
 from repro.uncertain.model import UncertainTuple, validate_probability
+from repro.uncertain.scoring import finite_score
 from repro.uncertain.table import UncertainTable
 
 
@@ -155,8 +155,8 @@ class SlidingWindowTopK:
         :param tid: optional explicit tuple id (auto-assigned when
             omitted).
         :returns: the tuple id.
-        :raises ScoringError: when the score is not numeric or is NaN;
-            the window is left unchanged.
+        :raises ScoringError: when the score is not numeric, NaN or
+            ±inf; the window is left unchanged.
         """
         if self._score_attribute not in attributes:
             raise DataModelError(
@@ -174,11 +174,10 @@ class SlidingWindowTopK:
             probability, context="window append"
         )
         new_tid = f"s{self._auto_tids}" if tid is None else tid
-        if math.isnan(score):
-            # NaN scores cannot be ranked: reject the row here, with
-            # the message the scored-table sort raises, rather than
-            # fail every query until it expires.
-            raise ScoringError(f"score of tuple {new_tid!r} is NaN")
+        # Reject unrankable (NaN) and infinite scores here, with the
+        # message the scored-table sort raises, rather than fail every
+        # query until the row expires.
+        finite_score(score, new_tid)
         if tid is None:
             self._auto_tids += 1
         self._entries.append(
@@ -187,7 +186,11 @@ class SlidingWindowTopK:
         self._arrivals += 1
         while len(self._entries) > self._window:
             self._entries.popleft()
-        self._cached_table = None
+        if self._cached_table is not None:
+            # No query reads the previous window again: release its
+            # cached stages now instead of when the LRUs evict them.
+            self._session.invalidate_table(self._cached_table)
+            self._cached_table = None
         return new_tid
 
     def extend(

@@ -78,6 +78,21 @@ def expression_scorer(expression: str) -> Scorer:
     return score
 
 
+def finite_score(score: float, tid: Any) -> float:
+    """``score``, or :class:`~repro.exceptions.ScoringError` when it is
+    NaN (unrankable) or ±inf (every top-k total would be infinite).
+
+    >>> finite_score(float("inf"), "t1")
+    Traceback (most recent call last):
+    ...
+    repro.exceptions.ScoringError: score of tuple 't1' is inf
+    """
+    if not math.isfinite(score):
+        shown = "NaN" if math.isnan(score) else str(score)
+        raise ScoringError(f"score of tuple {tid!r} is {shown}")
+    return score
+
+
 class ScoredItem(NamedTuple):
     """One scored tuple in canonical rank order.
 
@@ -116,6 +131,7 @@ class ScoredTable:
             self._positions_by_group[item.group][0] == pos
             for pos, item in enumerate(self._items)
         ]
+        self._me_members: int | None = None
         # Cached numeric columns (read-only): the algorithms and the
         # streaming layer consume scores/probabilities as arrays, so
         # they are materialized once instead of per call.
@@ -161,13 +177,14 @@ class ScoredTable:
         """Score and sort every tuple of ``table``.
 
         Raises :class:`~repro.exceptions.ScoringError` when the scorer
-        returns NaN (NaN scores cannot be ranked).
+        returns NaN or ±inf (NaN scores cannot be ranked; an infinite
+        score makes every top-k total score infinite).
         """
         items = []
         for t in table:
             s = float(scorer(t))
-            if math.isnan(s):
-                raise ScoringError(f"score of tuple {t.tid!r} is NaN")
+            if not math.isfinite(s):  # checked inline: stage 1's hot loop
+                finite_score(s, t.tid)  # raises
             items.append(
                 ScoredItem(t.tid, s, t.probability, table.group_of(t.tid))
             )
@@ -196,8 +213,11 @@ class ScoredTable:
 
         Groups keep their original ids, so a group may be *reduced* (a
         prefix cuts off low-ranked members) — exactly the truncation
-        semantics of Section 3.3.2.
+        semantics of Section 3.3.2.  A prefix covering every item is
+        the (immutable) table itself, not a copy.
         """
+        if n >= len(self._items):
+            return self
         return ScoredTable(self._items[:n])
 
     # ------------------------------------------------------------------
@@ -269,12 +289,15 @@ class ScoredTable:
 
     def me_member_count(self) -> int:
         """Number of tuples sharing an ME group with another tuple
-        (the ``m`` of the O(kmn) bound in Section 3.3.3)."""
-        return sum(
-            len(positions)
-            for positions in self._positions_by_group.values()
-            if len(positions) > 1
-        )
+        (the ``m`` of the O(kmn) bound in Section 3.3.3; computed on
+        first use — every plan's lowering reads it)."""
+        if self._me_members is None:
+            self._me_members = sum(
+                len(positions)
+                for positions in self._positions_by_group.values()
+                if len(positions) > 1
+            )
+        return self._me_members
 
     # ------------------------------------------------------------------
     # Tie structure

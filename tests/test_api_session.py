@@ -6,10 +6,10 @@ import pytest
 
 import repro.api.plan as plan_module
 from repro.api import (
+    DEFAULT_PLANNER,
     QuerySpec,
     Session,
     available_semantics,
-    choose_algorithm,
     get_semantics,
     register_semantics,
     unregister_semantics,
@@ -310,6 +310,7 @@ class TestSessionResolution:
 
 class TestAutoAlgorithm:
     def test_choose_algorithm_shapes(self):
+        choose_algorithm = DEFAULT_PLANNER.choose_algorithm
         assert choose_algorithm(5, 2) == "k_combo"
         assert choose_algorithm(12, 6) in ("state_expansion", "k_combo")
         assert choose_algorithm(500, 10) == "dp"

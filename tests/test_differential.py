@@ -34,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.core.dp import dp_distribution, dp_distribution_per_ending
+from repro.bench.ablations import dp_distribution_per_ending
+from repro.core.dp import dp_distribution
 from repro.core.k_combo import k_combo_distribution
 from repro.core.pmf import ScorePMF
 from repro.core.distribution import prepare_scored_prefix

@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dp import (
-    dp_distribution,
-    dp_distribution_without_lead_regions,
-)
+from repro.bench.ablations import dp_distribution_without_lead_regions
+from repro.core.dp import dp_distribution
 from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from tests.conftest import (

@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dp import (
-    dp_distribution,
+from repro.bench.ablations import (
     dp_distribution_per_ending,
     dp_distribution_without_lead_regions,
 )
+from repro.core.dp import dp_distribution
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from tests.conftest import (
     assert_pmf_equal,

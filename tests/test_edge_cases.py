@@ -72,10 +72,13 @@ class TestExtremeScores:
         )
         assert pmf.scores[0] == pytest.approx(1e15)
 
-    def test_infinite_score_allowed_but_ranked(self):
-        t = make_table([("a", math.inf, 0.5), ("b", 1, 0.5)])
-        scored = ScoredTable.from_table(t, attribute_scorer("score"))
-        assert scored[0].tid == "a"
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_score_rejected_at_scoring(self, bad):
+        # An infinite score would make every top-k total infinite (and
+        # typical's expected distance a meaningless 0.0).
+        t = make_table([("a", bad, 0.5), ("b", 1, 0.5)])
+        with pytest.raises(ScoringError, match=f"'a' is {bad}"):
+            ScoredTable.from_table(t, attribute_scorer("score"))
 
     def test_nan_score_rejected_at_scoring(self):
         t = make_table([("a", 1, 0.5)])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.ablations import dp_distribution_per_ending
 from repro.bench.workloads import (
     cartel_workload,
     congestion_scorer,
@@ -26,7 +27,6 @@ from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import (
     _segment_sums,
     dp_distribution,
-    dp_distribution_per_ending,
     dp_distribution_sliced,
 )
 from repro.core.kernels import build

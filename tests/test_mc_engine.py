@@ -11,13 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import (
-    AUTO_MC_COST_BUDGET,
-    QuerySpec,
-    Session,
-    choose_algorithm,
-    exact_cost,
-)
+from repro.api import DEFAULT_PLANNER, QuerySpec, Session, exact_cost
+from repro.api.calibration import DEFAULT_MC_COST_BUDGET
 from repro.core.distribution import prepare_scored_prefix
 from repro.exceptions import AlgorithmError
 from repro.mc.confidence import (
@@ -312,10 +307,11 @@ class TestPlannerEscapeHatch:
         assert exact_cost(1000, 5, me_members=9) == 50_000
 
     def test_choose_algorithm_prefers_mc_beyond_budget(self):
+        choose_algorithm = DEFAULT_PLANNER.choose_algorithm
         assert choose_algorithm(500, 10) == "dp"
         assert choose_algorithm(200_000, 10, me_members=50_000) == "mc"
         assert (
-            exact_cost(200_000, 10, 50_000) > AUTO_MC_COST_BUDGET
+            exact_cost(200_000, 10, 50_000) > DEFAULT_MC_COST_BUDGET
         )
         # Tiny shapes keep their exact baselines.
         assert choose_algorithm(5, 2, me_members=4) == "k_combo"
@@ -348,7 +344,7 @@ class TestPlannerEscapeHatch:
         prefix = session.scored_prefix(spec)
         assert exact_cost(
             len(prefix), spec.k, prefix.me_member_count()
-        ) > AUTO_MC_COST_BUDGET
+        ) > DEFAULT_MC_COST_BUDGET
         pmf = session.execute(spec)
         assert not pmf.is_empty()
         assert 0.0 < pmf.total_mass() <= 1.0 + 1e-9

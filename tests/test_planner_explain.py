@@ -28,6 +28,7 @@ from repro.bench.workloads import (
     synthetic_workload,
 )
 from repro.datasets.soldier import soldier_table
+from repro.exceptions import AlgorithmError
 from repro.service.batching import batch_key
 
 
@@ -160,26 +161,16 @@ class TestGoldenExplain:
         )
 
     def test_per_ending_ablation_explicit(self) -> None:
-        session = Session(
-            {"area": cartel_workload(segments=40)},
-            planner=Planner(CostModel()),
-        )
-        spec = QuerySpec(
-            table="area",
-            scorer=congestion_scorer(),
-            k=5,
-            p_tau=0.0,
-            algorithm="dp_per_ending",
-        )
-        document = physical(session, spec)
-        assert document["algorithm"] == "dp_per_ending"
-        op = document["operators"][1]
-        assert op["op"] == "PerEndingDPOp"
-        assert op["params"]["ending_units"] > 1
-        assert op["cost_units"] == (
-            5 * op["params"]["n"] * op["params"]["ending_units"]
-        )
-        assert document.get("notes", []) == []  # explicit, not auto
+        # The per-ending ablation is bench-only (repro.bench.ablations):
+        # a request naming it fails like any unknown algorithm.
+        with pytest.raises(AlgorithmError, match="unknown algorithm"):
+            QuerySpec(
+                table="area",
+                scorer=congestion_scorer(),
+                k=5,
+                p_tau=0.0,
+                algorithm="dp_per_ending",
+            )
 
     def test_mc_via_exact_cost_escape_hatch(self, session) -> None:
         spec = QuerySpec(table="dense_me", scorer="score", k=10, p_tau=0.0)
@@ -228,16 +219,21 @@ class TestGoldenExplain:
 
 class TestCostModelCalibration:
     def test_builtin_model_matches_frozen_literals(self) -> None:
-        from repro.api.plan import (
-            AUTO_K_COMBO_MAX_COMBINATIONS,
-            AUTO_MC_COST_BUDGET,
-            AUTO_STATE_EXPANSION_MAX_DEPTH,
+        from repro.api.calibration import (
+            DEFAULT_K_COMBO_MAX_COMBINATIONS,
+            DEFAULT_MC_COST_BUDGET,
+            DEFAULT_STATE_EXPANSION_MAX_DEPTH,
         )
 
         model = CostModel()
-        assert model.k_combo_max_combinations == AUTO_K_COMBO_MAX_COMBINATIONS
-        assert model.state_expansion_max_depth == AUTO_STATE_EXPANSION_MAX_DEPTH
-        assert model.mc_cost_budget == AUTO_MC_COST_BUDGET
+        assert (
+            model.k_combo_max_combinations == DEFAULT_K_COMBO_MAX_COMBINATIONS
+        )
+        assert (
+            model.state_expansion_max_depth
+            == DEFAULT_STATE_EXPANSION_MAX_DEPTH
+        )
+        assert model.mc_cost_budget == DEFAULT_MC_COST_BUDGET
         assert model.source == "builtin"
 
     def test_calibrated_thresholds_change_routing(self) -> None:

@@ -78,9 +78,18 @@ class TestCatalog:
         assert warmed == 2
         info = catalog.session.cache_info()
         assert info["pmf"]["misses"] == 2
-        # The warmed shape is now a pure cache hit.
+        # The warmed shape is a request's default shape (no p_tau
+        # given), so the first default request is a pure cache hit.
         catalog.session.distribution(
-            QuerySpec(table="demo", scorer="score", k=3, p_tau=0.0)
+            QuerySpec(table="demo", scorer="score", k=3)
+        )
+        assert catalog.session.cache_info()["pmf"]["hits"] == 1
+
+    def test_warm_subset(self, catalog) -> None:
+        assert catalog.warm(3, tables=["mini"], p_tau=0.0) == 1
+        assert catalog.session.cache_info()["pmf"]["misses"] == 1
+        catalog.session.distribution(
+            QuerySpec(table="mini", scorer="score", k=3, p_tau=0.0)
         )
         assert catalog.session.cache_info()["pmf"]["hits"] == 1
 
@@ -437,6 +446,16 @@ class TestMetrics:
         assert snapshot["count"] == 4
         assert snapshot["buckets"] == {"<=1": 2, "<=10": 1, "<=100": 1}
 
+    def test_overflow_quantile_is_the_bucket_label(self) -> None:
+        histogram = _Histogram((1.0, 10.0))
+        for value in (0.5, 5000.0):
+            histogram.observe(value)
+        assert histogram.quantile(0.5) == 1.0
+        assert histogram.quantile(0.99) == "+inf"
+        snapshot = histogram.snapshot()
+        assert snapshot["buckets"] == {"<=1": 1, "+inf": 1}
+        json.dumps(snapshot, allow_nan=False)  # strict JSON
+
     def test_cache_hit_rates(self) -> None:
         metrics = ServiceMetrics()
         document = metrics.snapshot(
@@ -491,3 +510,101 @@ class TestHTTP:
             if endpoint == "answer"
         }
         assert len(semantics) == 6
+
+
+def _strict_json(raw: bytes):
+    """RFC 8259 JSON only: bare NaN/Infinity tokens are an error."""
+
+    def reject(token: str):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
+class TestStrictWireJSON:
+    @pytest.fixture
+    def http_server(self, tmp_path):
+        # Two certain 1e308 scores: every top-2 score sum overflows.
+        huge = make_table([("a", 1e308, 1.0), ("b", 1e308, 1.0)])
+        infinite = make_table([("a", float("inf"), 0.5), ("b", 1.0, 0.5)])
+        write_table_csv(huge, tmp_path / "huge.csv")
+        write_table_csv(infinite, tmp_path / "inf.csv")
+        catalog = DatasetCatalog({
+            "huge": str(tmp_path / "huge.csv"),
+            "inf": str(tmp_path / "inf.csv"),
+        })
+        server = make_server(catalog, port=0, workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        thread.join(5.0)
+
+    @pytest.fixture
+    def server(self, http_server):
+        host, port = http_server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    @staticmethod
+    def fetch_raw(base: str, endpoint: str, payload: dict | None = None):
+        """POST ``payload`` to ``/v1/<endpoint>``; GET ``/<endpoint>``
+        when there is no payload."""
+        import urllib.error
+        import urllib.request
+
+        if payload is None:
+            request = urllib.request.Request(f"{base}/{endpoint}")
+        else:
+            request = urllib.request.Request(
+                f"{base}/v1/{endpoint}",
+                data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+        try:
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+
+    @pytest.mark.parametrize("endpoint", ["distribution", "typical"])
+    def test_overflowed_sum_is_a_500_with_a_json_body(
+        self, server, endpoint
+    ) -> None:
+        status, raw = self.fetch_raw(
+            server, endpoint, {"table": "huge", "k": 2, "p_tau": 0.0}
+        )
+        assert status == 500
+        assert "non-finite" in _strict_json(raw)["error"]
+
+    def test_infinite_score_is_rejected_as_a_bad_request(
+        self, server
+    ) -> None:
+        status, raw = self.fetch_raw(
+            server, "typical", {"table": "inf", "k": 2, "p_tau": 0.0}
+        )
+        assert status == 400
+        assert "'a' is inf" in _strict_json(raw)["error"]
+
+    def test_overflow_500_counts_as_an_error(self, http_server, server) -> None:
+        payload = {"table": "huge", "k": 2, "p_tau": 0.0}
+        reply = http_server.service.handle("distribution", payload)
+        assert reply.status == 500  # in-process callers see it too
+        assert "non-finite" in reply.document["error"]
+        json.dumps(reply.document, allow_nan=False)
+        self.fetch_raw(server, "distribution", payload)
+        status, raw = self.fetch_raw(server, "metrics")
+        assert status == 200
+        entry = _strict_json(raw)["requests"]["distribution"]
+        assert (entry["count"], entry["errors"]) == (2, 2)
+
+    def test_metrics_stay_strict_after_a_slow_request(
+        self, http_server, server
+    ) -> None:
+        # 5000 ms lands past the last latency bucket (4096 ms).
+        http_server.service.metrics.record_request(
+            "distribution", 5.0, error=False
+        )
+        status, raw = self.fetch_raw(server, "metrics")
+        assert status == 200
+        latency = _strict_json(raw)["requests"]["distribution"]["latency_ms"]
+        assert latency["p99"] == "+inf"

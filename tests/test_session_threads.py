@@ -80,9 +80,9 @@ def _comparable(answer):
 def _expected_lookups(specs) -> dict[str, int]:
     """Stage lookup counts one serial pass over ``specs`` performs.
 
-    ``execute`` always consults the prefix cache once and the answer
-    cache once; pmf-consuming semantics add one distribution() call =
-    one more prefix lookup plus one pmf lookup.
+    ``execute`` plans once, so it always consults the prefix cache
+    once and the answer cache once; pmf-consuming semantics add one
+    pmf lookup.
     """
     lookups = {"prefix": 0, "pmf": 0, "answer": 0}
     for spec in specs:
@@ -90,7 +90,6 @@ def _expected_lookups(specs) -> dict[str, int]:
         lookups["answer"] += 1
         handler = get_semantics(spec.semantics)
         if handler.requires == "pmf":
-            lookups["prefix"] += 1
             lookups["pmf"] += 1
     return lookups
 

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.api import QuerySpec
 from repro.service import (
     DatasetCatalog,
     QueryService,
@@ -122,6 +123,50 @@ def single():
     )
     yield service
     service.shutdown()
+
+
+class TestWorkerWarm:
+    def test_each_worker_warms_only_its_default_keys(self) -> None:
+        from repro.core.distribution import DEFAULT_P_TAU
+        from repro.service.worker import WorkerConfig, _build_service
+
+        bindings = {
+            f"t{i}": f"synthetic:tuples=30,me=0.0,seed={i}"
+            for i in range(6)
+        }
+        ring = ShardRing(2)
+        warmed_by: list[set[str]] = []
+        for index in range(2):
+            owned = {
+                name
+                for name in bindings
+                if ring.query_owner(name, DEFAULT_P_TAU) == index
+            }
+            assert 0 < len(owned) < len(bindings)
+            service = _build_service(
+                index, 2, bindings, WorkerConfig(threads=1, warm=2)
+            )
+            try:
+                session = service.catalog.session
+                assert session.cache_info()["pmf"]["misses"] == len(owned)
+                warmed = {
+                    name
+                    for name in bindings
+                    if session.explain(
+                        QuerySpec(
+                            table=name,
+                            scorer="score",
+                            k=2,
+                            semantics="distribution",
+                        )
+                    )["cache"]["pmf"]
+                    == "hit"
+                }
+            finally:
+                service.shutdown()
+            assert warmed == owned
+            warmed_by.append(warmed)
+        assert warmed_by[0] | warmed_by[1] == set(bindings)
 
 
 def both(sharded, single, endpoint, payload):

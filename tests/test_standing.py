@@ -10,7 +10,11 @@ import pytest
 from repro.api.session import Session
 from repro.api.spec import QuerySpec
 from repro.core.scan_depth import scan_depth
-from repro.exceptions import DataModelError, MutualExclusionError
+from repro.exceptions import (
+    DataModelError,
+    MutualExclusionError,
+    ScoringError,
+)
 from repro.standing import (
     PATCH,
     SKIP,
@@ -201,6 +205,19 @@ class TestClassifyDelta:
             == PATCH
         )
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("-inf"), float("inf")]
+    )
+    def test_non_finite_score_never_skips(self, bad) -> None:
+        fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 10)
+        insert = Delta(version=1, op="insert", tid="z", group=("z",))
+        assert classify_delta(fp, insert, new_score=bad) == PATCH
+        update = Delta(version=1, op="update_score", tid="z", group=("z",))
+        assert (
+            classify_delta(fp, update, old_score=bad, new_score=5.0)
+            == PATCH
+        )
+
 
 class TestPrefixMirror:
     @pytest.mark.parametrize("seed", range(6))
@@ -247,6 +264,17 @@ class TestPrefixMirror:
                 mirror.build_prefix(spec, table).items
                 == cold.prefix(depth).items
             ), delta
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_score_raises_like_the_cold_sort(self, bad) -> None:
+        table = mutable([("a", 30, 0.9), ("b", 20, 0.8)])
+        mirror = PrefixMirror(table, attribute_scorer("score"))
+        delta = table.update_score("b", {"score": bad})
+        with pytest.raises(ScoringError) as mirrored:
+            mirror.apply(delta, table)
+        with pytest.raises(ScoringError) as cold:
+            ScoredTable.from_table(table, attribute_scorer("score"))
+        assert str(mirrored.value) == str(cold.value)
 
     def test_explicit_depth_prefix(self) -> None:
         table = mutable([("a", 30, 0.9), ("b", 20, 0.8), ("c", 10, 0.7)])
@@ -339,6 +367,32 @@ class TestStandingRegistry:
         reg.mutate("live", "expire", {"tid": "bad"})
         assert sub.error is None
         assert sub.version == 2
+
+    def test_non_finite_insert_below_boundary_errors_like_a_cold_read(
+        self,
+    ) -> None:
+        rows = [(f"t{i}", 100 - i, 0.95) for i in range(30)]
+        table = mutable(rows)
+        session = Session({"live": table})
+        reg = StandingRegistry(session)
+        spec = QuerySpec(
+            table="live", scorer="score", k=2, semantics="u_topk",
+            p_tau=0.1,
+        )
+        sub = reg.subscribe(spec)
+        assert sub.fingerprint.truncated
+        # -inf sorts below the boundary, but no cold read accepts it.
+        reg.mutate("live", "insert", {
+            "tid": "low", "attributes": {"score": float("-inf")},
+            "probability": 0.5,
+        })
+        with pytest.raises(ScoringError) as cold:
+            Session({"live": table}).execute(spec)
+        assert sub.error == f"ScoringError: {cold.value}"
+        assert sub.version == 1
+        assert reg.snapshot(sub.sid)["answer"] is None
+        with pytest.raises(ScoringError):
+            session.execute(spec)  # no stale prefix re-seeded
 
     def test_unsubscribe_stops_maintenance(self) -> None:
         table, reg = self.setup_registry([("a", 30, 0.9)])

@@ -283,6 +283,32 @@ class TestHTTPWatch:
         assert [event["version"] for event in collected] == [0, 1]
         assert collected[1]["error"] is None
 
+    def test_non_finite_snapshot_streams_an_error_event(
+        self, server
+    ) -> None:
+        sub = self.post_json(server, "/v1/subscribe", {
+            "table": "live", "k": 2, "p_tau": 0.0,
+            "semantics": "distribution",
+        })
+        for tid in ("T1", "T2"):
+            # Two certain 1e308 scores: the top-2 sum overflows.
+            self.post_json(server, "/v1/mutate", {
+                "table": "live", "op": "update_score", "tid": tid,
+                "attributes": {"score": 1e308},
+            })
+            self.post_json(server, "/v1/mutate", {
+                "table": "live", "op": "update_probability", "tid": tid,
+                "probability": 1.0,
+            })
+        url = f"{server}/v1/watch?sid={sub['sid']}&after=-1&timeout_s=10"
+        with urllib.request.urlopen(url, timeout=15.0) as response:
+            stream = response.read().decode()
+        assert "Infinity" not in stream and "NaN" not in stream
+        assert "event: update" not in stream
+        error = stream.split("event: error\ndata: ", 1)[1].split("\n")[0]
+        assert json.loads(error)["status"] == 500
+        assert stream.rstrip().endswith("event: end\ndata: {}")
+
     def test_watch_unknown_sid_is_404(self, server) -> None:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(

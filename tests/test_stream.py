@@ -61,6 +61,16 @@ class TestWindowMaintenance:
         assert win.distribution() is before
         assert win.append({"score": 5.0}, probability=0.9) == "s4"
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_infinite_score_rejected_at_append(self, bad):
+        win = SlidingWindowTopK(window=3, k=1, p_tau=0.0)
+        fill(win, [1, 2, 3, 4])
+        before = win.distribution()
+        with pytest.raises(ScoringError, match=f"'s4' is {bad}"):
+            win.append({"score": float(bad)}, probability=0.5)
+        assert len(win) == 3
+        assert win.distribution() is before
+
 
 class TestDistribution:
     def test_matches_oracle_on_window(self):
