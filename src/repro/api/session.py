@@ -408,7 +408,7 @@ class Session:
         newer version replaces the older sort.  Resident tables score
         through :func:`repro.api.plan.prepare_scored_prefix` (untruncated,
         so the sort is its own prefix); disk-backed tables packed on
-        the request's scorer return their lazy rank-ordered view, so
+        the request's scorer return their packed rank order, so
         pushdown I/O stays bounded by the deepest prefix sliced.
         """
         from repro.api import plan
@@ -466,9 +466,8 @@ class Session:
         """Install ``prefix`` as the stage-1 entry for ``spec`` at the
         table's *current* version.
 
-        This is the standing-query maintainer's patch point: after a
-        mutation that provably cannot change the prefix (or whose new
-        prefix was rebuilt incrementally from segment state), seeding
+        This is the standing-query maintainer's skip path: after a
+        mutation that provably cannot change the prefix, seeding
         keeps the downstream PMF/answer chain warm — the PMF cache is
         keyed by the prefix *object*, so re-seeding the same object
         under the new version preserves every downstream entry.  The

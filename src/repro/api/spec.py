@@ -153,9 +153,13 @@ class QuerySpec:
                 f"samples must be None or an integer >= 1, got "
                 f"{self.samples!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if (
+            not isinstance(self.seed, int)
+            or isinstance(self.seed, bool)
+            or self.seed < 0
+        ):
             raise AlgorithmError(
-                f"seed must be an integer, got {self.seed!r}"
+                f"seed must be an integer >= 0, got {self.seed!r}"
             )
 
     def with_(self, **changes) -> "QuerySpec":

@@ -48,11 +48,14 @@ def resolve_scorer(scorer: ScorerLike) -> Scorer:
     )
 
 
-def storage_pushdown_view(table: UncertainTable, scorer: ScorerLike):
-    """The table's lazy rank-ordered view, when pushdown is sound.
+def storage_pushdown_view(
+    table: UncertainTable, scorer: ScorerLike
+) -> ScoredTable | None:
+    """The table's packed rank order, when pushdown is sound.
 
     Disk-backed tables (:class:`repro.storage.table.DiskBackedTable`)
-    expose a ``lazy_scored(scorer)`` hook returning a view that serves
+    expose a ``lazy_scored(scorer)`` hook returning their
+    :class:`ScoredTable` over the packed columns, which serves
     rank-ordered prefixes without materializing the relation — but
     only when the query ranks by the attribute the table was packed
     on.  Ordinary tables (no hook) and mismatched scorers return
@@ -84,12 +87,9 @@ def prepare_scored_prefix(
         raise InvalidProbabilityError(
             f"p_tau must be in [0, 1), got {p_tau!r}"
         )
-    lazy = storage_pushdown_view(table, scorer)
-    scored = (
-        lazy
-        if lazy is not None
-        else ScoredTable.from_table(table, resolve_scorer(scorer))
-    )
+    scored = storage_pushdown_view(table, scorer)
+    if scored is None:
+        scored = ScoredTable.from_table(table, resolve_scorer(scorer))
     if depth is None:
         depth = scan_depth(scored, k, p_tau) if p_tau > 0.0 else len(scored)
     if depth < 0:

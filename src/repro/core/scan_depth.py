@@ -22,6 +22,9 @@ import math
 from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable
 
+#: Rows in the scan's first column block; each later block doubles.
+_FIRST_BLOCK = 256
+
 
 def scan_depth_threshold(k: int, p_tau: float) -> float:
     """The right-hand side of the Theorem-2 inequality.
@@ -48,29 +51,36 @@ def scan_depth(scored: ScoredTable, k: int, p_tau: float) -> int:
     >= ``p_tau`` lies entirely within them.  The returned depth is at
     least ``min(k, len(scored))`` and never exceeds ``len(scored)``,
     and always lands on a tie-group boundary.
+
+    The scan reads the probability and group columns in growing
+    blocks, so on a packed table it touches O(depth) pages.
     """
     threshold = scan_depth_threshold(k, p_tau)
-    total = len(scored)
+    probs = scored.prob_column
+    groups = scored.group_column
+    total = len(probs)
     # Accumulated probability of all tuples ranked strictly higher; the
     # group contribution above the current tuple is subtracted per
     # tuple (mu excludes the tuple's own ME group).
     prefix_mass = 0.0
     group_mass_above: dict[int, float] = {}
-    stop: int | None = None
-    for pos, item in enumerate(scored):
-        own_group_above = group_mass_above.get(item.group, 0.0)
-        mu = prefix_mass - own_group_above
-        if mu >= threshold and pos >= k:
-            stop = pos
-            break
-        prefix_mass += item.prob
-        group_mass_above[item.group] = own_group_above + item.prob
-    if stop is None:
-        return total
-    # Extend to the end of the stopping tuple's tie group.
-    return scored.tie_range_end(stop) if _mid_tie(scored, stop) else stop
-
-
-def _mid_tie(scored: ScoredTable, pos: int) -> bool:
-    """True when cutting at ``pos`` would split a tie group."""
-    return pos > 0 and scored[pos - 1].score == scored[pos].score
+    start, block = 0, _FIRST_BLOCK
+    while start < total:
+        stop = min(start + block, total)
+        for pos, prob, group in zip(
+            range(start, stop),
+            probs[start:stop].tolist(),
+            groups[start:stop].tolist(),
+        ):
+            own_group_above = group_mass_above.get(group, 0.0)
+            if prefix_mass - own_group_above >= threshold and pos >= k:
+                # pos >= k >= 1.  Never split a tie group: extend to
+                # the end of the stopping tuple's one.
+                scores = scored.score_column
+                if scores[pos - 1] == scores[pos]:
+                    return scored.tie_range_end(pos)
+                return pos
+            prefix_mass += prob
+            group_mass_above[group] = own_group_above + prob
+        start, block = stop, 2 * block
+    return total

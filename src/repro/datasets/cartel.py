@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DatasetError
+from repro.uncertain.discretize import equal_width_bins
 from repro.uncertain.model import UncertainTuple
 from repro.uncertain.table import UncertainTable
 
@@ -136,31 +137,6 @@ def generate_measurements(
     return segments
 
 
-def bin_delays(
-    delays: Sequence[float], bins: int
-) -> list[tuple[float, float]]:
-    """The paper's binning: equi-width bins over the sample range.
-
-    :returns: ``(bin mean, relative frequency)`` per non-empty bin.
-    """
-    if not delays:
-        raise DatasetError("cannot bin an empty sample list")
-    values = np.asarray(delays, dtype=float)
-    if len(values) == 1 or bins == 1 or values.min() == values.max():
-        return [(float(values.mean()), 1.0)]
-    edges = np.linspace(values.min(), values.max(), bins + 1)
-    # Right-inclusive last bin so the max sample lands inside.
-    indices = np.clip(np.digitize(values, edges[1:-1]), 0, bins - 1)
-    out: list[tuple[float, float]] = []
-    for b in range(bins):
-        mask = indices == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        out.append((float(values[mask].mean()), count / len(values)))
-    return out
-
-
 def segments_to_table(
     segments: Sequence[RoadSegment],
     *,
@@ -179,7 +155,7 @@ def segments_to_table(
     for segment in segments:
         members: list[str] = []
         for index, (delay, prob) in enumerate(
-            bin_delays(segment.delays, bins)
+            equal_width_bins(segment.delays, bins)
         ):
             tid = f"s{segment.segment_id}b{index}"
             tuples.append(

@@ -21,7 +21,7 @@ response carries the applied delta and the table's new version.
 ``/v1/subscribe`` takes the same body as ``/v1/answer`` and returns a
 subscription id plus the initial answer; after every mutation the
 standing registry brings each affected subscription current (see
-:mod:`repro.standing.registry` for the skip/patch/recompute tiers).
+:mod:`repro.standing.registry` for the skip/recompute tiers).
 ``GET /v1/watch?sid=...&after=V&count=N&timeout_s=T`` streams
 ``text/event-stream`` events — the current snapshot when it is
 already past ``after``, then one event per advance — until ``count``
@@ -880,6 +880,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     :class:`ServiceProtocol`)."""
 
     daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 overflows under a
+    #: few concurrent one-shot clients (``repro loadgen``), and every
+    #: dropped SYN then waits out the kernel's 1 s retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -7,7 +7,7 @@ The subsystem has three layers:
   as :class:`Delta` entries in an append-only :class:`ChangeLog`;
 * :mod:`repro.standing.registry` — the :class:`StandingRegistry`,
   which keeps registered queries' materialized answers current per
-  delta through the skip / patch / recompute tiers (see that module's
+  delta through the skip / recompute tiers (see that module's
   docstring for the Theorem-2 applicability argument);
 * :mod:`repro.standing.wal` — durability: an fsync'd, CRC-framed
   write-ahead log per mutable table plus periodic snapshot
@@ -26,11 +26,9 @@ from repro.standing.changelog import (
 )
 from repro.standing.registry import (
     MAX_STICKY_RETRIES,
-    PATCH,
     RECOMPUTE,
     SKIP,
     PrefixFingerprint,
-    PrefixMirror,
     StandingRegistry,
     Subscription,
     classify_delta,
@@ -50,11 +48,9 @@ __all__ = [
     "ChangeLog",
     "Delta",
     "MutableUncertainTable",
-    "PATCH",
     "RECOMPUTE",
     "SKIP",
     "PrefixFingerprint",
-    "PrefixMirror",
     "StandingRegistry",
     "Subscription",
     "classify_delta",

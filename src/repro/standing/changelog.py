@@ -24,10 +24,8 @@ operations — :meth:`~MutableUncertainTable.insert`,
 Ordering guarantee: ``insert`` appends (so insertion order keeps
 following arrival order), ``expire`` preserves the relative order of
 the survivors, and the update operations keep the tuple at its
-position.  The canonical rank order (stable sort by descending
-``(score, prob)``) of a mutated table is therefore reproducible from
-an arrival-sequence-tie-broken rank index — the property
-:class:`repro.standing.registry.PrefixMirror` relies on.
+position.  Equal ``(score, prob)`` rows therefore keep ranking in
+arrival order under the stable rank sort, version after version.
 """
 
 from __future__ import annotations

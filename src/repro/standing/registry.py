@@ -21,22 +21,13 @@ under the table's new version (:meth:`~repro.api.session.Session.
 seed_prefix`), which keeps the whole cached PMF/answer chain warm, and
 leaves the answer untouched.
 
-**patch** — the prefix may change, but it can be rebuilt from the
-subscription's :class:`PrefixMirror` — a
-:class:`~repro.standing.segments.RankedSegments` rank index over the
-whole table, maintained in O(segment) per delta — instead of
-re-scoring and re-sorting the table in O(n log n).  The rebuilt prefix
-is row-identical to the cold sort (arrival sequence reproduces the
-stable tie-break; see :mod:`repro.standing.changelog` on ordering),
-gets seeded, and the answer is recomputed through the ordinary session
-pipeline — so maintained answers stay byte-identical to cold ones by
-construction.  Eligibility: the Theorem-2 depth computed by the mirror
-matches :func:`~repro.core.scan_depth.scan_depth` only for ME-free
-tables (singleton groups), so ``p_tau``-truncating subscriptions over
-tables with explicit rules fall through to recompute.
-
-**recompute** — the fallback: the session re-runs the query cold (its
-version-keyed caches miss by construction after a mutation).
+**recompute** — the delta may move the prefix: the session re-runs
+the query cold (its version-keyed caches miss by construction after a
+mutation).  Every subscription on the table recomputes through the
+session's one sort per ``(table, scorer, version)``, and those with
+the same ``(k, p_tau)`` share one prefix, hence one PMF per algorithm
+and line budget — and maintained answers stay byte-identical to cold
+ones by construction.
 
 Watchers long-poll :meth:`StandingRegistry.wait`, which blocks until a
 subscription's maintained version passes the watermark they have seen.
@@ -48,26 +39,20 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping
+from typing import Any, Mapping
 
 from repro.api.logical import LogicalPlan
 from repro.api.session import Session
 from repro.api.spec import QuerySpec
 from repro.core.distribution import resolve_scorer
-from repro.exceptions import DataModelError, ServiceError
+from repro.exceptions import ServiceError
 from repro.standing.changelog import Delta, MutableUncertainTable
-from repro.standing.segments import DEFAULT_SEGMENT_SIZE, RankedSegments
 from repro.uncertain.model import UncertainTuple
-from repro.uncertain.scoring import (
-    ScoredItem,
-    ScoredTable,
-    Scorer,
-    finite_score,
-)
+from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
 
 #: The maintenance tiers, cheapest first.
-SKIP, PATCH, RECOMPUTE = "skip", "patch", "recompute"
+SKIP, RECOMPUTE = "skip", "recompute"
 
 #: How many automatic re-evaluations a sticky maintenance error gets
 #: (per error episode) before waiting for the next successful delta.
@@ -125,10 +110,7 @@ def classify_delta(
     """The cheapest sound tier for one delta against one prefix.
 
     Returns :data:`SKIP` when the mutation provably cannot change the
-    prefix (hence the answer), else :data:`PATCH` — whether the patch
-    actually runs on the mirror or degrades to a recompute is the
-    registry's call (it depends on table/mirror state, not on the
-    delta).
+    prefix (hence the answer), else :data:`RECOMPUTE`.
 
     :param old_score: the affected tuple's score under the
         subscription's scorer *before* the mutation (``None`` for
@@ -138,13 +120,13 @@ def classify_delta(
     """
     if not fingerprint.truncated or fingerprint.boundary_score is None:
         # Untruncated prefixes contain every row: all deltas touch them.
-        return PATCH
+        return RECOMPUTE
     if delta.tid in fingerprint.tids:
-        return PATCH
+        return RECOMPUTE
     if fingerprint.tids.intersection(delta.group):
         # ME straddle: the group's below-prefix mass feeds the mu of
         # its in-prefix members, so the Theorem-2 stop could move.
-        return PATCH
+        return RECOMPUTE
     boundary = fingerprint.boundary_score
     for score in (old_score, new_score):
         # Strictly below the boundary: the delta row sorts after every
@@ -155,112 +137,8 @@ def classify_delta(
         if score is None:
             continue
         if not math.isfinite(score) or score >= boundary:
-            return PATCH
+            return RECOMPUTE
     return SKIP
-
-
-class PrefixMirror:
-    """An incrementally maintained rank order for one (table, scorer).
-
-    Mirrors the *whole* table as a
-    :class:`~repro.standing.segments.RankedSegments` index keyed by
-    descending ``(score, prob)`` with the tuple's arrival sequence
-    breaking ties — which reproduces the stable
-    :meth:`ScoredTable.from_table` sort exactly, because mutable
-    tables only ever append (see :mod:`repro.standing.changelog`).
-    Applying one delta costs O(segment); rebuilding a subscription's
-    prefix costs O(depth) — no re-scoring, no O(n log n) sort.
-    """
-
-    def __init__(
-        self,
-        table: UncertainTable,
-        scorer: Scorer,
-        *,
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
-    ) -> None:
-        self._scorer = scorer
-        self._index = RankedSegments(segment_size=segment_size)
-        #: tid -> (score, prob, seq): the removal key of each entry.
-        self._entries: dict[Any, tuple[float, float, int]] = {}
-        self._next_seq = 0
-        for t in table:
-            self._add(t.tid, self.score_of(t), t.probability)
-        self.version = table.version
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def score_of(self, t: UncertainTuple) -> float:
-        """The tuple's score; NaN or ±inf raises exactly like the cold
-        sort."""
-        return finite_score(float(self._scorer(t)), t.tid)
-
-    def _add(
-        self, tid: Any, score: float, prob: float, seq: int | None = None
-    ) -> None:
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
-        self._index.insert(tid, score, prob, seq)
-        self._entries[tid] = (score, prob, seq)
-
-    def _remove(self, tid: Any) -> tuple[float, float, int]:
-        score, prob, seq = self._entries.pop(tid)
-        self._index.remove(tid, score, prob, seq)
-        return score, prob, seq
-
-    def apply(self, delta: Delta, table: UncertainTable) -> None:
-        """Advance the mirror by one log delta (already applied to
-        ``table``).  Updates keep the tuple's original arrival
-        sequence, so ties keep resolving to the stable sort order."""
-        if delta.op == "insert":
-            t = table[delta.tid]
-            self._add(delta.tid, self.score_of(t), t.probability)
-        elif delta.op == "expire":
-            self._remove(delta.tid)
-        elif delta.op == "update_probability":
-            score, _prob, seq = self._remove(delta.tid)
-            self._add(
-                delta.tid, score, table[delta.tid].probability, seq=seq
-            )
-        elif delta.op == "update_score":
-            t = table[delta.tid]
-            _score, prob, seq = self._remove(delta.tid)
-            self._add(delta.tid, self.score_of(t), prob, seq=seq)
-        else:
-            raise DataModelError(f"unknown delta op {delta.op!r}")
-        self.version = delta.version
-
-    def build_prefix(
-        self, spec: QuerySpec, table: UncertainTable
-    ) -> ScoredTable:
-        """The subscription's stage-1 prefix, straight off the index.
-
-        Row-identical to the session's cold stage 1: same
-        order (stable-sort reproduction), same depth (explicit depth,
-        or the Theorem-2 depth — the caller guarantees the table is
-        ME-free when ``p_tau`` governs the depth), same group ids
-        (read off the *current* table).
-        """
-        count = len(self._index)
-        if spec.depth is not None:
-            depth = min(spec.depth, count)
-        elif spec.p_tau > 0.0:
-            depth = self._index.scan_depth(spec.k, spec.p_tau)
-        else:
-            depth = count
-        return ScoredTable(
-            [
-                ScoredItem(
-                    entry.tid,
-                    entry.score,
-                    entry.prob,
-                    table.group_of(entry.tid),
-                )
-                for entry in self._index.rows(depth)
-            ]
-        )
 
 
 class Subscription:
@@ -294,7 +172,7 @@ class Subscription:
         #: tuple); surfaced to watchers, cleared by a successful tier
         #: or by a bounded automatic retry on a later ``wait()`` tick.
         self.error: str | None = None
-        self.tiers = {SKIP: 0, PATCH: 0, RECOMPUTE: 0}
+        self.tiers = {SKIP: 0, RECOMPUTE: 0}
         #: Lifetime count of maintenance/retry failures (monotone;
         #: surfaced per subscription in the /metrics standing section).
         self.errors = 0
@@ -343,14 +221,10 @@ class StandingRegistry:
         self._cond = threading.Condition(self._lock)
         self._subs: dict[str, Subscription] = {}
         self._next_id = 1
-        #: (table id, scorer key) -> mirror; populated lazily by the
-        #: first patch and advanced per delta while any sub needs it.
-        self._mirrors: dict[tuple[int, Hashable], PrefixMirror] = {}
         self._stats = {
             "subscriptions": 0,
             "mutations": 0,
             SKIP: 0,
-            PATCH: 0,
             RECOMPUTE: 0,
             "errors": 0,
             "retries": 0,
@@ -453,28 +327,10 @@ class StandingRegistry:
         """
         with self._cond:
             self._stats["mutations"] += 1
-            self._advance_mirrors(table, delta)
             for sub in self._subs.values():
                 if self._session.resolve(sub.spec) is table:
                     self._maintain(sub, table, delta)
             self._cond.notify_all()
-
-    def _advance_mirrors(
-        self, table: MutableUncertainTable, delta: Delta
-    ) -> None:
-        """Keep every mirror of this table in lock-step with its log.
-
-        A mirror whose scorer rejects the delta is dropped — the next
-        patch attempt recreates it from current state (or the
-        subscription recomputes and errors on its own terms).
-        """
-        for key in [
-            key for key in self._mirrors if key[0] == id(table)
-        ]:
-            try:
-                self._mirrors[key].apply(delta, table)
-            except Exception:
-                del self._mirrors[key]
 
     # ------------------------------------------------------------------
     # Maintenance tiers
@@ -502,31 +358,6 @@ class StandingRegistry:
         if delta.attributes is not None:
             new_score = float(scorer(table[delta.tid]))
         return old_score, new_score
-
-    def _patchable(
-        self, sub: Subscription, table: MutableUncertainTable
-    ) -> bool:
-        """Whether the mirror's prefix is provably row-identical.
-
-        The mirror's incremental Theorem-2 depth assumes singleton ME
-        groups, so ``p_tau``-truncating subscriptions require an
-        ME-free table; explicit-depth and untruncated subscriptions
-        only need the (always valid) rank order.
-        """
-        spec = sub.spec
-        if spec.depth is None and spec.p_tau > 0.0:
-            return not table.explicit_rules
-        return True
-
-    def _mirror_for(
-        self, sub: Subscription, table: MutableUncertainTable
-    ) -> PrefixMirror:
-        key = (id(table), sub.logical.scorer_key)
-        mirror = self._mirrors.get(key)
-        if mirror is None or mirror.version != table.version:
-            mirror = PrefixMirror(table, resolve_scorer(sub.spec.scorer))
-            self._mirrors[key] = mirror
-        return mirror
 
     def _evaluate(
         self, sub: Subscription, table: UncertainTable, version: int
@@ -566,14 +397,7 @@ class StandingRegistry:
                 self._session.seed_prefix(sub.spec, fingerprint.prefix)
                 sub.version = delta.version
                 sub.error = None
-            elif tier == PATCH and self._patchable(sub, table):
-                prefix = self._mirror_for(sub, table).build_prefix(
-                    sub.spec, table
-                )
-                self._session.seed_prefix(sub.spec, prefix)
-                self._evaluate(sub, table, delta.version)
             else:
-                tier = RECOMPUTE
                 self._evaluate(sub, table, delta.version)
             sub.tiers[tier] += 1
             self._stats[tier] += 1

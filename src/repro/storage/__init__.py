@@ -19,13 +19,12 @@ from repro.storage.format import (
     open_store,
     pack_table,
 )
-from repro.storage.table import DiskBackedTable, LazyScoredTable, open_table
+from repro.storage.table import DiskBackedTable, open_table
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "STORAGE_SCHEMA",
     "DiskBackedTable",
-    "LazyScoredTable",
     "StorageFormatError",
     "TableStore",
     "is_packed_dir",

@@ -34,10 +34,13 @@ of N in-RAM replicas.
 
 The format exists to serve exactly one pushdown primitive — Theorem
 2's contract that a query touches only a rank-ordered prefix:
-:meth:`TableStore.items` materializes the ordered prefix up to a
-depth ``d``, page by page, and :meth:`TableStore.group_safe_depth`
-rounds a depth up so no mutual-exclusion group is ever split by a
-page fetch.
+:meth:`TableStore.scored` is the table's
+:class:`~repro.uncertain.scoring.ScoredTable` over the mapped columns,
+whose Theorem-2 scan reads O(depth) pages, and
+:meth:`TableStore.prefix` materializes the ordered prefix up to a
+depth ``d``, decoding tid pages only that far.
+:meth:`TableStore.group_safe_depth` rounds a depth up so no
+mutual-exclusion group is ever split by a page fetch.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from repro.exceptions import DataModelError
-from repro.uncertain.scoring import ScoredItem, ScoredTable
+from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
 
 #: Rows per page: the unit of decode, caching and I/O alignment.
@@ -72,7 +75,7 @@ _COLUMNS = (
 )
 
 
-#: Byte budget of the per-store decoded item-page cache.  The entry
+#: Byte budget of the per-store decoded tid-page cache.  The entry
 #: count (64 pages) bounds small-tuple tables; the byte budget bounds
 #: tables with large tid blobs, where 64 pages of 4096 rows each could
 #: otherwise dwarf the mapped columns.  The ``REPRO_STORE_CACHE_BYTES``
@@ -80,8 +83,8 @@ _COLUMNS = (
 DEFAULT_ITEM_CACHE_BYTES = 16 * 1024 * 1024
 STORE_CACHE_ENV = "REPRO_STORE_CACHE_BYTES"
 
-#: Rough decoded footprint of one cached item beyond its tid blob
-#: (a ScoredItem object, two floats, an int, tuple slots).
+#: Rough decoded footprint of one cached tid beyond its blob bytes
+#: (the Python object and its list slot, priced generously).
 _ITEM_OVERHEAD_BYTES = 120
 
 
@@ -127,9 +130,9 @@ def pack_table(
 
     The table is scored and rank-ordered with exactly the resident
     pipeline's stage-1 code (:meth:`ScoredTable.from_table` over the
-    attribute scorer), then serialized column by column — so a
-    :class:`~repro.storage.table.LazyScoredTable` prefix over the
-    packed directory is byte-identical to the in-RAM path.
+    attribute scorer), then its columns are written as they are — so
+    the packed directory's :meth:`TableStore.scored` view holds the
+    in-RAM path's columns.
 
     :param scorer: the numeric attribute the rank order is built on;
         queries naming the same scorer string are served by pushdown,
@@ -152,13 +155,13 @@ def pack_table(
     n = len(scored)
     insertion_of_tid = {t.tid: index for index, t in enumerate(table.tuples)}
 
-    scores = np.asarray([item.score for item in scored], dtype="<f8")
-    probs = np.asarray([item.prob for item in scored], dtype="<f8")
-    groups = np.asarray([item.group for item in scored], dtype="<i8")
+    scores = np.asarray(scored.score_column, dtype="<f8")
+    probs = np.asarray(scored.prob_column, dtype="<f8")
+    groups = np.asarray(scored.group_column, dtype="<i8")
     gend = np.empty(n, dtype="<i8")
-    for group in set(groups.tolist()):
-        positions = scored.group_positions(int(group))
-        gend[list(positions)] = positions[-1] if positions else 0
+    for group in scored.groups():
+        positions = scored.group_positions(group)
+        gend[list(positions)] = positions[-1]
     order = np.asarray(
         [insertion_of_tid[item.tid] for item in scored], dtype="<i8"
     )
@@ -227,7 +230,9 @@ class TableStore:
     Columns are memory-mapped lazily and read-only; tuple ids decode
     per *page* through a small LRU, so serving "the ordered prefix up
     to depth ``d``" touches O(d) bytes regardless of the table size
-    (attributes decode only for a full fallback reconstruction).
+    (attributes decode only for a full fallback reconstruction).  The
+    store is also the tid column of its :meth:`scored` view: iterating
+    it yields the tuple ids in rank order, page by page.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -253,8 +258,8 @@ class TableStore:
         self.name: str = str(meta["name"])
         self._arrays: dict[str, np.ndarray] = {}
         # The page cache reuses the session's staged-LRU machinery
-        # (thread-safe, counted) — one items cache shared by every
-        # view over this store.  Imported lazily here to keep the
+        # (thread-safe, counted) — one tid cache shared by every
+        # prefix of this store.  Imported lazily here to keep the
         # storage package importable without the api layer.  Beyond
         # the entry count, it carries a byte budget (decoded page
         # sizes come from the blob offset tables, so a store with
@@ -346,30 +351,18 @@ class TableStore:
     # ------------------------------------------------------------------
     # The pushdown primitive
     # ------------------------------------------------------------------
-    def page_items(self, page: int) -> Sequence[ScoredItem]:
-        """The ``page``-th page of rank-ordered items (LRU-cached)."""
+    def _page_tids(self, page: int) -> list[Any]:
+        """The ``page``-th page of rank-ordered tuple ids (LRU-cached)."""
         cached = self._item_pages.get(page)
         if cached is not None:
             return cached
         start = page * self.page_size
         stop = min(start + self.page_size, self.count)
         tids = self._blob_slice("tid", start, stop)
-        scores = self.scores[start:stop]
-        probs = self.probs[start:stop]
-        groups = self.groups[start:stop]
-        items = tuple(
-            ScoredItem(
-                tids[index],
-                float(scores[index]),
-                float(probs[index]),
-                int(groups[index]),
-            )
-            for index in range(stop - start)
-        )
         self._item_pages.put(
-            page, items, nbytes=self._page_nbytes("tid", start, stop)
+            page, tids, nbytes=self._page_nbytes("tid", start, stop)
         )
-        return items
+        return tids
 
     def _page_nbytes(self, stem: str, start: int, stop: int) -> int:
         """Approximate decoded size of a cached page.
@@ -383,31 +376,37 @@ class TableStore:
         blob = int(offsets[stop]) - int(offsets[start])
         return blob + (stop - start) * _ITEM_OVERHEAD_BYTES
 
-    def items(self, start: int, stop: int) -> list[ScoredItem]:
-        """Rank-ordered items ``start .. stop`` (page-wise, cached)."""
-        stop = min(stop, self.count)
-        if stop <= start:
-            return []
-        out: list[ScoredItem] = []
-        first = start // self.page_size
-        last = (stop - 1) // self.page_size
-        for page in range(first, last + 1):
-            page_start = page * self.page_size
-            chunk = self.page_items(page)
-            lo = max(start - page_start, 0)
-            hi = min(stop - page_start, len(chunk))
-            out.extend(chunk[lo:hi])
-        return out
+    def __iter__(self) -> Iterator[Any]:
+        """Tuple ids in rank order, decoded page by page."""
+        for page in range(-(-self.count // self.page_size)):
+            yield from self._page_tids(page)
+
+    def scored(self) -> ScoredTable:
+        """The whole table's rank order over the mapped columns.
+
+        The store is the view's tid column, so the view's
+        :meth:`~ScoredTable.prefix` comes back here (:meth:`prefix`).
+        """
+        return ScoredTable(self.scores, self.probs, self.groups, self)
 
     def prefix(self, depth: int) -> ScoredTable:
         """Materialize the ordered prefix up to ``depth`` as a
         :class:`ScoredTable` — *the* pushdown primitive.
 
-        Byte-identical to ``ScoredTable(items[:depth])`` on the
-        resident path: same item order, scores, probabilities and
-        dense group ids, hence the same derived tie/lead structure.
+        Decodes only the tid pages up to ``depth``; the columns are
+        copied out of the maps.  Same class, columns, tids and derived
+        structure as the resident path's ``from_table(...).prefix``.
         """
-        return ScoredTable(self.items(0, depth))
+        depth = max(0, min(depth, self.count))
+        tids: list[Any] = []
+        for page in range(-(-depth // self.page_size)):
+            tids.extend(self._page_tids(page))
+        return ScoredTable(
+            np.array(self.scores[:depth]),
+            np.array(self.probs[:depth]),
+            np.array(self.groups[:depth]),
+            tuple(tids[:depth]),
+        )
 
     def group_safe_depth(self, depth: int) -> int:
         """The smallest depth >= ``depth`` splitting no ME group.

@@ -1,24 +1,15 @@
-"""Lazy table views over a packed :class:`~repro.storage.format.TableStore`.
+"""A lazy table over a packed :class:`~repro.storage.format.TableStore`.
 
-Two wrappers bridge the on-disk format into the existing engine:
-
-* :class:`LazyScoredTable` — the rank-ordered *scored* view.  It
-  satisfies the :class:`~repro.uncertain.scoring.ScoredTable` surface
-  the Theorem-2 scan-depth logic consumes (`__len__`, lazy
-  ``__iter__``, ``__getitem__``, ``tie_range_end``), so
-  :func:`repro.core.scan_depth.scan_depth` runs unchanged against it —
-  and, because that loop stops after O(depth) items, it performs
-  O(depth) I/O.  ``prefix(d)`` then materializes a *real*
-  :class:`ScoredTable` over exactly the prefix items, byte-identical
-  to the resident path's ``ScoredTable.from_table(...).prefix(d)``.
-
-* :class:`DiskBackedTable` — an :class:`~repro.uncertain.table.
-  UncertainTable` subclass whose tuples/rules stay on disk until a
-  non-pushdown access forces them.  Pushdown-eligible queries (the
-  spec's scorer string equals the packing scorer) get the lazy scored
-  view via :meth:`lazy_scored`; everything else transparently falls
-  back to full reconstruction, with identical dense group ids and
-  therefore identical answers.
+:class:`DiskBackedTable` is an :class:`~repro.uncertain.table.
+UncertainTable` subclass whose tuples/rules stay on disk until a
+non-pushdown access forces them.  Pushdown-eligible queries (the
+spec's scorer string equals the packing scorer) get the store's
+rank-ordered :class:`~repro.uncertain.scoring.ScoredTable` via
+:meth:`~DiskBackedTable.lazy_scored` — the same class the resident
+path sorts into, over the memory-mapped columns, so the Theorem-2
+scan and the prefix it cuts read O(depth) pages.  Everything else
+transparently falls back to full reconstruction, with identical dense
+group ids and therefore identical answers.
 """
 
 from __future__ import annotations
@@ -27,103 +18,10 @@ import threading
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.storage.format import TableStore
 from repro.uncertain.model import UncertainTuple
-from repro.uncertain.scoring import ScoredItem, ScoredTable
+from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
-
-
-class LazyScoredTable:
-    """A read-through scored view of a packed table.
-
-    Duck-types the slice of the :class:`ScoredTable` interface the
-    scan-depth computation and the planner consume, without holding
-    items in memory: positional access decodes through the store's
-    page LRU, and the numeric columns are the store's memory-maps.
-    """
-
-    def __init__(self, store: TableStore) -> None:
-        self._store = store
-
-    @property
-    def store(self) -> TableStore:
-        """The backing packed-table store."""
-        return self._store
-
-    def __len__(self) -> int:
-        return self._store.count
-
-    def __iter__(self) -> Iterator[ScoredItem]:
-        """Items in rank order, fetched page by page.
-
-        A consumer that stops early (the Theorem-2 scan) only ever
-        touches the pages it iterated over.
-        """
-        store = self._store
-        pages = -(-store.count // store.page_size) if store.count else 0
-        for page in range(pages):
-            yield from store.page_items(page)
-
-    def __getitem__(self, pos: int) -> ScoredItem:
-        if pos < 0:
-            pos += self._store.count
-        if not 0 <= pos < self._store.count:
-            raise IndexError(pos)
-        page, offset = divmod(pos, self._store.page_size)
-        return self._store.page_items(page)[offset]
-
-    def prefix(self, n: int) -> ScoredTable:
-        """Materialize the ordered prefix — the pushdown product.
-
-        The returned object is an ordinary :class:`ScoredTable`, so
-        every downstream stage (DP, semantics, caching) is oblivious
-        to where the items came from.
-        """
-        return self._store.prefix(n)
-
-    def group_safe_depth(self, depth: int) -> int:
-        """Round ``depth`` up so no ME group is split (sidecar scan)."""
-        return self._store.group_safe_depth(depth)
-
-    @property
-    def score_column(self) -> np.ndarray:
-        """Scores in rank order (memory-mapped, read-only)."""
-        return self._store.scores
-
-    @property
-    def prob_column(self) -> np.ndarray:
-        """Probabilities in rank order (memory-mapped, read-only)."""
-        return self._store.probs
-
-    def me_member_count(self) -> int:
-        """Tuples sharing an ME group with another tuple (from meta)."""
-        return int(self._store.meta["me_members"])
-
-    def has_ties(self) -> bool:
-        """Whether the packed rank order contains equal scores."""
-        return bool(self._store.meta["has_ties"])
-
-    def tie_range_end(self, pos: int) -> int:
-        """End (exclusive) of the tie group containing ``pos``.
-
-        A bounded forward scan over the memory-mapped score column —
-        the scan-depth logic calls this once, at the stopping
-        position, so the touched range is one tie group.
-        """
-        scores = self._store.scores
-        n = self._store.count
-        end = pos + 1
-        while end < n and scores[end] == scores[pos]:
-            end += 1
-        return end
-
-    def __repr__(self) -> str:
-        return (
-            f"LazyScoredTable(store={str(self._store.path)!r}, "
-            f"items={self._store.count})"
-        )
 
 
 class DiskBackedTable(UncertainTable):
@@ -152,7 +50,7 @@ class DiskBackedTable(UncertainTable):
         # deferred call cannot reset cache-key versioning.
         self._version = 0
         self._name = self._store.name
-        self._lazy = LazyScoredTable(self._store)
+        self._scored: ScoredTable | None = None
 
     # ------------------------------------------------------------------
     # Pushdown surface
@@ -167,16 +65,18 @@ class DiskBackedTable(UncertainTable):
         """``"disk"`` — the planner's storage-aware cost hook."""
         return "disk"
 
-    def lazy_scored(self, scorer: Any) -> LazyScoredTable | None:
-        """The lazy scored view, iff ``scorer`` matches the pack order.
+    def lazy_scored(self, scorer: Any) -> ScoredTable | None:
+        """The packed rank order, iff ``scorer`` matches the pack order.
 
         Pushdown is only sound when the query ranks by the attribute
         the table was packed on; any other scorer returns ``None`` and
         the caller falls back to the resident path.
         """
-        if isinstance(scorer, str) and scorer == self._store.scorer:
-            return self._lazy
-        return None
+        if not (isinstance(scorer, str) and scorer == self._store.scorer):
+            return None
+        if self._scored is None:
+            self._scored = self._store.scored()
+        return self._scored
 
     def me_rule_count(self) -> int:
         """Number of explicit ME rules, without materializing."""

@@ -91,6 +91,11 @@ class TestQuerySpecValidation:
         with pytest.raises(AlgorithmError):
             make_spec(depth=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(AlgorithmError, match="seed"):
+            make_spec(seed=seed)
+
     def test_bad_max_lines(self):
         with pytest.raises(AlgorithmError):
             make_spec(max_lines=0)

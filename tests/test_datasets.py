@@ -8,7 +8,6 @@ import pytest
 from repro.datasets.cartel import (
     CartelConfig,
     RoadSegment,
-    bin_delays,
     congestion_query,
     generate_cartel_area,
     generate_measurements,
@@ -59,32 +58,6 @@ class TestSoldier:
             generate_soldier_table(0)
         with pytest.raises(DatasetError):
             generate_soldier_table(5, readings_per_soldier=(3, 2))
-
-
-class TestCartelBinning:
-    def test_single_sample(self):
-        assert bin_delays([5.0], 4) == [(5.0, 1.0)]
-
-    def test_identical_samples(self):
-        assert bin_delays([5.0, 5.0, 5.0], 4) == [(5.0, 1.0)]
-
-    def test_frequencies_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        samples = rng.gamma(2.0, 10.0, size=50).tolist()
-        bins = bin_delays(samples, 4)
-        assert sum(p for _, p in bins) == pytest.approx(1.0)
-        assert 1 <= len(bins) <= 4
-
-    def test_bin_values_are_sample_means(self):
-        bins = bin_delays([1.0, 2.0, 9.0, 10.0], 2)
-        assert bins == [
-            (pytest.approx(1.5), 0.5),
-            (pytest.approx(9.5), 0.5),
-        ]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DatasetError):
-            bin_delays([], 4)
 
 
 class TestCartelGeneration:

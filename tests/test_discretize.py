@@ -32,11 +32,13 @@ class TestCommonProperties:
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_single_sample(self, name):
-        assert STRATEGIES[name]([3.5], 4) == [Bin(3.5, 1.0)]
+        for value in (3.5, 5.0):
+            assert STRATEGIES[name]([value], 4) == [Bin(value, 1.0)]
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_identical_samples_collapse(self, name):
-        assert STRATEGIES[name]([2.0] * 10, 4) == [Bin(2.0, 1.0)]
+        for samples in ([2.0] * 10, [5.0] * 3):
+            assert STRATEGIES[name](samples, 4) == [Bin(samples[0], 1.0)]
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_values_within_sample_range(self, name):
@@ -57,8 +59,9 @@ class TestCommonProperties:
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_empty_rejected(self, name):
-        with pytest.raises(DatasetError):
-            STRATEGIES[name]([], 4)
+        for bins in (1, 4):
+            with pytest.raises(DatasetError, match="empty"):
+                STRATEGIES[name]([], bins)
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_nan_rejected(self, name):

@@ -249,7 +249,8 @@ class TestEngineEdgeCases:
         assert estimates["a"].value == pytest.approx(0.5, abs=0.05)
 
     def test_empty_prefix(self):
-        engine = MCEngine(ScoredTable(()), 1, samples=100, seed=0).run()
+        empty = ScoredTable((), (), (), ())
+        engine = MCEngine(empty, 1, samples=100, seed=0).run()
         assert engine.distribution().is_empty()
         assert engine.u_topk() is None
         assert engine.u_kranks() == []

@@ -376,6 +376,14 @@ class TestQueryService:
         )
         assert service.handle("answer", {"table": "mini"}).status == 400
 
+    def test_negative_seed_is_a_400(self, service) -> None:
+        reply = service.handle(
+            "answer",
+            {"table": "mini", "k": 2, "algorithm": "mc", "seed": -1},
+        )
+        assert reply.status == 400
+        assert "seed" in reply.document["error"]
+
     def test_metrics_document(self, service) -> None:
         service.handle("answer", {"table": "mini", "k": 2})
         service.handle("answer", {"table": "mini"})  # a 400

@@ -1,32 +1,28 @@
 """Units for :mod:`repro.standing`: change log, mutable tables, the
-delta-applicability classifier, the prefix mirror, the registry —
-plus the Session's table-version cache keys the subsystem rides on."""
+delta-applicability classifier, the registry — plus the Session's
+table-version cache keys the subsystem rides on."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api.session import Session
 from repro.api.spec import QuerySpec
-from repro.core.scan_depth import scan_depth
 from repro.exceptions import (
     DataModelError,
     MutualExclusionError,
     ScoringError,
 )
 from repro.standing import (
-    PATCH,
+    RECOMPUTE,
     SKIP,
     ChangeLog,
     Delta,
     MutableUncertainTable,
     PrefixFingerprint,
-    PrefixMirror,
     StandingRegistry,
     classify_delta,
 )
-from repro.standing.segments import RankedSegments
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from repro.uncertain.table import UncertainTable
 
@@ -136,29 +132,6 @@ class TestMutableTable:
             table.apply_payload("teleport", {"tid": "a"})
 
 
-class TestSegmentsScanDepth:
-    """The mirror's incremental Theorem-2 depth vs the core one."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_core_scan_depth_for_singletons(self, seed) -> None:
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 120))
-        scores = rng.integers(1, 25, size=n) * 10.0  # ties likely
-        probs = rng.uniform(0.05, 1.0, size=n)
-        table = make_table(
-            [(f"t{i}", scores[i], probs[i]) for i in range(n)]
-        )
-        scored = ScoredTable.from_table(table, attribute_scorer("score"))
-        index = RankedSegments(segment_size=4)
-        for seq, t in enumerate(table):
-            index.insert(t.tid, float(t["score"]), t.probability, seq)
-        for k in (1, 2, 5):
-            for p_tau in (0.3, 0.05, 0.001):
-                assert index.scan_depth(k, p_tau) == scan_depth(
-                    scored, k, p_tau
-                ), (seed, k, p_tau)
-
-
 class TestClassifyDelta:
     def fingerprint(self, prefix_rows, table_rows) -> PrefixFingerprint:
         prefix = ScoredTable.from_table(
@@ -170,24 +143,24 @@ class TestClassifyDelta:
         fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 2)
         assert not fp.truncated
         delta = Delta(version=1, op="insert", tid="z", group=("z",))
-        assert classify_delta(fp, delta, new_score=1.0) == PATCH
+        assert classify_delta(fp, delta, new_score=1.0) == RECOMPUTE
 
     def test_below_boundary_outside_prefix_skips(self) -> None:
         fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 10)
         delta = Delta(version=1, op="insert", tid="z", group=("z",))
         assert classify_delta(fp, delta, new_score=19.9) == SKIP
         # At or above the boundary: could join / displace prefix rows.
-        assert classify_delta(fp, delta, new_score=20.0) == PATCH
-        assert classify_delta(fp, delta, new_score=25.0) == PATCH
+        assert classify_delta(fp, delta, new_score=20.0) == RECOMPUTE
+        assert classify_delta(fp, delta, new_score=25.0) == RECOMPUTE
 
     def test_prefix_member_or_straddling_group_patches(self) -> None:
         fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 10)
         inside = Delta(version=1, op="expire", tid="a", group=("a",))
-        assert classify_delta(fp, inside, old_score=30.0) == PATCH
+        assert classify_delta(fp, inside, old_score=30.0) == RECOMPUTE
         straddle = Delta(
             version=1, op="expire", tid="z", group=("z", "b")
         )
-        assert classify_delta(fp, straddle, old_score=1.0) == PATCH
+        assert classify_delta(fp, straddle, old_score=1.0) == RECOMPUTE
 
     def test_update_needs_both_sides_below_boundary(self) -> None:
         fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 10)
@@ -198,11 +171,11 @@ class TestClassifyDelta:
         )
         assert (
             classify_delta(fp, delta, old_score=5.0, new_score=50.0)
-            == PATCH
+            == RECOMPUTE
         )
         assert (
             classify_delta(fp, delta, old_score=50.0, new_score=5.0)
-            == PATCH
+            == RECOMPUTE
         )
 
     @pytest.mark.parametrize(
@@ -211,82 +184,12 @@ class TestClassifyDelta:
     def test_non_finite_score_never_skips(self, bad) -> None:
         fp = self.fingerprint([("a", 30, 0.9), ("b", 20, 0.8)], 10)
         insert = Delta(version=1, op="insert", tid="z", group=("z",))
-        assert classify_delta(fp, insert, new_score=bad) == PATCH
+        assert classify_delta(fp, insert, new_score=bad) == RECOMPUTE
         update = Delta(version=1, op="update_score", tid="z", group=("z",))
         assert (
             classify_delta(fp, update, old_score=bad, new_score=5.0)
-            == PATCH
+            == RECOMPUTE
         )
-
-
-class TestPrefixMirror:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_mirror_prefix_is_row_identical_to_cold(self, seed) -> None:
-        rng = np.random.default_rng(seed)
-        rows = [
-            (f"t{i}", float(rng.integers(1, 15)) * 10,
-             float(rng.uniform(0.05, 1.0)))
-            for i in range(40)
-        ]
-        table = mutable(rows)
-        scorer = attribute_scorer("score")
-        mirror = PrefixMirror(table, scorer)
-        spec = QuerySpec(table=table, scorer="score", k=3, p_tau=0.05)
-        nxt = 40
-        for _ in range(30):
-            op = rng.choice(
-                ["insert", "expire", "update_probability", "update_score"]
-            )
-            tids = table.tids
-            if op == "insert" or not tids:
-                delta = table.insert(
-                    f"t{nxt}",
-                    {"score": float(rng.integers(1, 15)) * 10},
-                    float(rng.uniform(0.05, 1.0)),
-                )
-                nxt += 1
-            elif op == "expire":
-                delta = table.expire(tids[rng.integers(len(tids))])
-            elif op == "update_probability":
-                delta = table.update_probability(
-                    tids[rng.integers(len(tids))],
-                    float(rng.uniform(0.05, 1.0)),
-                )
-            else:
-                delta = table.update_score(
-                    tids[rng.integers(len(tids))],
-                    {"score": float(rng.integers(1, 15)) * 10},
-                )
-            mirror.apply(delta, table)
-            cold = ScoredTable.from_table(table, scorer)
-            depth = scan_depth(cold, spec.k, spec.p_tau)
-            assert (
-                mirror.build_prefix(spec, table).items
-                == cold.prefix(depth).items
-            ), delta
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_score_raises_like_the_cold_sort(self, bad) -> None:
-        table = mutable([("a", 30, 0.9), ("b", 20, 0.8)])
-        mirror = PrefixMirror(table, attribute_scorer("score"))
-        delta = table.update_score("b", {"score": bad})
-        with pytest.raises(ScoringError) as mirrored:
-            mirror.apply(delta, table)
-        with pytest.raises(ScoringError) as cold:
-            ScoredTable.from_table(table, attribute_scorer("score"))
-        assert str(mirrored.value) == str(cold.value)
-
-    def test_explicit_depth_prefix(self) -> None:
-        table = mutable([("a", 30, 0.9), ("b", 20, 0.8), ("c", 10, 0.7)])
-        mirror = PrefixMirror(table, attribute_scorer("score"))
-        spec = QuerySpec(table=table, scorer="score", k=2, depth=2)
-        assert [i.tid for i in mirror.build_prefix(spec, table)] == [
-            "a", "b",
-        ]
-        mirror.apply(table.insert("d", {"score": 25}, 0.5), table)
-        assert [i.tid for i in mirror.build_prefix(spec, table)] == [
-            "a", "d",
-        ]
 
 
 class TestStandingRegistry:
@@ -332,10 +235,44 @@ class TestStandingRegistry:
             "probability": 0.9,
         })
         assert sub.version == 2
-        assert sub.tiers[PATCH] == 1
+        assert sub.tiers[RECOMPUTE] == 1
         assert sub.answer is not before
         snapshot = reg.wait(sub.sid, after_version=1, timeout=1.0)
         assert snapshot is not None and snapshot["version"] == 2
+
+    def test_subscriptions_share_one_dp_after_a_prefix_delta(
+        self, monkeypatch
+    ) -> None:
+        from repro.api import plan
+
+        runs = []
+        dp = plan.dp_distribution
+
+        def counted(*args, **kwargs):
+            runs.append(len(args[0]))
+            return dp(*args, **kwargs)
+
+        monkeypatch.setattr(plan, "dp_distribution", counted)
+        rows = [(f"t{i}", 100 - i, 0.95) for i in range(30)]
+        table, reg = self.setup_registry(rows)
+        subs = [
+            reg.subscribe(
+                QuerySpec(
+                    table="live", scorer="score", k=2,
+                    semantics=semantics, p_tau=0.1, algorithm="dp",
+                )
+            )
+            for semantics in ("typical", "distribution")
+        ]
+        assert len(runs) == 1  # one prefix, one PMF, two answers
+        # Above every score: lands in both subscriptions' prefix.
+        reg.mutate("live", "insert", {
+            "tid": "high", "attributes": {"score": 1000},
+            "probability": 0.9,
+        })
+        assert [sub.tiers[RECOMPUTE] for sub in subs] == [1, 1]
+        assert len(runs) == 2
+        assert subs[0].fingerprint.prefix is subs[1].fingerprint.prefix
 
     def test_me_rules_fall_back_to_recompute(self) -> None:
         rows = [(f"t{i}", 100 - i, 0.9) for i in range(25)]

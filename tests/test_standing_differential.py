@@ -33,8 +33,8 @@ def canonical(answer) -> str:
 def cold_answer(table: MutableUncertainTable, spec: QuerySpec):
     """Recompute ``spec`` from scratch on a frozen copy of ``table``.
 
-    A fresh immutable table and a fresh session: no cached stage, no
-    mirror, no version key can leak in.
+    A fresh immutable table and a fresh session: no cached stage and
+    no version key can leak in.
     """
     frozen = UncertainTable(
         table.tuples, table.explicit_rules, name=table.name
@@ -122,7 +122,7 @@ def run_stream(
     registry = StandingRegistry(Session({"live": table}))
     subs = [registry.subscribe(spec.with_(table="live")) for spec in specs]
     counter = itertools.count()
-    tiers = {"skip": 0, "patch": 0, "recompute": 0}
+    tiers = {"skip": 0, "recompute": 0}
     for _ in range(steps):
         delta = random_mutation(rng, table, counter)
         registry.on_delta(table, delta)
@@ -161,10 +161,8 @@ class TestMaintainedAnswersMatchCold:
         tiers = run_stream(
             seed, rules=(), specs=six_specs(p_tau=0.05)
         )
-        # ME-free truncating subscriptions never need the fallback...
-        assert tiers["recompute"] == 0
-        # ...and the stream is mixed enough to exercise both fast tiers.
-        assert tiers["skip"] > 0 and tiers["patch"] > 0
+        # The stream is mixed enough to exercise both tiers.
+        assert tiers["skip"] > 0 and tiers["recompute"] > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_me_rule_stream_falls_back_soundly(self, seed) -> None:
@@ -173,20 +171,16 @@ class TestMaintainedAnswersMatchCold:
             100 + seed, rules=rules, specs=six_specs(p_tau=0.05)
         )
         # Truncating subscriptions over ME tables may skip (the delta
-        # provably misses the prefix) but must never patch through the
-        # singleton-only mirror depth.
-        assert tiers["patch"] == 0
+        # provably misses the prefix); the rest recompute.
         assert tiers["recompute"] > 0
 
     @pytest.mark.parametrize("seed", range(2))
     def test_explicit_depth_stream(self, seed) -> None:
-        tiers = run_stream(
+        run_stream(
             200 + seed,
             rules=[("t0", "t1")],
             specs=six_specs(depth=8),
         )
-        # Explicit depths patch even over ME tables (rank order only).
-        assert tiers["recompute"] == 0
 
     @pytest.mark.parametrize("seed", range(2))
     def test_untruncated_stream(self, seed) -> None:

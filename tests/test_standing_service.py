@@ -22,7 +22,7 @@ import pytest
 from repro.service import DatasetCatalog, QueryService, make_server
 from repro.standing import MAX_STICKY_RETRIES, DurableStore
 
-#: An ME-free mutable table (skip/patch tiers apply) plus the paper toy.
+#: An ME-free mutable table (the skip tier applies) plus the paper toy.
 LIVE_SPEC = "synthetic:tuples=40,me=0.0,seed=7"
 
 
@@ -133,9 +133,7 @@ class TestSubscribeEndpoints:
         )
         assert len(events) == 1
         assert events[0]["version"] == 1
-        assert events[0]["tiers"]["patch"] + events[0]["tiers"][
-            "recompute"
-        ] >= 1
+        assert events[0]["tiers"] == {"skip": 0, "recompute": 1}
         # The maintained answer matches a fresh recompute through the
         # ordinary answer endpoint.
         _, direct = post(service, "answer", {
@@ -172,10 +170,8 @@ class TestSubscribeEndpoints:
         assert standing["active"] == 1
         assert standing["subscriptions"] == 1
         assert standing["mutations"] == 1
-        assert (
-            standing["skip"] + standing["patch"] + standing["recompute"]
-            == 1
-        )
+        assert "patch" not in standing
+        assert standing["skip"] + standing["recompute"] == 1
         # The inline control-plane endpoints are metered too.
         assert document["requests"]["mutate"]["count"] == 1
         assert document["requests"]["subscribe"]["count"] == 1

@@ -15,7 +15,6 @@ import pytest
 from repro.core.distribution import DEFAULT_P_TAU, prepare_scored_prefix
 from repro.core.dp import dp_distribution
 from repro.exceptions import InvalidProbabilityError
-from repro.standing.segments import RankedSegments
 from repro.stream.window import SlidingWindowTopK
 from tests.conftest import assert_pmf_equal, oracle_pmf
 
@@ -181,37 +180,10 @@ class TestValidation:
 
 
 class TestDeltaStateUnit:
-    """The rank-ordered segment index under slides of inserts and
-    removals (:class:`~repro.standing.segments.RankedSegments`)."""
-
-    def test_insert_remove_roundtrip(self):
-        index = RankedSegments(segment_size=2)
-        rows = [(f"t{i}", float(i % 4), 0.5, i) for i in range(12)]
-        for tid, score, prob, seq in rows:
-            index.insert(tid, score, prob, seq)
-        assert len(index) == 12
-        for tid, score, prob, seq in rows[:6]:
-            index.remove(tid, score, prob, seq)
-        assert len(index) == 6
-        assert {e.tid for e in index.rows(6)} == {r[0] for r in rows[6:]}
-
-    def test_remove_unknown_raises(self):
-        index = RankedSegments()
-        index.insert("a", 1.0, 0.5, 0)
-        with pytest.raises(KeyError):
-            index.remove("b", 1.0, 0.5, 1)
+    """Window state edge cases."""
 
     def test_query_short_window_empty(self):
         win = SlidingWindowTopK(window=5, k=3, p_tau=0.0)
         win.append({"score": 1.0}, probability=0.5)
         assert win.distribution().is_empty()
 
-    def test_segment_splits_preserve_order(self):
-        index = RankedSegments(segment_size=2)
-        rng = np.random.default_rng(47)
-        for i in range(40):
-            index.insert(f"t{i}", float(rng.uniform(0, 10)), 0.5, i)
-        assert len(index._segments) > 1
-        keys = [e.key for e in index.rows(40)]
-        assert keys == sorted(keys)
-        assert len(keys) == 40
