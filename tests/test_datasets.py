@@ -60,6 +60,39 @@ class TestSoldier:
             generate_soldier_table(5, readings_per_soldier=(3, 2))
 
 
+def _binned(delays, bins):
+    """(delay, probability) of the tuples one segment's delays bin into."""
+    segment = RoadSegment(0, 1000.0, 50.0, tuple(delays))
+    table = segments_to_table([segment], bins=bins)
+    return [(t["delay"], t.probability) for t in table]
+
+
+class TestCartelBinning:
+    def test_single_sample(self):
+        assert _binned([5.0], 4) == [(5.0, 1.0)]
+
+    def test_identical_samples(self):
+        assert _binned([5.0, 5.0, 5.0], 4) == [(5.0, 1.0)]
+
+    def test_frequencies_sum_to_one(self):
+        rng = np.random.default_rng(0)
+        samples = rng.gamma(2.0, 10.0, size=50).tolist()
+        bins = _binned(samples, 4)
+        assert sum(p for _, p in bins) == pytest.approx(1.0)
+        assert 1 <= len(bins) <= 4
+
+    def test_bin_values_are_sample_means(self):
+        bins = _binned([1.0, 2.0, 9.0, 10.0], 2)
+        assert bins == [
+            (pytest.approx(1.5), 0.5),
+            (pytest.approx(9.5), 0.5),
+        ]
+
+    def test_empty_rejected(self):
+        with pytest.raises(DatasetError):
+            _binned([], 4)
+
+
 class TestCartelGeneration:
     def test_reproducible(self):
         a = generate_cartel_area(seed=5)
