@@ -115,7 +115,7 @@ def run_probe(mode: str, packed: str, size: int = 0) -> dict:
         # share, so deltas isolate what the *query* touched.
         return {"mode": mode, "latency_s": 0.0, "maxrss_kb": _maxrss_kb()}
     if mode == "resident":
-        table._ensure_resident()
+        table.tuples  # loads the whole relation
     session = Session({"t": table})
     spec = _spec()
     t0 = time.perf_counter()

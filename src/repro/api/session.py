@@ -244,6 +244,7 @@ class _Planned(NamedTuple):
 
     logical: LogicalPlan
     table: UncertainTable
+    version: int
     prefix: ScoredTable
     prefix_hit: bool
     physical: PhysicalPlan
@@ -336,30 +337,35 @@ class Session:
         the stage-1 prefix and lower it — each exactly once.
 
         Every entry point runs from the returned plan, so no stage is
-        planned twice.  ``op="distribution"`` lowers without the
-        semantics stage (a raw PMF request).
+        planned twice.  The table is frozen once, so the version in the
+        request's cache keys is the version of the rows it sorts; the
+        keys still hold the live table.  ``op="distribution"`` lowers
+        without the semantics stage (a raw PMF request).
         """
         logical = LogicalPlan.from_spec(spec)
         table = self.resolve(spec)
-        prefix, prefix_hit = self._stage1(table, logical)
+        rows = table.frozen()
+        prefix, prefix_hit = self._stage1(table, rows, logical)
         physical = self._planner.lower(
             logical,
             prefix,
-            table_rows=len(table),
+            table_rows=len(rows),
             include_semantics=op == "execute",
             storage=self._storage_kind(table, logical),
         )
-        return _Planned(logical, table, prefix, prefix_hit, physical)
+        return _Planned(
+            logical, table, rows.version, prefix, prefix_hit, physical
+        )
 
     def _prefix_key(
-        self, table: UncertainTable, logical: LogicalPlan
+        self, table: UncertainTable, version: int, logical: LogicalPlan
     ) -> Hashable:
         # The *data version* participates alongside the table identity:
         # tables that mutate in place (repro.standing) bump their
         # version, so a cached stage computed before a mutation can
         # never be served after it — downstream stages chain off the
         # prefix object's identity and miss transitively.
-        return (table, table.version) + logical.prefix_params()
+        return (table, version) + logical.prefix_params()
 
     @staticmethod
     def _storage_kind(table: UncertainTable, logical: LogicalPlan) -> str:
@@ -372,22 +378,26 @@ class Session:
         return "ram" if view is None else "disk"
 
     def _stage1(
-        self, table: UncertainTable, logical: LogicalPlan
+        self,
+        table: UncertainTable,
+        rows: UncertainTable,
+        logical: LogicalPlan,
     ) -> tuple[ScoredTable, bool]:
         """Stage 1 get-or-compute, and whether the prefix cache hit.
 
-        A miss truncates the session's scored view of the whole table
-        at the request's Theorem-2 (or explicit) depth — the same rows
+        ``rows`` is ``table`` frozen at the request's version.  A miss
+        truncates the session's scored view of the whole table at the
+        request's Theorem-2 (or explicit) depth — the same rows
         :func:`~repro.core.distribution.prepare_scored_prefix` returns
         — so one sort serves every ``(k, p_tau, depth)`` and every
         semantics that reads the table.
         """
-        key = self._prefix_key(table, logical)
+        key = self._prefix_key(table, rows.version, logical)
         prefix = self._prefixes.get(key)
         if prefix is not None:
             return prefix, True
         spec = logical.spec
-        scored = self._scored_view(table, logical)
+        scored = self._scored_view(table, rows, logical)
         depth = spec.depth
         if depth is None:
             depth = (
@@ -400,9 +410,13 @@ class Session:
         return prefix, False
 
     def _scored_view(
-        self, table: UncertainTable, logical: LogicalPlan
+        self,
+        table: UncertainTable,
+        rows: UncertainTable,
+        logical: LogicalPlan,
     ) -> ScoredTable:
-        """The whole table, scored and rank-ordered (cached).
+        """``rows``, the whole table at one version, scored and
+        rank-ordered (cached).
 
         Holds one entry per ``(table, scorer)``: a mutable table's
         newer version replaces the older sort.  Resident tables score
@@ -416,14 +430,14 @@ class Session:
 
         spec = logical.spec
         key = (table, logical.scorer_key)
-        version = table.version
+        version = rows.version
         entry = self._scored.get(key)
         if entry is not None and entry[0] == version:
             return entry[1]
-        scored = storage_pushdown_view(table, spec.scorer)
+        scored = storage_pushdown_view(rows, spec.scorer)
         if scored is None:
             scored = plan.prepare_scored_prefix(
-                table, spec.scorer, spec.k, p_tau=0.0
+                rows, spec.scorer, spec.k, p_tau=0.0
             )
         self._scored.put(key, (version, scored))
         return scored
@@ -476,7 +490,9 @@ class Session:
         """
         logical = LogicalPlan.from_spec(spec)
         table = self.resolve(spec)
-        self._prefixes.put(self._prefix_key(table, logical), prefix)
+        self._prefixes.put(
+            self._prefix_key(table, table.version, logical), prefix
+        )
 
     def invalidate_table(self, table: UncertainTable) -> int:
         """Evict every cached stage derived from ``table``.
@@ -618,8 +634,11 @@ class Session:
             candidates.append(
                 FusionCandidate(
                     index=index,
+                    # Plans that sorted different versions of a table
+                    # never share a sweep.
                     fusion_key=(
                         ByIdentity(request.table),
+                        request.version,
                         request.logical.scorer_key,
                         spec.max_lines,
                     ),

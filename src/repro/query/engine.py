@@ -145,7 +145,9 @@ def execute_query(
         session = catalog
     else:
         session = Session(catalog)
-    table = session.catalog.resolve(query.table)
+    # One version serves the filter, the subset, the ranking and the
+    # projection, so a concurrent mutation cannot tear them apart.
+    table = session.catalog.resolve(query.table).frozen()
 
     if query.where is not None:
         predicate = query.where

@@ -11,15 +11,23 @@ operations — :meth:`~MutableUncertainTable.insert`,
   group mass <= 1) by *probing*: the candidate state is constructed as
   a throwaway immutable table first, so a rejected mutation raises and
   leaves the live table untouched;
-* bumps the table's monotone :attr:`~repro.uncertain.table.
-  UncertainTable.version` (which every
-  :class:`~repro.api.session.Session` cache key includes, so stale
-  stage entries can never be hit after a mutation);
+* publishes the candidate's :class:`~repro.uncertain.table.TableState`
+  with the next :attr:`~repro.uncertain.table.UncertainTable.version`
+  inside it (which every :class:`~repro.api.session.Session` cache key
+  includes, so stale stage entries can never be hit after a mutation);
 * appends a :class:`Delta` record to the table's :class:`ChangeLog`,
   carrying both the old and the new payload plus the affected ME
   group's membership — everything the standing-query maintainer
   (:mod:`repro.standing.registry`) needs to classify the mutation
   against a subscription *without* consulting historical table state.
+
+Readers never see a mix of two versions, and no read lock makes
+that so: the table holds its rows, groups and version in one
+immutable value, each accessor reads that value once, and a mutation
+replaces it in one attribute assignment.  A reader that reads the
+table more than once (a sort, a filter then a subset) takes
+:meth:`~repro.uncertain.table.UncertainTable.frozen` first and reads
+that one version throughout.
 
 Ordering guarantee: ``insert`` appends (so insertion order keeps
 following arrival order), ``expire`` preserves the relative order of
@@ -156,11 +164,12 @@ class ChangeLog:
 class MutableUncertainTable(UncertainTable):
     """An uncertain table with in-place, change-logged mutations.
 
-    All mutations are serialized through one re-entrant lock and
-    validated by probing (see the module docstring), so readers always
-    observe a fully consistent state and a rejected mutation has no
-    effect.  Reads go through the inherited :class:`UncertainTable`
-    interface unchanged.
+    All mutations are serialized through one re-entrant lock, validated
+    by probing and published in one assignment (see the module
+    docstring), so a rejected mutation has no effect and each read
+    sees one whole version.  Reads go through the inherited
+    :class:`UncertainTable` interface unchanged; :meth:`frozen` pins
+    the current version for readers that read more than once.
     """
 
     def __init__(
@@ -171,24 +180,28 @@ class MutableUncertainTable(UncertainTable):
         name: str = "uncertain",
         start_version: int = 0,
     ) -> None:
+        super().__init__(tuples, rules, name=name)
+        self._state = self._state._replace(version=start_version)
         self._mutex = threading.RLock()
         self._log = ChangeLog(base=start_version)
         self._observer: Any = None
-        super().__init__(tuples, rules, name=name)
-        self._version = start_version
 
     @classmethod
     def from_table(
         cls, table: UncertainTable, *, start_version: int = 0
     ) -> "MutableUncertainTable":
-        """A mutable copy of an immutable table (fresh log; versions
-        continue from ``start_version`` — 0 unless recovering)."""
-        return cls(
-            table.tuples,
-            table.explicit_rules,
-            name=table.name,
-            start_version=start_version,
-        )
+        """A mutable table starting from ``table``'s current contents
+        (fresh log; versions continue from ``start_version`` — 0 unless
+        recovering).  Shares the source's state instead of rebuilding
+        and re-validating it; mutations never touch the source."""
+        mutable = cls((), name=table.name, start_version=start_version)
+        mutable._state = table._state._replace(version=start_version)
+        return mutable
+
+    def frozen(self) -> UncertainTable:
+        """The current version as an immutable table sharing this
+        table's state (O(1); later mutations leave it untouched)."""
+        return UncertainTable._of(self._state, self._name)
 
     @property
     def log(self) -> ChangeLog:
@@ -214,25 +227,20 @@ class MutableUncertainTable(UncertainTable):
     # Mutations
     # ------------------------------------------------------------------
     def _adopt(self, tuples, rules, make_delta) -> Delta:
-        """Validate the candidate state, then swap it in atomically.
+        """Validate the candidate state, then publish it.
 
         The probe table runs the full :class:`UncertainTable`
         constructor — duplicate tids, malformed rules and group mass
-        violations raise *before* any live state changes.
+        violations raise *before* anything is published.
         """
         probe = UncertainTable(tuples, rules, name=self._name)
-        # One C-level dict.update: readers on other threads observe
-        # either the whole old state or the whole new one (data and
-        # version together), never a mix — which is what keeps the
-        # session's version-keyed caches sound without a read lock.
-        self.__dict__.update(
-            _tuples=probe._tuples,
-            _by_tid=probe._by_tid,
-            _group_of=probe._group_of,
-            _groups=probe._groups,
-            _version=self._version + 1,
-        )
-        delta = make_delta(self._version)
+        state = probe._state._replace(version=self._state.version + 1)
+        # One assignment publishes rows, groups and version together:
+        # a reader holds the old value or the new one, never a mix,
+        # which keeps the session's version-keyed caches sound without
+        # a read lock.
+        self._state = state
+        delta = make_delta(state.version)
         self._log.append(delta)
         if self._observer is not None:
             self._observer(delta)
@@ -252,14 +260,15 @@ class MutableUncertainTable(UncertainTable):
             singleton partner becomes an explicit two-member rule).
         """
         with self._mutex:
-            if tid in self._by_tid:
+            state = self._state
+            if tid in state.by_tid:
                 raise DataModelError(f"duplicate tuple id {tid!r}")
             new = UncertainTuple(tid, attributes, probability)
-            tuples = self._tuples + [new]
+            tuples = state.tuples + (new,)
             rules = [list(g) for g in self.explicit_rules]
             group = (tid,)
             if group_with is not None:
-                if group_with not in self._by_tid:
+                if group_with not in state.by_tid:
                     raise MutualExclusionError(
                         f"group_with references unknown tuple id "
                         f"{group_with!r}"
@@ -291,11 +300,12 @@ class MutableUncertainTable(UncertainTable):
         """Remove a tuple; its ME rule sheds the member (rules reduced
         below two members disappear, their survivor going singleton)."""
         with self._mutex:
-            old = self._by_tid.get(tid)
+            state = self._state
+            old = state.by_tid.get(tid)
             if old is None:
                 raise DataModelError(f"unknown tuple id {tid!r}")
-            group = self._groups[self._group_of[tid]]
-            tuples = [t for t in self._tuples if t.tid != tid]
+            group = state.groups[state.group_of[tid]]
+            tuples = [t for t in state.tuples if t.tid != tid]
             rules = [
                 reduced
                 for g in self.explicit_rules
@@ -317,12 +327,13 @@ class MutableUncertainTable(UncertainTable):
     def update_probability(self, tid: Any, probability: float) -> Delta:
         """Change a tuple's membership probability in place."""
         with self._mutex:
-            old = self._by_tid.get(tid)
+            state = self._state
+            old = state.by_tid.get(tid)
             if old is None:
                 raise DataModelError(f"unknown tuple id {tid!r}")
             updated = old.with_probability(probability)
-            tuples = [updated if t.tid == tid else t for t in self._tuples]
-            group = self._groups[self._group_of[tid]]
+            tuples = [updated if t.tid == tid else t for t in state.tuples]
+            group = state.groups[state.group_of[tid]]
             return self._adopt(
                 tuples,
                 self.explicit_rules,
@@ -342,12 +353,13 @@ class MutableUncertainTable(UncertainTable):
         """Merge new attribute values into a tuple (re-scoring it under
         attribute scorers; the delta records the merged result)."""
         with self._mutex:
-            old = self._by_tid.get(tid)
+            state = self._state
+            old = state.by_tid.get(tid)
             if old is None:
                 raise DataModelError(f"unknown tuple id {tid!r}")
             updated = old.with_attributes(**dict(attributes))
-            tuples = [updated if t.tid == tid else t for t in self._tuples]
-            group = self._groups[self._group_of[tid]]
+            tuples = [updated if t.tid == tid else t for t in state.tuples]
+            group = state.groups[state.group_of[tid]]
             return self._adopt(
                 tuples,
                 self.explicit_rules,
@@ -402,7 +414,8 @@ class MutableUncertainTable(UncertainTable):
         )
 
     def __repr__(self) -> str:
+        state = self._state
         return (
             f"MutableUncertainTable(name={self._name!r}, "
-            f"tuples={len(self._tuples)}, version={self._version})"
+            f"tuples={len(state.tuples)}, version={state.version})"
         )

@@ -56,9 +56,9 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.exceptions import DurabilityError, WALCorruptError
+from repro.exceptions import DataModelError, DurabilityError, WALCorruptError
+from repro.io.json_io import table_from_document, table_to_document
 from repro.standing.changelog import Delta, MutableUncertainTable
-from repro.uncertain.model import UncertainTuple
 from repro.uncertain.table import UncertainTable
 
 #: Frame header: little-endian u32 body length + u32 CRC32 of the body.
@@ -195,38 +195,21 @@ def _atomic_write(path: Path, data: bytes) -> None:
 # Snapshots
 # ----------------------------------------------------------------------
 def snapshot_document(table: UncertainTable) -> dict[str, Any]:
-    """A JSON image of a table's full state at its current version."""
-    return {
-        "name": table.name,
-        "version": table.version,
-        "tuples": [
-            {
-                "tid": t.tid,
-                "attributes": dict(t.attributes),
-                "probability": t.probability,
-            }
-            for t in table.tuples
-        ],
-        "rules": [list(rule) for rule in table.explicit_rules],
-    }
+    """A JSON image of a table's full state at its current version:
+    the :func:`~repro.io.json_io.table_to_document` document plus the
+    version."""
+    current = table.frozen()
+    return {**table_to_document(current), "version": current.version}
 
 
 def table_from_snapshot(document: dict[str, Any]) -> MutableUncertainTable:
     """Rebuild a mutable table from a snapshot, at its saved version."""
     try:
-        tuples = [
-            UncertainTuple(
-                entry["tid"], entry["attributes"], entry["probability"]
-            )
-            for entry in document["tuples"]
-        ]
-        return MutableUncertainTable(
-            tuples,
-            [tuple(rule) for rule in document.get("rules", ())],
-            name=document.get("name", "uncertain"),
+        return MutableUncertainTable.from_table(
+            table_from_document(document),
             start_version=int(document["version"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DataModelError, KeyError, TypeError, ValueError) as exc:
         raise DurabilityError(f"malformed snapshot document: {exc}") from exc
 
 

@@ -2,8 +2,8 @@
 
 The storage layer keeps uncertain tables on disk in rank order (see
 :mod:`repro.storage.format`) and serves the paper's Theorem-2 access
-pattern — "the ordered prefix up to depth d, never splitting an ME
-group" — without loading the table.  :mod:`repro.storage.table` wraps
+pattern — "the ordered prefix up to depth d" — without loading the
+table.  :mod:`repro.storage.table` wraps
 a packed directory as a :class:`DiskBackedTable` the whole engine
 (sessions, the service catalog, the CLI) treats as an ordinary
 :class:`~repro.uncertain.table.UncertainTable`, while pushdown-eligible

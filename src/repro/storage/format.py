@@ -6,8 +6,7 @@ uncertain table in columnar form, written once by :func:`pack_table`
 loading the table:
 
 * ``meta.json`` — schema, shape, the packing scorer, the page size,
-  and the per-page sidecar (cumulative probability mass and ME-group
-  *spill*, see below);
+  the explicit-rule count and the attribute names;
 * ``score.f8`` / ``prob.f8`` — float64 score and membership
   probability per rank position (the canonical sort order of
   :class:`~repro.uncertain.scoring.ScoredTable`: descending
@@ -15,10 +14,6 @@ loading the table:
 * ``group.i8`` — the dense ME-group id of each position, exactly as
   assigned by the originating
   :class:`~repro.uncertain.table.UncertainTable`;
-* ``gend.i8`` — the **ME-group sidecar index**: for each position,
-  the *last* rank position of that tuple's group, so "extend a depth
-  until no group is split" is a bounded column scan
-  (:meth:`TableStore.group_safe_depth`);
 * ``order.i8`` — the tuple's original insertion index, so the full
   :class:`UncertainTable` (tuples *and* rules, with identical dense
   group ids) can be reconstructed for non-pushdown access paths;
@@ -38,15 +33,18 @@ The format exists to serve exactly one pushdown primitive — Theorem
 :class:`~repro.uncertain.scoring.ScoredTable` over the mapped columns,
 whose Theorem-2 scan reads O(depth) pages, and
 :meth:`TableStore.prefix` materializes the ordered prefix up to a
-depth ``d``, decoding tid pages only that far.
-:meth:`TableStore.group_safe_depth` rounds a depth up so no
-mutual-exclusion group is ever split by a page fetch.
+depth ``d``, decoding tid pages only that far.  A prefix may cut an
+ME group: the members below the cut are truncated away exactly as
+Section 3.3.2's scan-depth truncation prescribes.
+
+A schema-1 directory may also hold a ``gend.i8`` column and the meta
+keys ``page_mass``, ``page_spill``, ``me_members`` and ``has_ties``;
+readers ignore them.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -70,7 +68,6 @@ _COLUMNS = (
     ("score.f8", "<f8"),
     ("prob.f8", "<f8"),
     ("group.i8", "<i8"),
-    ("gend.i8", "<i8"),
     ("order.i8", "<i8"),
 )
 
@@ -78,23 +75,12 @@ _COLUMNS = (
 #: Byte budget of the per-store decoded tid-page cache.  The entry
 #: count (64 pages) bounds small-tuple tables; the byte budget bounds
 #: tables with large tid blobs, where 64 pages of 4096 rows each could
-#: otherwise dwarf the mapped columns.  The ``REPRO_STORE_CACHE_BYTES``
-#: environment variable overrides it.
-DEFAULT_ITEM_CACHE_BYTES = 16 * 1024 * 1024
-STORE_CACHE_ENV = "REPRO_STORE_CACHE_BYTES"
+#: otherwise dwarf the mapped columns.
+ITEM_CACHE_BYTES = 16 * 1024 * 1024
 
 #: Rough decoded footprint of one cached tid beyond its blob bytes
 #: (the Python object and its list slot, priced generously).
 _ITEM_OVERHEAD_BYTES = 120
-
-
-def _cache_budget() -> int:
-    """The item-page cache byte budget for new stores."""
-    raw = os.environ.get(STORE_CACHE_ENV, "").strip()
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_ITEM_CACHE_BYTES
-    except ValueError:
-        return DEFAULT_ITEM_CACHE_BYTES
 
 
 class StorageFormatError(DataModelError):
@@ -151,6 +137,7 @@ def pack_table(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    table = table.frozen()
     scored = ScoredTable.from_table(table, resolve_scorer(scorer))
     n = len(scored)
     insertion_of_tid = {t.tid: index for index, t in enumerate(table.tuples)}
@@ -158,16 +145,12 @@ def pack_table(
     scores = np.asarray(scored.score_column, dtype="<f8")
     probs = np.asarray(scored.prob_column, dtype="<f8")
     groups = np.asarray(scored.group_column, dtype="<i8")
-    gend = np.empty(n, dtype="<i8")
-    for group in scored.groups():
-        positions = scored.group_positions(group)
-        gend[list(positions)] = positions[-1]
     order = np.asarray(
         [insertion_of_tid[item.tid] for item in scored], dtype="<i8"
     )
 
     for (filename, _dtype), column in zip(
-        _COLUMNS, (scores, probs, groups, gend, order)
+        _COLUMNS, (scores, probs, groups, order)
     ):
         column.tofile(out / filename)
 
@@ -181,15 +164,6 @@ def pack_table(
     attr_off.tofile(out / "attr.off")
 
     pages = max(1, -(-n // page_size)) if n else 0
-    page_mass: list[float] = []
-    page_spill: list[int] = []
-    running = 0.0
-    for page in range(pages):
-        end = min((page + 1) * page_size, n)
-        running += float(probs[page * page_size : end].sum())
-        page_mass.append(running)
-        page_spill.append(int(gend[:end].max()) if end else 0)
-
     meta = {
         "schema": STORAGE_SCHEMA,
         "format": "repro-scored-table",
@@ -199,11 +173,7 @@ def pack_table(
         "page_size": page_size,
         "pages": pages,
         "explicit_rules": len(table.explicit_rules),
-        "me_members": scored.me_member_count(),
-        "has_ties": scored.has_ties(),
         "attributes": list(table.attribute_names()),
-        "page_mass": page_mass,
-        "page_spill": page_spill,
     }
     (out / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
     bytes_written = sum(
@@ -266,7 +236,7 @@ class TableStore:
         # huge tuples cannot balloon a 64-entry cache).
         from repro.api.session import _LRU
 
-        self._item_pages = _LRU(64, max_bytes=_cache_budget())
+        self._item_pages = _LRU(64, max_bytes=ITEM_CACHE_BYTES)
 
     # ------------------------------------------------------------------
     # Columns
@@ -303,11 +273,6 @@ class TableStore:
     def groups(self) -> np.ndarray:
         """Dense ME-group id per rank position."""
         return self._column("group.i8", "<i8")
-
-    @property
-    def group_ends(self) -> np.ndarray:
-        """The ME-group sidecar: last group position, per position."""
-        return self._column("gend.i8", "<i8")
 
     @property
     def orders(self) -> np.ndarray:
@@ -407,24 +372,6 @@ class TableStore:
             np.array(self.groups[:depth]),
             tuple(tids[:depth]),
         )
-
-    def group_safe_depth(self, depth: int) -> int:
-        """The smallest depth >= ``depth`` splitting no ME group.
-
-        Iterates the sidecar ``gend`` column to a fixed point: each
-        round extends the depth to the largest group-end seen so far
-        (newly included positions may drag in further groups).  The
-        scan is bounded by the *final* depth, never the table.
-        """
-        depth = min(depth, self.count)
-        if depth <= 0:
-            return 0
-        gend = self.group_ends
-        while True:
-            spill = int(gend[:depth].max()) + 1
-            if spill <= depth:
-                return depth
-            depth = min(spill, self.count)
 
     def clear_page_cache(self) -> None:
         """Drop decoded pages (calibration and tests)."""

@@ -159,6 +159,8 @@ class ScoredTable:
     ) -> "ScoredTable":
         """Score every tuple of ``table`` once and rank-order the rows.
 
+        Sorts one version (:meth:`UncertainTable.frozen`): a mutation
+        landing mid-sort cannot mix its rows or groups into the result.
         One stable ``np.lexsort`` on ``(-score, -prob)`` keeps equal
         rows in table order.  Raises
         :class:`~repro.exceptions.ScoringError` when the scorer returns
@@ -166,6 +168,7 @@ class ScoredTable:
         makes every top-k total score infinite), naming the first such
         tuple in table order.
         """
+        table = table.frozen()
         tids: list[Any] = []
         scores: list[float] = []
         probs: list[float] = []

@@ -6,17 +6,44 @@ tuples (an *ME group*) of which at most one can appear in a possible
 world; the probabilities inside one group must sum to at most 1
 (Section 2.1 of the paper).  Tuples not named by any rule form implicit
 singleton groups.  Groups are independent of each other.
+
+A table's contents at one version are one immutable :class:`TableState`
+held in one attribute.  Every accessor reads it once, a mutable table
+(:class:`repro.standing.changelog.MutableUncertainTable`) publishes its
+next version in one assignment, and :meth:`UncertainTable.frozen` hands
+a reader one version to read as often as it likes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import DataModelError, MutualExclusionError
 from repro.uncertain.model import PROBABILITY_EPSILON, UncertainTuple
 
 #: Tolerance for the "group mass <= 1" constraint.
 GROUP_MASS_EPSILON = 1e-9
+
+
+class TableState(NamedTuple):
+    """One version of a table's contents.
+
+    Never mutated in place: a mutation builds the next value, so
+    versions may share these containers.
+
+    :ivar tuples: the tuples, in insertion order.
+    :ivar by_tid: tuple id -> tuple.
+    :ivar group_of: tuple id -> dense ME-group id.
+    :ivar groups: group members by id (explicit rules first, then
+        singletons in table order).
+    :ivar version: the data version (0 for immutable tables).
+    """
+
+    tuples: tuple[UncertainTuple, ...]
+    by_tid: Mapping[Any, UncertainTuple]
+    group_of: Mapping[Any, int]
+    groups: tuple[tuple[Any, ...], ...]
+    version: int
 
 
 class UncertainTable:
@@ -45,48 +72,56 @@ class UncertainTable:
         *,
         name: str = "uncertain",
     ) -> None:
-        self._version: int = getattr(self, "_version", 0)
-        self._tuples: list[UncertainTuple] = list(tuples)
-        self._name = name
-        self._by_tid: dict[Any, UncertainTuple] = {}
-        for t in self._tuples:
-            if t.tid in self._by_tid:
+        rows = tuple(tuples)
+        by_tid: dict[Any, UncertainTuple] = {}
+        for t in rows:
+            if t.tid in by_tid:
                 raise DataModelError(f"duplicate tuple id {t.tid!r}")
-            self._by_tid[t.tid] = t
+            by_tid[t.tid] = t
 
         # Group ids are dense integers; explicit rules first, then
         # implicit singletons in table order.
-        self._group_of: dict[Any, int] = {}
-        self._groups: list[tuple[Any, ...]] = []
+        group_of: dict[Any, int] = {}
+        groups: list[tuple[Any, ...]] = []
         for rule in rules:
             members = tuple(rule)
             if len(members) < 2:
                 raise MutualExclusionError(
                     f"ME rule {members!r} must name at least two tuples"
                 )
-            gid = len(self._groups)
+            gid = len(groups)
             mass = 0.0
             for tid in members:
-                if tid not in self._by_tid:
+                if tid not in by_tid:
                     raise MutualExclusionError(
                         f"ME rule references unknown tuple id {tid!r}"
                     )
-                if tid in self._group_of:
+                if tid in group_of:
                     raise MutualExclusionError(
                         f"tuple id {tid!r} appears in more than one ME rule"
                     )
-                self._group_of[tid] = gid
-                mass += self._by_tid[tid].probability
+                group_of[tid] = gid
+                mass += by_tid[tid].probability
             if mass > 1.0 + GROUP_MASS_EPSILON:
                 raise MutualExclusionError(
                     f"ME rule {members!r} has total probability {mass:.6f} > 1"
                 )
-            self._groups.append(members)
-        for t in self._tuples:
-            if t.tid not in self._group_of:
-                gid = len(self._groups)
-                self._group_of[t.tid] = gid
-                self._groups.append((t.tid,))
+            groups.append(members)
+        for t in rows:
+            if t.tid not in group_of:
+                group_of[t.tid] = len(groups)
+                groups.append((t.tid,))
+        self._name = name
+        self._state = TableState(rows, by_tid, group_of, tuple(groups), 0)
+
+    @classmethod
+    def _of(cls, state: TableState, name: str) -> "UncertainTable":
+        """A table holding ``state`` as it is: no copy and no checks,
+        since every state comes out of the constructor."""
+        table = cls.__new__(cls)
+        table._name = name
+        table._state = state
+        return table
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -103,32 +138,43 @@ class UncertainTable:
         Mutable subclasses (:class:`repro.standing.changelog.
         MutableUncertainTable`) bump it on every in-place mutation.
         The :class:`~repro.api.session.Session` keys every cached
-        stage by ``(table, table.version, ...)``, so a bumped version
-        can never be served a stale prefix/PMF/answer entry.
+        stage by ``(table, version, ...)``, so a bumped version can
+        never be served a stale prefix/PMF/answer entry.
         """
-        return self._version
+        return self._state.version
+
+    def frozen(self) -> "UncertainTable":
+        """This table at its current version, as an immutable table.
+
+        A reader that reads a table more than once (sorts it, filters
+        then subsets it, projects answers through it) takes one frozen
+        version first, so a concurrent mutation cannot hand it rows of
+        one version and groups of another.  An immutable table is one
+        version already and returns itself.
+        """
+        return self
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._state.tuples)
 
     def __iter__(self) -> Iterator[UncertainTuple]:
-        return iter(self._tuples)
+        return iter(self._state.tuples)
 
     def __getitem__(self, tid: Any) -> UncertainTuple:
-        return self._by_tid[tid]
+        return self._state.by_tid[tid]
 
     def __contains__(self, tid: Any) -> bool:
-        return tid in self._by_tid
+        return tid in self._state.by_tid
 
     @property
     def tuples(self) -> Sequence[UncertainTuple]:
         """The tuples, in insertion order."""
-        return tuple(self._tuples)
+        return self._state.tuples
 
     @property
     def tids(self) -> Sequence[Any]:
         """Tuple ids, in insertion order."""
-        return tuple(t.tid for t in self._tuples)
+        return tuple(t.tid for t in self._state.tuples)
 
     # ------------------------------------------------------------------
     # Mutual exclusion structure
@@ -136,34 +182,36 @@ class UncertainTable:
     @property
     def groups(self) -> Sequence[tuple[Any, ...]]:
         """All ME groups (explicit rules first, singletons after)."""
-        return tuple(self._groups)
+        return self._state.groups
 
     @property
     def explicit_rules(self) -> Sequence[tuple[Any, ...]]:
         """Only the explicit multi-tuple ME rules."""
-        return tuple(g for g in self._groups if len(g) > 1)
+        return tuple(g for g in self._state.groups if len(g) > 1)
 
     def group_of(self, tid: Any) -> int:
         """The dense integer group id of tuple ``tid``."""
-        return self._group_of[tid]
+        return self._state.group_of[tid]
 
     def group_members(self, gid: int) -> tuple[Any, ...]:
         """The tids belonging to group ``gid``."""
-        return self._groups[gid]
+        return self._state.groups[gid]
 
     def group_mass(self, gid: int) -> float:
         """Total membership probability of the group (<= 1)."""
-        return sum(self._by_tid[tid].probability for tid in self._groups[gid])
+        state = self._state
+        return sum(state.by_tid[tid].probability for tid in state.groups[gid])
 
     def me_tuple_fraction(self) -> float:
         """Fraction of tuples that are mutually exclusive with others.
 
         This is the quantity varied in Figure 11 of the paper.
         """
-        if not self._tuples:
+        state = self._state
+        if not state.tuples:
             return 0.0
-        in_rules = sum(len(g) for g in self._groups if len(g) > 1)
-        return in_rules / len(self._tuples)
+        in_rules = sum(len(g) for g in state.groups if len(g) > 1)
+        return in_rules / len(state.tuples)
 
     # ------------------------------------------------------------------
     # Derivations
@@ -174,13 +222,14 @@ class UncertainTable:
         Rules that retain at least two members survive (with their
         remaining members); rules reduced to 0/1 member disappear.
         """
+        state = self._state
         keep = set(tids)
-        unknown = keep - set(self._by_tid)
+        unknown = keep - set(state.by_tid)
         if unknown:
             raise DataModelError(f"unknown tuple ids in subset: {sorted(map(repr, unknown))}")
-        tuples = [t for t in self._tuples if t.tid in keep]
+        tuples = [t for t in state.tuples if t.tid in keep]
         rules = []
-        for g in self._groups:
+        for g in state.groups:
             reduced = tuple(tid for tid in g if tid in keep)
             if len(reduced) >= 2:
                 rules.append(reduced)
@@ -190,23 +239,24 @@ class UncertainTable:
         self, fn, *, name: str | None = None
     ) -> "UncertainTable":
         """Apply ``fn(tuple) -> Mapping`` to every tuple's attributes."""
+        state = self._state
         tuples = [
-            UncertainTuple(t.tid, fn(t), t.probability) for t in self._tuples
+            UncertainTuple(t.tid, fn(t), t.probability) for t in state.tuples
         ]
-        rules = [g for g in self._groups if len(g) > 1]
+        rules = [g for g in state.groups if len(g) > 1]
         return UncertainTable(tuples, rules, name=name or self._name)
 
     def attribute_names(self) -> tuple[str, ...]:
         """Union of attribute names across tuples, in first-seen order."""
         seen: dict[str, None] = {}
-        for t in self._tuples:
+        for t in self._state.tuples:
             for key in t.attributes:
                 seen.setdefault(key, None)
         return tuple(seen)
 
     def total_expected_tuples(self) -> float:
         """Expected number of existing tuples (sum of probabilities)."""
-        return sum(t.probability for t in self._tuples)
+        return sum(t.probability for t in self._state.tuples)
 
     def validate(self) -> None:
         """Re-check all invariants; raises on violation.
@@ -214,13 +264,14 @@ class UncertainTable:
         Construction already validates, but generators that mutate
         tuples in place may call this as a final sanity pass.
         """
-        for g in self._groups:
-            mass = self.group_mass(self.group_of(g[0]))
+        state = self._state
+        for g in state.groups:
+            mass = sum(state.by_tid[tid].probability for tid in g)
             if mass > 1.0 + GROUP_MASS_EPSILON:
                 raise MutualExclusionError(
                     f"group {g!r} has probability mass {mass:.6f} > 1"
                 )
-        for t in self._tuples:
+        for t in state.tuples:
             if not (0.0 < t.probability <= 1.0 + PROBABILITY_EPSILON):
                 raise DataModelError(
                     f"tuple {t.tid!r} has invalid probability {t.probability}"
@@ -229,7 +280,7 @@ class UncertainTable:
     def __repr__(self) -> str:
         n_rules = len(self.explicit_rules)
         return (
-            f"UncertainTable(name={self._name!r}, tuples={len(self._tuples)}, "
+            f"UncertainTable(name={self._name!r}, tuples={len(self)}, "
             f"rules={n_rules})"
         )
 

@@ -412,3 +412,122 @@ class TestSessionVersionKeys:
         mut = MutableUncertainTable.from_table(table)
         mut.insert("b", {"score": 1}, 0.5)
         assert table.version == 0 and mut.version == 1
+
+
+#: Eight rows t0..t7, scores 100 - i, p = 0.4, one rule (t6, t7).
+EIGHT_ROWS = [(f"t{i}", 100 - i, 0.4) for i in range(8)]
+EIGHT_RULES = [("t6", "t7")]
+
+
+def writes_on_second_call(table: MutableUncertainTable, tid: str):
+    """A scorer that expires ``tid`` on its second call: a write that
+    lands mid-sort."""
+    calls = []
+
+    def score(t) -> float:
+        calls.append(t.tid)
+        if len(calls) == 2:
+            table.expire(tid)
+        return float(t["score"])
+
+    return score
+
+
+class TestOneVersionPerRead:
+    """Readers take one frozen version; writers publish whole ones."""
+
+    def test_mid_sort_write_leaves_the_sort_on_one_version(self) -> None:
+        table = mutable(EIGHT_ROWS, EIGHT_RULES)
+        scored = ScoredTable.from_table(
+            table, writes_on_second_call(table, "t0")
+        )
+        assert [item.tid for item in scored] == [t for t, _, _ in EIGHT_ROWS]
+        assert len(set(scored.group_column.tolist())) == 7
+        assert table.version == 1 and "t0" not in table
+
+    def test_mid_sort_expire_of_an_unread_row(self) -> None:
+        table = mutable(EIGHT_ROWS, EIGHT_RULES)
+        scored = ScoredTable.from_table(
+            table, writes_on_second_call(table, "t7")
+        )
+        assert len(scored) == 8
+        assert "t7" not in table
+
+    def test_mid_sort_write_through_the_session(self) -> None:
+        table = mutable(EIGHT_ROWS, EIGHT_RULES)
+        spec = QuerySpec(
+            table="live",
+            scorer=writes_on_second_call(table, "t0"),
+            k=2,
+            p_tau=0.0,
+            semantics="distribution",
+        )
+        raced = Session({"live": table}).execute(spec)
+        cold = Session({"t": make_table(EIGHT_ROWS, EIGHT_RULES)}).execute(
+            QuerySpec(
+                table="t",
+                scorer="score",
+                k=2,
+                p_tau=0.0,
+                semantics="distribution",
+            )
+        )
+        assert list(raced) == list(cold)
+
+    def test_a_batch_fuses_only_plans_of_one_version(self) -> None:
+        rows = [(f"t{i}", 100 - i, 0.4) for i in range(9)]
+        rules = [("t1", "t2")]
+        table = mutable(rows, rules)
+
+        def spec(table_ref, scorer, k):
+            return QuerySpec(
+                table=table_ref,
+                scorer=scorer,
+                k=k,
+                p_tau=0.0,
+                semantics="distribution",
+                algorithm="dp",
+            )
+
+        session = Session({"live": table})
+        scorer = writes_on_second_call(table, "t0")
+        raced = session.execute_many(
+            [spec("live", scorer, 2), spec("live", scorer, 3)]
+        )
+        # The k=2 plan sorted version 0; the write landed before the
+        # k=3 plan froze version 1.
+        before = make_table(rows, rules)
+        after = make_table(rows[1:], rules)
+        assert list(raced[0]) == list(
+            Session({"t": before}).execute(spec("t", "score", 2))
+        )
+        assert list(raced[1]) == list(
+            Session({"t": after}).execute(spec("t", "score", 3))
+        )
+        assert session.fusion_info()["groups"] == 0
+
+    def test_frozen_is_unchanged_by_later_mutations(self) -> None:
+        table = mutable(EIGHT_ROWS, EIGHT_RULES)
+        frozen = table.frozen()
+        tuples, groups = frozen.tuples, frozen.groups
+        table.expire("t6")
+        table.insert("t8", {"score": 200}, 0.5, group_with="t7")
+        table.update_probability("t1", 0.9)
+        assert type(frozen) is UncertainTable
+        assert frozen.frozen() is frozen
+        assert frozen.version == 0 and table.version == 3
+        assert frozen.tuples == tuples and frozen.groups == groups
+        assert frozen["t1"].probability == 0.4
+        assert table.frozen().version == 3
+
+    def test_from_table_leaves_its_source_untouched(self) -> None:
+        source = make_table(EIGHT_ROWS, EIGHT_RULES)
+        tuples, groups = source.tuples, source.groups
+        table = MutableUncertainTable.from_table(source, start_version=5)
+        assert table.version == 5 and table.tuples == tuples
+        table.expire("t7")
+        table.insert("t9", {"score": 1}, 0.5, group_with="t0")
+        assert source.tuples == tuples and source.groups == groups
+        assert source.version == 0 and "t9" not in source
+        assert source.explicit_rules == (("t6", "t7"),)
+

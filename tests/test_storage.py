@@ -1,7 +1,7 @@
 """Unit tests for the out-of-core storage layer.
 
-Format roundtrip, pushdown paging, group-safe depths, the lazy
-``DiskBackedTable`` lifecycle, ``repro pack``, and the catalog's
+Format roundtrip, pushdown paging, the lazy ``DiskBackedTable``
+lifecycle, ``repro pack``, and the catalog's
 ``disk:`` sources.  The cross-semantics byte-identity sweep lives in
 ``test_storage_differential.py``.
 """
@@ -38,7 +38,7 @@ from repro.storage import (
     open_table,
     pack_table,
 )
-from repro.uncertain.scoring import ScoredTable
+from repro.uncertain.scoring import ScoredTable, expression_scorer
 from repro.uncertain.table import UncertainTable
 from tests.conftest import make_table
 
@@ -71,10 +71,6 @@ def test_pack_summary_and_meta(packed):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["scorer"] == "score"
     assert meta["page_size"] == 64
-    assert len(meta["page_mass"]) == meta["pages"]
-    assert meta["page_mass"][-1] == pytest.approx(
-        table.total_expected_tuples()
-    )
 
 
 def test_prefix_byte_identity_across_page_boundaries(packed):
@@ -103,11 +99,13 @@ def test_page_cache_hits(packed):
 
 
 def test_page_cache_byte_budget(packed, monkeypatch):
+    from repro.storage import format as storage_format
+
     _, out, _ = packed
     # A budget far below one decoded page: the cache keeps exactly the
     # most recent page (never evicting the entry just inserted) and
     # counts every capacity eviction.
-    monkeypatch.setenv("REPRO_STORE_CACHE_BYTES", "64")
+    monkeypatch.setattr(storage_format, "ITEM_CACHE_BYTES", 64)
     tight = open_store(out)
     tight.prefix(200)  # several pages at page_size=64
     info = tight.cache_info()["item_pages"]
@@ -119,7 +117,7 @@ def test_page_cache_byte_budget(packed, monkeypatch):
     # trades hits, never answers).
     assert tight.prefix(200).items == open_store(out).prefix(200).items
 
-    monkeypatch.delenv("REPRO_STORE_CACHE_BYTES")
+    monkeypatch.undo()
     roomy = open_store(out)
     roomy.prefix(200)
     info = roomy.cache_info()["item_pages"]
@@ -149,23 +147,6 @@ def test_lru_byte_accounting():
     assert "max_bytes" not in _LRU(8).info()
 
 
-def test_group_safe_depth_never_splits(packed):
-    table, out, _ = packed
-    store = open_store(out)
-    resident = ScoredTable.from_table(table, resolve_scorer("score"))
-    for depth in (1, 10, 50, 199, len(table)):
-        safe = store.group_safe_depth(depth)
-        assert safe >= min(depth, len(table))
-        prefix = store.prefix(safe)
-        # Every group with a member inside the prefix is whole.
-        for gid in prefix.groups():
-            assert len(prefix.group_positions(gid)) == len(
-                resident.group_positions(gid)
-            )
-    assert store.group_safe_depth(0) == 0
-    assert store.group_safe_depth(len(table) + 10) == len(table)
-
-
 def test_reconstruct_identity(packed):
     table, out, _ = packed
     rebuilt = open_store(out).reconstruct()
@@ -176,13 +157,46 @@ def test_reconstruct_identity(packed):
     )
 
 
+def test_schema1_directory_with_unread_sidecars_answers_identically(packed):
+    """Earlier schema-1 writers also packed ``gend.i8`` and the meta
+    keys ``page_mass``, ``page_spill``, ``me_members`` and
+    ``has_ties``.  Such a directory still opens and answers exactly
+    like the resident table, on the pushdown and the fallback path."""
+    table, out, _ = packed
+    scored = open_store(out).scored()
+    gend = np.empty(len(scored), dtype="<i8")
+    for group in scored.groups():
+        positions = scored.group_positions(group)
+        gend[list(positions)] = positions[-1]
+    gend.tofile(out / "gend.i8")
+    meta = json.loads((out / "meta.json").read_text())
+    ends = [min((page + 1) * 64, len(scored)) for page in range(meta["pages"])]
+    meta.update(
+        me_members=scored.me_member_count(),
+        has_ties=scored.has_ties(),
+        page_mass=[float(scored.prob_column[:end].sum()) for end in ends],
+        page_spill=[int(gend[:end].max()) for end in ends],
+    )
+    (out / "meta.json").write_text(json.dumps(meta))
+
+    disk = open_table(out)
+    ram, lazy = Session({"t": table}), Session({"t": disk})
+    double = expression_scorer("score * 2")
+    for scorer in ("score", double):
+        for semantics in ("typical", "u_topk"):
+            spec = QuerySpec(
+                table="t", scorer=scorer, k=4, semantics=semantics
+            )
+            assert repr(lazy.execute(spec)) == repr(ram.execute(spec))
+        assert disk.is_resident == (scorer is double)
+
+
 def test_empty_table_packs(tmp_path):
     table = UncertainTable([], name="empty")
     pack_table(table, tmp_path / "e")
     store = open_store(tmp_path / "e")
     assert len(store) == 0
     assert len(store.prefix(10)) == 0
-    assert store.group_safe_depth(5) == 0
     assert len(store.reconstruct()) == 0
 
 
@@ -220,6 +234,12 @@ def test_disk_table_pushdown_stays_lazy(packed):
     assert disk.total_expected_tuples() == pytest.approx(
         table.total_expected_tuples()
     )
+    assert disk.version == 0
+    assert disk.frozen() is disk
+    spec = QuerySpec(table="t", scorer="score", k=5, semantics="typical")
+    assert repr(Session({"t": disk}).execute(spec)) == repr(
+        Session({"t": table}).execute(spec)
+    )
     assert not disk.is_resident
 
 
@@ -252,6 +272,7 @@ def test_disk_table_materializes_on_relation_access(packed):
     table, out, _ = packed
     disk = open_table(out)
     tid = table.tuples[0].tid
+    assert not disk.is_resident
     assert disk[tid] == table[tid]
     assert disk.is_resident
     assert disk.group_of(tid) == table.group_of(tid)
