@@ -48,6 +48,11 @@ normalized spec, operator tree with cost estimates from the machine's
 calibrated cost model, and predicted cache hits — without running the
 expensive stages.
 
+**Warm lookups**: :meth:`Session.cached` returns a request's result
+when every stage it needs is cached, computing nothing, so the service
+executor answers such a request without queueing it.  It counts and
+refreshes the stages it reads exactly as :meth:`execute` would.
+
 Sessions are safe to share across threads: each stage cache holds its
 own lock, answers are deterministic pure functions of the cache key,
 and the hit/miss counters stay consistent under concurrency — the
@@ -190,6 +195,14 @@ class _LRU:
         with self._lock:
             return self._data.get(key, default)
 
+    def touch(self, key: Hashable) -> None:
+        """Count a hit on ``key`` and refresh its recency, as a ``get``
+        that hit would: for a caller that served a value it peeked."""
+        with self._lock:
+            self.hits += 1
+            if key in self._data:
+                self._data.move_to_end(key)
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -235,8 +248,9 @@ class _LRU:
 
 
 #: Sentinel distinguishing "absent" from cached ``None`` answers
-#: (U-Topk legitimately returns ``None`` on short prefixes).
-_MISSING = object()
+#: (U-Topk legitimately returns ``None`` on short prefixes); also what
+#: :meth:`Session.cached` returns when a needed stage is not cached.
+MISS = object()
 
 
 class _Planned(NamedTuple):
@@ -346,6 +360,18 @@ class Session:
         table = self.resolve(spec)
         rows = table.frozen()
         prefix, prefix_hit = self._stage1(table, rows, logical)
+        return self._lower(logical, table, rows, prefix, prefix_hit, op)
+
+    def _lower(
+        self,
+        logical: LogicalPlan,
+        table: UncertainTable,
+        rows: UncertainTable,
+        prefix: ScoredTable,
+        prefix_hit: bool,
+        op: BatchOp,
+    ) -> _Planned:
+        """Lower a request whose stage-1 prefix is in hand."""
         physical = self._planner.lower(
             logical,
             prefix,
@@ -464,13 +490,54 @@ class Session:
             return self._pmf(planned)
         pmf = self._pmf(planned) if semantics_op.requires == "pmf" else None
         key = planned.answer_key(pmf)
-        answer = self._answers.get(key, _MISSING)
-        if answer is _MISSING:
+        answer = self._answers.get(key, MISS)
+        if answer is MISS:
             answer = semantics_op.run(
                 planned.prefix, planned.logical.spec, pmf=pmf
             )
             self._answers.put(key, answer)
         return answer
+
+    def cached(self, spec: QuerySpec, op: BatchOp = "execute") -> Any:
+        """The request's result when every stage it needs is cached,
+        else :data:`MISS`: a lookup that never computes.
+
+        It takes the table frozen once, as :meth:`_plan` does, and
+        builds the same stage keys, but never scores, sorts, runs a
+        pmf operator or a semantics.  A hit counts one hit per stage
+        it consulted and refreshes their LRU recency, exactly as
+        :meth:`execute` (``op="distribution"``: :meth:`distribution`)
+        would; a miss counts nothing, so the run that then serves the
+        request counts as it always did.
+        """
+        logical = LogicalPlan.from_spec(spec)
+        table = self.resolve(spec)
+        rows = table.frozen()
+        prefix_key = self._prefix_key(table, rows.version, logical)
+        prefix = self._prefixes.peek(prefix_key)
+        if prefix is None:
+            return MISS
+        planned = self._lower(logical, table, rows, prefix, True, op)
+        consulted: list[tuple[_LRU, Hashable]] = [
+            (self._prefixes, prefix_key)
+        ]
+        semantics_op = planned.physical.semantics_op
+        result: Any = None
+        if semantics_op is None or semantics_op.requires == "pmf":
+            pmf_key = planned.pmf_key()
+            result = self._pmfs.peek(pmf_key)
+            if result is None:
+                return MISS
+            consulted.append((self._pmfs, pmf_key))
+        if semantics_op is not None:
+            answer_key = planned.answer_key(result)
+            result = self._answers.peek(answer_key, MISS)
+            if result is MISS:
+                return MISS
+            consulted.append((self._answers, answer_key))
+        for cache, key in consulted:
+            cache.touch(key)
+        return result
 
     def scored_prefix(self, spec: QuerySpec) -> ScoredTable:
         """Stage 1 (cached): the scored, truncated prefix."""

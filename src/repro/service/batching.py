@@ -17,6 +17,13 @@ other workers skip that key, so concurrent cold requests for one
 distribution never duplicate the DP — they accumulate in the queue
 and are served as one warm batch when the key frees up.
 
+A request whose every stage the session already caches never enters
+the queue: a batched executor answers it at submit, on the calling
+thread, through :meth:`~repro.api.session.Session.cached` (counted as
+``queue.cache_hits``).  There is nothing to batch, degrade or fail
+for it — a cached exact answer is returned as it is — but a shut
+down or draining executor refuses it like any other submit.
+
 Admission control is explicit: the queue is bounded, and a submit
 beyond the bound raises :class:`~repro.exceptions.BackpressureError`
 (surfaced by the HTTP layer as ``429 Retry-After``), so overload
@@ -38,9 +45,9 @@ every batch before execution, ``exec_error`` fails a batch with
 :class:`~repro.exceptions.FaultInjectedError`.
 
 ``batched=False`` gives the naive baseline the service benchmark
-compares against: every request executes alone, through a fresh
-session with cold caches — exactly what each pre-service entry point
-(CLI, one-shot ``Session``) did per invocation.
+compares against: every request is queued and executes alone, through
+a fresh session with cold caches — exactly what each pre-service
+entry point (CLI, one-shot ``Session``) did per invocation.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Literal
 
 from repro.api.logical import LogicalPlan
-from repro.api.session import Session
+from repro.api.session import MISS, Session
 from repro.api.spec import QuerySpec
 from repro.exceptions import (
     BackpressureError,
@@ -228,6 +235,11 @@ class BatchingExecutor:
     ) -> "Future[Any]":
         """Queue one request; returns its :class:`Future`.
 
+        A batched executor first asks the session for a result whose
+        every stage is already cached and, on a hit, returns it in an
+        already-resolved future on the calling thread: nothing is
+        queued, degraded, fault-injected or executed.
+
         :param timeout_s: how long the caller will wait for the
             answer; once elapsed, the entry no longer holds a queue
             slot and is failed with :class:`RequestTimeoutError`
@@ -237,6 +249,21 @@ class BatchingExecutor:
         :raises BackpressureError: when the queue bound is reached
             (after purging expired entries).
         """
+        if self.batched:
+            if self._stopping or self._draining:
+                raise ServiceError("executor is shut down")
+            try:
+                result = self._session.cached(spec, op)
+            except Exception:
+                # Planning failed: queue the request, so its run
+                # reports the error through the future, as before.
+                result = MISS
+            if result is not MISS:
+                if self._metrics is not None:
+                    self._metrics.record_cache_hit()
+                future: "Future[Any]" = Future()
+                future.set_result(result)
+                return future
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
         )

@@ -10,7 +10,7 @@ Everything is rendered as one JSON document by
                     "buckets": {"<=1": n, ...}}}},
       "batches": {"count", "requests", "mean_size",
                   "sizes": {"1": n, "2": n, "4": n, ...}},
-      "queue": {"depth", "max_depth", "rejected"},
+      "queue": {"depth", "max_depth", "rejected", "cache_hits"},
       "degraded": {"count", "reasons": {"deadline": n, "queue": n,
                    "breaker": n}},
       "watch": {"streams", "disconnects"},
@@ -23,6 +23,11 @@ Everything is rendered as one JSON document by
                  plus the byte-budget fields (absent for all-resident
                  catalogs)
     }
+
+``queue.cache_hits`` counts the requests the executor answered at
+submit from the session's caches.  They never enter a batch, so with
+them ``batches.requests + queue.cache_hits`` still adds up to the
+requests the executor served.
 
 Histograms use fixed power-of-two bucket upper bounds, so recording
 is O(#buckets) with no allocation, and percentiles are read from the
@@ -111,6 +116,7 @@ class ServiceMetrics:
         self._queue_depth = 0
         self._max_queue_depth = 0
         self._rejected = 0
+        self._cache_hits = 0
         self._degraded: dict[str, int] = {}
         self._watch_streams = 0
         self._watch_disconnects = 0
@@ -152,6 +158,11 @@ class ServiceMetrics:
         """One request refused with backpressure (HTTP 429)."""
         with self._lock:
             self._rejected += 1
+
+    def record_cache_hit(self) -> None:
+        """One request answered at submit from the session's caches."""
+        with self._lock:
+            self._cache_hits += 1
 
     def record_degraded(self, reason: str) -> None:
         """One request re-planned onto the degraded MC tier."""
@@ -214,6 +225,7 @@ class ServiceMetrics:
                     "depth": self._queue_depth,
                     "max_depth": self._max_queue_depth,
                     "rejected": self._rejected,
+                    "cache_hits": self._cache_hits,
                 },
                 "degraded": {
                     "count": sum(self._degraded.values()),

@@ -339,7 +339,7 @@ class ShardedQueryService:
             )
         try:
             timeout = self.request_timeout_s + FORWARD_TIMEOUT_SLACK_S
-            status, document, retry_after, body = self.pool.request(
+            status, retry_after, body = self.pool.request(
                 index, "handle", endpoint, payload, timeout=timeout
             )
         except FutureTimeoutError:
@@ -360,7 +360,7 @@ class ShardedQueryService:
             self.metrics.record_rejection()
             if isinstance(retry_after, (int, float)) and retry_after > 0:
                 self._last_retry_hint[index] = float(retry_after)
-        return _Reply(status, document, retry_after=retry_after, body=body)
+        return _Reply(status, retry_after=retry_after, body=body)
 
     def _sid_worker(self, sid: str) -> int | None:
         """The worker index a sid encodes (``w{i}-sub-N``), or None."""
@@ -614,16 +614,18 @@ def _merge_batches(worker_docs: Mapping[str, Any]) -> dict[str, Any]:
 def _merge_queue(
     worker_docs: Mapping[str, Any], front: Mapping[str, Any]
 ) -> dict[str, Any]:
-    depth = rejected = max_depth = 0
+    depth = rejected = max_depth = cache_hits = 0
     for document in worker_docs.values():
         queue = document.get("queue", {})
         depth += queue.get("depth", 0)
         rejected += queue.get("rejected", 0)
+        cache_hits += queue.get("cache_hits", 0)
         max_depth = max(max_depth, queue.get("max_depth", 0))
     return {
         "depth": depth,
         "max_depth": max_depth,
         "rejected": rejected,
+        "cache_hits": cache_hits,
         "rejected_front": front.get("queue", {}).get("rejected", 0),
     }
 

@@ -51,28 +51,41 @@ true``, the trigger under ``degrade_reason``, and a
 Status codes: ``200`` success, ``400`` malformed request, ``404``
 unknown table or path, ``429`` queue full (with ``Retry-After``),
 ``504`` request timed out in the queue, ``500`` internal error.
-Responses always carry strict ``application/json``: a result with a
-non-finite number (an overflowed score sum) is a ``500`` error.
+JSON is strict both ways.  A request body holding ``NaN``,
+``Infinity``, a number past the float range or nesting too deep to
+decode is a ``400 bad JSON body``.  Responses always carry strict
+``application/json``: a result with a non-finite number (an
+overflowed score sum) is a ``500`` error.  Every response body ends
+with an ``elapsed_ms`` field, the server's time on the request.
 
 The server is a ``ThreadingHTTPServer`` so slow clients do not block
 each other; actual query execution is delegated to the bounded
 :class:`~repro.service.batching.BatchingExecutor`, which is where
 admission control and micro-batching happen.
+
+A warm read is one cache lookup and one reused body.  The executor
+answers a request whose every stage is cached on the handler thread,
+without queueing it.  :class:`QueryService` keeps the body it last
+sent for each read shape and sends it again while the session returns
+the same answer object, splicing in only ``elapsed_ms``.  The
+handler sets ``TCP_NODELAY``, so a keep-alive client's delayed ACK
+never holds a reply back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import select
 import socket
 import time
 from collections.abc import Callable
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Protocol, cast
 from urllib.parse import parse_qs
 
+from repro.api.session import DEFAULT_CACHE_SIZE, _LRU
 from repro.api.spec import QuerySpec
 from repro.core.pmf import ScorePMF
 from repro.exceptions import (
@@ -125,21 +138,40 @@ _OPTIONAL_FIELDS = (
 )
 
 
-@dataclass
 class _Reply:
     """One endpoint result: HTTP status plus the JSON document.
 
-    ``retry_after`` is set on 429 replies: the (possibly fractional)
-    seconds hint derived from the live queue depth and the recent
-    batch drain rate, emitted as the ``Retry-After`` header.
-    ``body`` is the document's wire form when the service already
-    encoded it (so it is encoded once).
+    ``body`` is the document's strict-JSON wire form when the service
+    already encoded it (so it is encoded once, and a sharded front
+    passes a worker's bytes through); a reply built from its body
+    decodes ``document`` on first access, so in-process callers read
+    the complete document the client receives.  ``retry_after`` is set
+    on 429 replies: the (possibly fractional) seconds hint derived
+    from the live queue depth and the recent batch drain rate, emitted
+    as the ``Retry-After`` header.
     """
 
-    status: int
-    document: dict[str, Any]
-    retry_after: float | None = None
-    body: bytes | None = None
+    __slots__ = ("status", "retry_after", "body", "_document")
+
+    def __init__(
+        self,
+        status: int,
+        document: dict[str, Any] | None = None,
+        *,
+        retry_after: float | None = None,
+        body: bytes | None = None,
+    ) -> None:
+        self.status = status
+        self.retry_after = retry_after
+        self.body = body
+        self._document = document
+
+    @property
+    def document(self) -> dict[str, Any]:
+        if self._document is None:
+            document: dict[str, Any] = json.loads(cast(bytes, self.body))
+            self._document = document
+        return self._document
 
 
 def build_spec(payload: dict[str, Any], endpoint: str) -> QuerySpec:
@@ -270,6 +302,10 @@ class QueryService:
             breaker=breaker,
             faults=faults,
         )
+        #: ``(endpoint, spec) -> (answer, body)``: the last body sent
+        #: for each read shape, reused while the session returns the
+        #: same answer object.
+        self._bodies = _LRU(DEFAULT_CACHE_SIZE)
         self.standing = StandingRegistry(catalog.session, sid_prefix=sid_prefix)
         #: sids re-registered from the durable manifest at boot, plus
         #: any that failed to restore (surfaced in /healthz).
@@ -335,31 +371,36 @@ class QueryService:
     def handle(self, endpoint: str, payload: dict[str, Any]) -> _Reply:
         """Serve one POST endpoint; never raises.
 
-        The reply carries its strict-JSON body; a document with no
-        such form (a non-finite number) is served, and counted, as a
-        500 error.
+        The reply carries its strict-JSON body with ``elapsed_ms``
+        spliced in as the last field; a document with no such form (a
+        non-finite number) is served, and counted, as a 500 error.
         """
         start = time.perf_counter()
         if endpoint in self._INLINE_HANDLERS:
-            status, document = getattr(self, f"_{endpoint}")(payload)
+            status, result = getattr(self, f"_{endpoint}")(payload)
         else:
             op = self.ENDPOINT_OPS.get(endpoint)
             if op is None:
                 return _Reply(404, {"error": f"unknown endpoint {endpoint!r}"})
-            status, document = self._run(endpoint, op, payload)
-        elapsed = time.perf_counter() - start
-        document.setdefault("elapsed_ms", round(elapsed * 1e3, 3))
-        try:
-            body = _wire_json(document).encode()
-        except ValueError as exc:
-            status = 500
-            document = {"error": str(exc), "elapsed_ms": document["elapsed_ms"]}
-            body = _wire_json(document).encode()
-        self.metrics.record_request(endpoint, elapsed, error=status != 200)
+            status, result = self._run(endpoint, op, payload)
         retry_after = None
-        if status == 429:
-            retry_after = document.get("retry_after_s")
-        return _Reply(status, document, retry_after=retry_after, body=body)
+        if isinstance(result, bytes):
+            body = result
+        else:
+            if status == 429:
+                retry_after = result.get("retry_after_s")
+            try:
+                body = _wire_json(result).encode()
+            except ValueError as exc:
+                status = 500
+                body = _wire_json({"error": str(exc)}).encode()
+        elapsed = time.perf_counter() - start
+        self.metrics.record_request(endpoint, elapsed, error=status != 200)
+        return _Reply(
+            status,
+            retry_after=retry_after,
+            body=_with_elapsed(body, elapsed),
+        )
 
     def _explain(
         self, payload: dict[str, Any]
@@ -568,7 +609,8 @@ class QueryService:
 
     def _run(
         self, endpoint: str, op: Op, payload: dict[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
+    ) -> tuple[int, dict[str, Any] | bytes]:
+        """Serve one read: an error document, or the answer's body."""
         try:
             payload, timeout_s, allow_degraded = self._request_controls(
                 payload
@@ -610,30 +652,28 @@ class QueryService:
             return 400, {"error": str(exc)}
         except Exception as exc:  # pragma: no cover - defensive
             return 500, {"error": f"internal error: {exc}"}
-        degraded: DegradedAnswer | None = None
         if isinstance(answer, DegradedAnswer):
-            degraded = answer
-            answer = degraded.answer
-        document: dict[str, Any] = {
-            "table": spec.table,
-            "k": spec.k,
-        }
-        if endpoint == "distribution":
-            document.update(json.loads(pmf_to_json(answer)))
-        elif endpoint == "typical":
-            document["c"] = spec.c
-            document["result"] = answer_to_jsonable(answer)
-        else:
-            document["semantics"] = spec.semantics
-            document["answer"] = answer_to_jsonable(answer)
-            if isinstance(answer, ScorePMF):
-                document["answer_kind"] = "pmf"
-        if degraded is not None:
+            document = _answer_document(endpoint, spec, answer.answer)
             document["degraded"] = True
-            document["degrade_reason"] = degraded.reason
-            document["epsilon"] = degraded.epsilon
-            document["confidence_interval"] = degraded.interval
-        return 200, document
+            document["degrade_reason"] = answer.reason
+            document["epsilon"] = answer.epsilon
+            document["confidence_interval"] = answer.interval
+            return 200, document
+        # The document is a function of the spec and the answer alone,
+        # and the session hands back the one cached object until a
+        # mutation or eviction recomputes it: the body sent for that
+        # very object is sent again.
+        key = (endpoint, spec)
+        sent = self._bodies.get(key)
+        if sent is not None and sent[0] is answer:
+            return 200, sent[1]
+        try:
+            body = _wire_json(_answer_document(endpoint, spec, answer))
+        except ValueError as exc:
+            return 500, {"error": str(exc)}
+        encoded = body.encode()
+        self._bodies.put(key, (answer, encoded))
+        return 200, encoded
 
     def healthz(self) -> _Reply:
         """Liveness: catalog summary + uptime + executor mode +
@@ -683,6 +723,34 @@ class QueryService:
             self.catalog.store.close()
 
 
+def _answer_document(
+    endpoint: str, spec: QuerySpec, answer: Any
+) -> dict[str, Any]:
+    """The JSON document of one read's (exact or approximate) answer."""
+    document: dict[str, Any] = {
+        "table": spec.table,
+        "k": spec.k,
+    }
+    if endpoint == "distribution":
+        document.update(json.loads(pmf_to_json(answer)))
+    elif endpoint == "typical":
+        document["c"] = spec.c
+        document["result"] = answer_to_jsonable(answer)
+    else:
+        document["semantics"] = spec.semantics
+        document["answer"] = answer_to_jsonable(answer)
+        if isinstance(answer, ScorePMF):
+            document["answer_kind"] = "pmf"
+    return document
+
+
+def _with_elapsed(body: bytes, seconds: float) -> bytes:
+    """``body``, a non-empty JSON object, with ``elapsed_ms`` as its
+    last field."""
+    elapsed_ms = repr(round(seconds * 1e3, 3)).encode()
+    return body[:-1] + b', "elapsed_ms": ' + elapsed_ms + b"}"
+
+
 def _wire_json(document: Any) -> str:
     """Strict RFC 8259 JSON for the wire.
 
@@ -698,10 +766,26 @@ def _wire_json(document: Any) -> str:
         ) from None
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text[:32]} is not a finite number")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)  # a 400-digit integer reads as inf
+    return int(text)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Maps HTTP to :class:`QueryService`; JSON in, JSON out."""
 
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted socket: a reply goes out as
+    #: two writes (headers, body), and Nagle would hold the body until
+    #: the client's delayed ACK, ~40 ms on every keep-alive read.
+    disable_nagle_algorithm = True
     #: Largest accepted request body.
     MAX_BODY_BYTES = 1 << 20
 
@@ -868,8 +952,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(_Reply(400, {"error": "bad Content-Length"}))
             return
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+            # Strict RFC 8259: NaN/Infinity tokens and numbers with no
+            # finite float value are refused, so none can reach a
+            # table and break every later read of it.
+            payload = json.loads(
+                self.rfile.read(length) or b"{}",
+                parse_float=_finite_float,
+                parse_int=_finite_int,
+                parse_constant=_finite_float,
+            )
+        except (ValueError, RecursionError) as exc:
             self._send(_Reply(400, {"error": f"bad JSON body: {exc}"}))
             return
         self._send(service.handle(endpoint, payload))

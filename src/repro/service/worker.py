@@ -10,7 +10,7 @@ catalog replica, session caches, batching executor, standing registry
 ================  =============================================  =========================================
 request                                                           response payload
 ================  =============================================  =========================================
-``("handle", id, endpoint, payload)``                             ``(status, document, retry_after, body)``
+``("handle", id, endpoint, payload)``                             ``(status, retry_after, body)``
 ``("healthz", id)`` / ``("metrics", id)``                         ``(status, document)``
 ``("has_sub", id, sid)``                                          ``bool``
 ``("watch_wait", id, sid, after, timeout_s)``                     snapshot dict or ``None``
@@ -18,7 +18,8 @@ request                                                           response paylo
 ================  =============================================  =========================================
 
 Responses are ``(id, ok, payload)``; ``ok=False`` carries the error
-string.  The boot acknowledgement uses the reserved id :data:`BOOT_ID`
+string.  A ``handle`` response ships the reply's encoded body, which
+the front passes through without decoding it.  The boot acknowledgement uses the reserved id :data:`BOOT_ID`
 and carries the worker's recovery summary.
 
 Shard ownership (decided by the :class:`~repro.service.shard.ShardRing`
@@ -186,7 +187,7 @@ def _dispatch(service: Any, message: tuple, response_q: Any) -> None:
         result: Any
         if kind == "handle":
             reply = service.handle(message[2], message[3])
-            result = (reply.status, reply.document, reply.retry_after, reply.body)
+            result = (reply.status, reply.retry_after, reply.body)
         elif kind == "healthz":
             reply = service.healthz()
             result = (reply.status, reply.document)

@@ -377,6 +377,11 @@ class MutableUncertainTable(UncertainTable):
     def apply_payload(self, op: str, payload: Mapping[str, Any]) -> Delta:
         """Dispatch a JSON mutation payload (the service's entry point).
 
+        Field types are checked before any candidate is built: ``tid``
+        must be a string or an integer, ``attributes`` an object and
+        ``probability`` a number, so a malformed payload raises
+        :class:`DataModelError` and leaves the table untouched.
+
         :param op: one of :data:`MUTATION_OPS`.
         :param payload: keyword payload; ``tid`` is always required,
             the rest depends on the operation.
@@ -385,25 +390,41 @@ class MutableUncertainTable(UncertainTable):
             tid = payload["tid"]
         except KeyError:
             raise DataModelError("mutation payload requires 'tid'") from None
+        if isinstance(tid, bool) or not isinstance(tid, (str, int)):
+            raise DataModelError(
+                "'tid' must be a string or an integer, got "
+                f"{type(tid).__name__}"
+            )
+        attributes = payload.get("attributes")
+        if attributes is not None and not isinstance(attributes, Mapping):
+            raise DataModelError(
+                "'attributes' must be an object, got "
+                f"{type(attributes).__name__}"
+            )
+        probability = payload.get("probability", 1.0)
+        if isinstance(probability, bool) or not isinstance(
+            probability, (int, float)
+        ):
+            raise DataModelError(
+                "'probability' must be a number, got "
+                f"{type(probability).__name__}"
+            )
         if op == "insert":
             return self.insert(
                 tid,
-                dict(payload.get("attributes") or {}),
-                payload.get("probability", 1.0),
+                dict(attributes or {}),
+                probability,
                 group_with=payload.get("group_with"),
             )
         if op == "expire":
             return self.expire(tid)
         if op == "update_probability":
-            try:
-                probability = payload["probability"]
-            except KeyError:
+            if "probability" not in payload:
                 raise DataModelError(
                     "update_probability requires 'probability'"
-                ) from None
+                )
             return self.update_probability(tid, probability)
         if op == "update_score":
-            attributes = payload.get("attributes")
             if not attributes:
                 raise DataModelError(
                     "update_score requires a non-empty 'attributes'"

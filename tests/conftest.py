@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from repro.api import register_semantics, unregister_semantics
 from repro.core.distribution import top_k_score_distribution
 from repro.datasets.soldier import soldier_table
 from repro.uncertain.model import UncertainTuple
@@ -18,6 +20,19 @@ from repro.uncertain.worlds import score_distribution_by_enumeration
 def soldiers() -> UncertainTable:
     """The paper's Figure-1 toy table."""
     return soldier_table()
+
+
+@pytest.fixture
+def slow_semantics():
+    """A registered semantics that sleeps, to control worker timing."""
+
+    @register_semantics("slow_test", replace=True)
+    def _slow(prefix, spec):
+        time.sleep(0.3)
+        return len(prefix)
+
+    yield "slow_test"
+    unregister_semantics("slow_test")
 
 
 def make_table(

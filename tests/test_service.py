@@ -9,7 +9,9 @@ through the loadgen client.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -116,19 +118,6 @@ class TestCatalog:
 # ----------------------------------------------------------------------
 # Batching executor
 # ----------------------------------------------------------------------
-@pytest.fixture
-def slow_semantics():
-    """A registered semantics that sleeps, to control worker timing."""
-
-    @register_semantics("slow_test", replace=True)
-    def _slow(prefix, spec):
-        time.sleep(0.3)
-        return len(prefix)
-
-    yield "slow_test"
-    unregister_semantics("slow_test")
-
-
 class TestBatchingExecutor:
     def test_batch_key_groups_by_table_ptau_algorithm(self) -> None:
         base = QuerySpec(table="demo", scorer="score", k=3, p_tau=0.0)
@@ -496,6 +485,28 @@ class TestHTTP:
         summary = result.summary()
         assert summary["status_counts"] == {"200": 22}
         assert summary["latency_ms"]["p50"] is not None
+
+    def test_keep_alive_reads_do_not_wait_for_delayed_acks(
+        self, server
+    ) -> None:
+        """Ten warm reads over one connection: with Nagle on, each
+        reply's body waited out the client's ~40 ms delayed ACK."""
+        host, port = server.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        body = json.dumps({"table": "demo", "k": 3, "p_tau": 0.05}).encode()
+        headers = {"Content-Type": "application/json"}
+        latencies = []
+        try:
+            for _ in range(11):  # the first read warms the caches
+                started = time.perf_counter()
+                connection.request("POST", "/v1/answer", body, headers)
+                response = connection.getresponse()
+                response.read()
+                latencies.append((time.perf_counter() - started) * 1e3)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies[1:]) < 20.0, latencies
 
     def test_unknown_path_is_404(self, server) -> None:
         from repro.service.loadgen import _http_json

@@ -169,6 +169,13 @@ class TestWorkerWarm:
         assert warmed_by[0] | warmed_by[1] == set(bindings)
 
 
+def strip_elapsed(body: bytes) -> bytes:
+    """A reply body without its trailing ``elapsed_ms`` field."""
+    head, _, tail = body.rpartition(b', "elapsed_ms": ')
+    assert head and tail.endswith(b"}"), body[-60:]
+    return head + b"}"
+
+
 def both(sharded, single, endpoint, payload):
     """The same request through both deployments, scrubbed."""
     a = sharded.handle(endpoint, dict(payload))
@@ -185,6 +192,27 @@ class TestShardedEqualsSingle:
         for endpoint, payload in workload:
             a, b = both(sharded, single, endpoint, payload)
             assert a == b, (endpoint, payload)
+
+    def test_warm_reads_are_byte_identical(self, sharded, single) -> None:
+        """A warm read is answered at submit from a reused body on
+        both deployments; the front passes the worker's bytes through."""
+        before = sharded.metrics_document().document["queue"]
+        reads = [
+            ("answer", {"table": "demo", "k": 3, "semantics": "u_kranks"}),
+            ("distribution", {"table": "demo", "k": 4, "p_tau": 0.02}),
+            ("typical", {"table": "live", "k": 3, "c": 2}),
+        ]
+        for endpoint, payload in reads:
+            for _ in range(2):
+                a = sharded.handle(endpoint, dict(payload))
+                b = single.handle(endpoint, dict(payload))
+            assert a.status == b.status == 200
+            assert strip_elapsed(a.body) == strip_elapsed(b.body)
+        after = sharded.metrics_document().document
+        assert after["queue"]["cache_hits"] - before["cache_hits"] >= 3
+        assert after["queue"]["cache_hits"] == sum(
+            doc["queue"]["cache_hits"] for doc in after["workers"].values()
+        )
 
     def test_error_documents_are_identical(self, sharded, single) -> None:
         cases = [

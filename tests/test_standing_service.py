@@ -81,6 +81,35 @@ class TestMutateEndpoint:
         })
         assert status == 200 and doc["version"] == 1
 
+    @pytest.mark.parametrize(
+        "op", ["insert", "update_score", "update_probability", "expire"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attributes", [1, 2]),
+            ("attributes", "x"),
+            ("attributes", 5),
+            ("probability", "x"),
+            ("probability", None),
+            ("tid", [1]),
+            ("tid", {"a": 1}),
+        ],
+    )
+    def test_malformed_fields_are_a_400(
+        self, service, op, field, value
+    ) -> None:
+        payload = {"table": "live", "op": op, "tid": "T1"}
+        if op == "insert":
+            payload.update(
+                tid="new", attributes={"score": 1.0}, probability=0.5
+            )
+        payload[field] = value
+        status, doc = post(service, "mutate", payload)
+        assert status == 400, doc
+        assert f"'{field}' must be" in doc["error"]
+        assert service.catalog.describe()["live"]["version"] == 0
+
     def test_immutable_catalog_refuses(self) -> None:
         catalog = DatasetCatalog([f"live={LIVE_SPEC}"], mutable=False)
         service = QueryService(catalog, workers=1)
@@ -349,6 +378,73 @@ class TestHTTPWatch:
                     break
         assert [event["version"] for event in events] == [1]
         assert ids == [1]  # the id: line a resuming client tracks
+
+
+class TestStrictRequestBodies:
+    """Over HTTP: a body that is not strict JSON, or that holds a
+    number with no finite float value, is a 400 that changes nothing."""
+
+    @pytest.fixture
+    def server(self, catalog):
+        server = make_server(catalog, port=0, workers=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}"
+        server.shutdown()
+        thread.join(5.0)
+
+    @staticmethod
+    def send(base: str, endpoint: str, raw: bytes):
+        request = urllib.request.Request(
+            f"{base}/v1/{endpoint}",
+            data=raw,
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
+    def assert_refused(self, base: str, endpoint: str, raw: bytes) -> None:
+        status, doc = self.send(base, endpoint, raw)
+        assert status == 400, doc
+        assert doc["error"].startswith("bad JSON body")
+        with urllib.request.urlopen(f"{base}/healthz", timeout=10.0) as r:
+            assert json.loads(r.read())["tables"]["live"]["version"] == 0
+        status, doc = self.send(
+            base, "answer", b'{"table": "live", "k": 3, "p_tau": 0.05}'
+        )
+        assert status == 200, doc
+
+    @pytest.mark.parametrize("endpoint", ["answer", "mutate"])
+    def test_deep_nesting(self, server, endpoint) -> None:
+        self.assert_refused(
+            server, endpoint, b"[" * 100_000 + b"]" * 100_000
+        )
+
+    @pytest.mark.parametrize(
+        "number",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" * 401],
+        ids=["NaN", "Infinity", "-Infinity", "1e999", "401-digits"],
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"table": "live", "op": "insert", "tid": "bad", '
+            '"attributes": {"score": %s}, "probability": 0.5}',
+            '{"table": "live", "op": "update_score", "tid": "T1", '
+            '"attributes": {"score": %s}}',
+            '{"table": "live", "op": "update_probability", "tid": "T1", '
+            '"probability": %s}',
+        ],
+        ids=["insert", "update_score", "update_probability"],
+    )
+    def test_numbers_without_a_finite_float(
+        self, server, template, number
+    ) -> None:
+        self.assert_refused(server, "mutate", (template % number).encode())
 
 
 class TestDurableService:
