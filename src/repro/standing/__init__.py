@@ -1,10 +1,11 @@
-"""Standing queries: mutable tables, change logs, delta maintenance.
+"""Standing queries: mutable tables, deltas, delta maintenance.
 
 The subsystem has three layers:
 
 * :mod:`repro.standing.changelog` — :class:`MutableUncertainTable`,
-  whose in-place mutations are validated, version-bumped, and recorded
-  as :class:`Delta` entries in an append-only :class:`ChangeLog`;
+  whose in-place mutations are validated against the touched tuple and
+  ME rule, version-bumped, and returned (and handed to the table's
+  observer) as :class:`Delta` records;
 * :mod:`repro.standing.registry` — the :class:`StandingRegistry`,
   which keeps registered queries' materialized answers current per
   delta through the skip / recompute tiers (see that module's
@@ -20,7 +21,6 @@ The subsystem has three layers:
 
 from repro.standing.changelog import (
     MUTATION_OPS,
-    ChangeLog,
     Delta,
     MutableUncertainTable,
 )
@@ -45,7 +45,6 @@ from repro.standing.wal import (
 
 __all__ = [
     "MUTATION_OPS",
-    "ChangeLog",
     "Delta",
     "MutableUncertainTable",
     "RECOMPUTE",

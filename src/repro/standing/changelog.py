@@ -1,4 +1,4 @@
-"""Mutable uncertain tables and their append-only change log.
+"""Mutable uncertain tables and the delta records of their mutations.
 
 A :class:`MutableUncertainTable` is an :class:`~repro.uncertain.table.
 UncertainTable` whose contents may change *in place* through four
@@ -7,22 +7,32 @@ operations — :meth:`~MutableUncertainTable.insert`,
 :meth:`~MutableUncertainTable.update_probability` and
 :meth:`~MutableUncertainTable.update_score` — each of which:
 
-* re-validates every table invariant (unique tids, disjoint ME rules,
-  group mass <= 1) by *probing*: the candidate state is constructed as
-  a throwaway immutable table first, so a rejected mutation raises and
-  leaves the live table untouched;
-* publishes the candidate's :class:`~repro.uncertain.table.TableState`
-  with the next :attr:`~repro.uncertain.table.UncertainTable.version`
-  inside it (which every :class:`~repro.api.session.Session` cache key
-  includes, so stale stage entries can never be hit after a mutation);
-* appends a :class:`Delta` record to the table's :class:`ChangeLog`,
-  carrying both the old and the new payload plus the affected ME
-  group's membership — everything the standing-query maintainer
-  (:mod:`repro.standing.registry`) needs to classify the mutation
-  against a subscription *without* consulting historical table state.
+* validates exactly what the full :class:`~repro.uncertain.table.
+  UncertainTable` constructor would newly find in the candidate: a
+  duplicate tid on insert, an unknown tid, an unknown ``group_with``,
+  the probability (through :class:`~repro.uncertain.model.
+  UncertainTuple`) and, when the mutation changes an ME rule's mass,
+  that one rule's mass, summed in member order as the constructor sums
+  it.  A rejected mutation raises the constructor's exception class
+  and leaves the version and state untouched;
+* derives the next :class:`~repro.uncertain.table.TableState` from the
+  current one by copying only the containers it touches (one C-level
+  ``dict.copy()`` of the tuples plus, for ME-rule members, the rule
+  maps) and publishes it, with the next
+  :attr:`~repro.uncertain.table.UncertainTable.version` inside it, in
+  one assignment (every :class:`~repro.api.session.Session` cache key
+  includes the version, so stale stage entries can never be hit after
+  a mutation).  Python-level work per mutation does not depend on the
+  table's size;
+* returns a :class:`Delta` record carrying both the old and the new
+  payload plus the affected ME group's membership — everything the
+  standing-query maintainer (:mod:`repro.standing.registry`) needs to
+  classify the mutation against a subscription *without* consulting
+  historical table state — and hands it to the table's observer (the
+  write-ahead log, :mod:`repro.standing.wal`, is the durable record).
 
 Readers never see a mix of two versions, and no read lock makes
-that so: the table holds its rows, groups and version in one
+that so: the table holds its rows, rules and version in one
 immutable value, each accessor reads that value once, and a mutation
 replaces it in one attribute assignment.  A reader that reads the
 table more than once (a sort, a filter then a subset) takes
@@ -34,17 +44,21 @@ following arrival order), ``expire`` preserves the relative order of
 the survivors, and the update operations keep the tuple at its
 position.  Equal ``(score, prob)`` rows therefore keep ranking in
 arrival order under the stable rank sort, version after version.
+Dense group ids follow the constructor's numbering: rules in rule
+order (a new rule goes after the existing ones), then singletons in
+table order (a rule shrunk to one member disappears, and its survivor
+becomes a singleton at its table position).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.exceptions import DataModelError, MutualExclusionError
 from repro.uncertain.model import UncertainTuple
-from repro.uncertain.table import UncertainTable
+from repro.uncertain.table import TableState, UncertainTable, check_rule_mass
 
 #: The four mutation operations, as they appear in :attr:`Delta.op`.
 MUTATION_OPS = ("insert", "expire", "update_probability", "update_score")
@@ -52,10 +66,10 @@ MUTATION_OPS = ("insert", "expire", "update_probability", "update_score")
 
 @dataclass(frozen=True)
 class Delta:
-    """One table mutation, as recorded in the change log.
+    """One table mutation.
 
-    :ivar version: the table version this mutation produced (the log
-        is dense: the delta at version ``v`` turns state ``v-1`` into
+    :ivar version: the table version this mutation produced (versions
+        are dense: the delta at version ``v`` turns state ``v-1`` into
         state ``v``).
     :ivar op: one of :data:`MUTATION_OPS`.
     :ivar tid: the affected tuple id.
@@ -101,75 +115,25 @@ class Delta:
         return document
 
 
-class ChangeLog:
-    """An append-only, thread-safe sequence of :class:`Delta` records.
-
-    Versions are dense and start at ``base + 1``, so ``log.since(v)``
-    yields exactly the mutations a consumer at version ``v`` has not
-    seen.  ``base`` is 0 for a fresh table and the snapshot version for
-    a table recovered from a WAL-over-snapshot boot
-    (:mod:`repro.standing.wal`) — versions keep counting from where the
-    pre-crash process left off.
-    """
-
-    __slots__ = ("_deltas", "_lock", "_base")
-
-    def __init__(self, base: int = 0) -> None:
-        self._deltas: list[Delta] = []
-        self._lock = threading.Lock()
-        self._base = base
-
-    @property
-    def version(self) -> int:
-        """The version of the latest recorded delta (``base`` when
-        empty)."""
-        with self._lock:
-            return self._deltas[-1].version if self._deltas else self._base
-
-    def append(self, delta: Delta) -> None:
-        """Record one mutation; versions must arrive dense and ordered."""
-        with self._lock:
-            expected = (
-                self._deltas[-1].version if self._deltas else self._base
-            ) + 1
-            if delta.version != expected:
-                raise DataModelError(
-                    f"change log expected version {expected}, "
-                    f"got {delta.version}"
-                )
-            self._deltas.append(delta)
-
-    def since(self, version: int) -> tuple[Delta, ...]:
-        """Every delta with ``delta.version > version``, in order.
-
-        Versions are dense, so this is an O(1) slice, not a scan.
-        """
-        with self._lock:
-            if not self._deltas:
-                return ()
-            first = self._deltas[0].version
-            start = max(0, version - first + 1)
-            return tuple(self._deltas[start:])
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._deltas)
-
-    def __iter__(self) -> Iterator[Delta]:
-        with self._lock:
-            snapshot = tuple(self._deltas)
-        return iter(snapshot)
+def _check_tid(key: str, value: Any) -> None:
+    """A payload's tuple id is a string or an integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DataModelError(
+            f"{key!r} must be a string or an integer, got "
+            f"{type(value).__name__}"
+        )
 
 
 class MutableUncertainTable(UncertainTable):
-    """An uncertain table with in-place, change-logged mutations.
+    """An uncertain table with in-place, versioned mutations.
 
     All mutations are serialized through one re-entrant lock, validated
-    by probing and published in one assignment (see the module
-    docstring), so a rejected mutation has no effect and each read
-    sees one whole version.  Reads go through the inherited
-    :class:`UncertainTable` interface unchanged; :meth:`frozen` pins
-    the current version for readers that read more than once.
+    against the touched tuple and ME rule, and published in one
+    assignment (see the module docstring), so a rejected mutation has
+    no effect and each read sees one whole version.  Reads go through
+    the inherited :class:`UncertainTable` interface unchanged;
+    :meth:`frozen` pins the current version for readers that read more
+    than once.
     """
 
     def __init__(
@@ -181,9 +145,8 @@ class MutableUncertainTable(UncertainTable):
         start_version: int = 0,
     ) -> None:
         super().__init__(tuples, rules, name=name)
-        self._state = self._state._replace(version=start_version)
+        self._state = replace(self._state, version=start_version)
         self._mutex = threading.RLock()
-        self._log = ChangeLog(base=start_version)
         self._observer: Any = None
 
     @classmethod
@@ -191,11 +154,11 @@ class MutableUncertainTable(UncertainTable):
         cls, table: UncertainTable, *, start_version: int = 0
     ) -> "MutableUncertainTable":
         """A mutable table starting from ``table``'s current contents
-        (fresh log; versions continue from ``start_version`` — 0 unless
+        (versions continue from ``start_version`` — 0 unless
         recovering).  Shares the source's state instead of rebuilding
         and re-validating it; mutations never touch the source."""
         mutable = cls((), name=table.name, start_version=start_version)
-        mutable._state = table._state._replace(version=start_version)
+        mutable._state = replace(table._state, version=start_version)
         return mutable
 
     def frozen(self) -> UncertainTable:
@@ -203,22 +166,17 @@ class MutableUncertainTable(UncertainTable):
         table's state (O(1); later mutations leave it untouched)."""
         return UncertainTable._of(self._state, self._name)
 
-    @property
-    def log(self) -> ChangeLog:
-        """This table's change log (one delta per version bump)."""
-        return self._log
-
     def attach_observer(self, observer: Any) -> None:
         """Install a callable invoked with every applied :class:`Delta`.
 
         The observer runs under the table's mutation mutex, *after* the
-        state swap and the change-log append but before the mutation
-        returns — so observer invocation order always matches version
-        order, which is what lets the write-ahead log
-        (:mod:`repro.standing.wal`) persist records densely.  An
-        observer exception propagates to the mutator (the mutation is
-        already applied in memory; durability hooks treat that as a
-        fatal fault — see the WAL module).  Pass ``None`` to detach.
+        state swap but before the mutation returns — so observer
+        invocation order always matches version order, which is what
+        lets the write-ahead log (:mod:`repro.standing.wal`) persist
+        records densely.  An observer exception propagates to the
+        mutator (the mutation is already applied in memory; durability
+        hooks treat that as a fatal fault — see the WAL module).  Pass
+        ``None`` to detach.
         """
         with self._mutex:
             self._observer = observer
@@ -226,22 +184,13 @@ class MutableUncertainTable(UncertainTable):
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _adopt(self, tuples, rules, make_delta) -> Delta:
-        """Validate the candidate state, then publish it.
-
-        The probe table runs the full :class:`UncertainTable`
-        constructor — duplicate tids, malformed rules and group mass
-        violations raise *before* anything is published.
-        """
-        probe = UncertainTable(tuples, rules, name=self._name)
-        state = probe._state._replace(version=self._state.version + 1)
-        # One assignment publishes rows, groups and version together:
+    def _publish(self, state: TableState, delta: Delta) -> Delta:
+        """Publish a validated next state, then notify the observer."""
+        # One assignment publishes rows, rules and version together:
         # a reader holds the old value or the new one, never a mix,
         # which keeps the session's version-keyed caches sound without
         # a read lock.
         self._state = state
-        delta = make_delta(state.version)
-        self._log.append(delta)
         if self._observer is not None:
             self._observer(delta)
         return delta
@@ -256,38 +205,41 @@ class MutableUncertainTable(UncertainTable):
     ) -> Delta:
         """Append a new tuple; optionally join an existing ME group.
 
-        :param group_with: a tid whose ME group the new tuple joins (a
-            singleton partner becomes an explicit two-member rule).
+        :param group_with: a tid whose ME group the new tuple joins: a
+            rule member's rule gains the new tuple as its last member;
+            a singleton partner becomes the new rule
+            ``(group_with, tid)`` after the existing rules.
         """
         with self._mutex:
             state = self._state
             if tid in state.by_tid:
                 raise DataModelError(f"duplicate tuple id {tid!r}")
             new = UncertainTuple(tid, attributes, probability)
-            tuples = state.tuples + (new,)
-            rules = [list(g) for g in self.explicit_rules]
-            group = (tid,)
+            by_tid = state.by_tid.copy()
+            by_tid[tid] = new
+            rules, rule_of = state.rules, state.rule_of
+            group: tuple = (tid,)
             if group_with is not None:
                 if group_with not in state.by_tid:
                     raise MutualExclusionError(
                         f"group_with references unknown tuple id "
                         f"{group_with!r}"
                     )
-                joined = False
-                for rule in rules:
-                    if group_with in rule:
-                        rule.append(tid)
-                        group = tuple(rule)
-                        joined = True
-                        break
-                if not joined:
-                    rules.append([group_with, tid])
+                rid = rule_of.get(group_with)
+                if rid is None:
+                    # Rules keep id order: the last id is the largest.
+                    rid = next(reversed(rules), -1) + 1
                     group = (group_with, tid)
-            return self._adopt(
-                tuples,
-                [tuple(rule) for rule in rules],
-                lambda v: Delta(
-                    version=v,
+                else:
+                    group = rules[rid] + (tid,)
+                check_rule_mass(group, by_tid)
+                rules = {**rules, rid: group}
+                rule_of = {**rule_of, group_with: rid, tid: rid}
+            version = state.version + 1
+            return self._publish(
+                TableState(by_tid, rules, rule_of, version),
+                Delta(
+                    version=version,
                     op="insert",
                     tid=tid,
                     probability=new.probability,
@@ -297,25 +249,35 @@ class MutableUncertainTable(UncertainTable):
             )
 
     def expire(self, tid: Any) -> Delta:
-        """Remove a tuple; its ME rule sheds the member (rules reduced
-        below two members disappear, their survivor going singleton)."""
+        """Remove a tuple; its ME rule sheds the member (a rule reduced
+        below two members disappears, its survivor going singleton)."""
         with self._mutex:
             state = self._state
             old = state.by_tid.get(tid)
             if old is None:
                 raise DataModelError(f"unknown tuple id {tid!r}")
-            group = state.groups[state.group_of[tid]]
-            tuples = [t for t in state.tuples if t.tid != tid]
-            rules = [
-                reduced
-                for g in self.explicit_rules
-                if len(reduced := tuple(x for x in g if x != tid)) >= 2
-            ]
-            return self._adopt(
-                tuples,
-                rules,
-                lambda v: Delta(
-                    version=v,
+            by_tid = state.by_tid.copy()
+            del by_tid[tid]
+            rules, rule_of = state.rules, state.rule_of
+            rid = rule_of.get(tid)
+            if rid is None:
+                group: tuple = (tid,)
+            else:
+                group = rules[rid]
+                rest = tuple(member for member in group if member != tid)
+                rules, rule_of = rules.copy(), rule_of.copy()
+                if len(rest) >= 2:
+                    rules[rid] = rest
+                    del rule_of[tid]
+                else:
+                    del rules[rid]
+                    for member in group:
+                        del rule_of[member]
+            version = state.version + 1
+            return self._publish(
+                TableState(by_tid, rules, rule_of, version),
+                Delta(
+                    version=version,
                     op="expire",
                     tid=tid,
                     old_probability=old.probability,
@@ -324,21 +286,38 @@ class MutableUncertainTable(UncertainTable):
                 ),
             )
 
+    def _updated(
+        self,
+        state: TableState,
+        tid: Any,
+        change: Callable[[UncertainTuple], UncertainTuple],
+    ) -> tuple[UncertainTuple, UncertainTuple, dict, tuple]:
+        """Tuple ``tid`` replaced by ``change(old)`` at its position:
+        ``(old, updated, next tuples by tid, pre-state group)``."""
+        old = state.by_tid.get(tid)
+        if old is None:
+            raise DataModelError(f"unknown tuple id {tid!r}")
+        updated = change(old)
+        by_tid = state.by_tid.copy()
+        by_tid[tid] = updated
+        rid = state.rule_of.get(tid)
+        group = (tid,) if rid is None else state.rules[rid]
+        return old, updated, by_tid, group
+
     def update_probability(self, tid: Any, probability: float) -> Delta:
         """Change a tuple's membership probability in place."""
         with self._mutex:
             state = self._state
-            old = state.by_tid.get(tid)
-            if old is None:
-                raise DataModelError(f"unknown tuple id {tid!r}")
-            updated = old.with_probability(probability)
-            tuples = [updated if t.tid == tid else t for t in state.tuples]
-            group = state.groups[state.group_of[tid]]
-            return self._adopt(
-                tuples,
-                self.explicit_rules,
-                lambda v: Delta(
-                    version=v,
+            old, updated, by_tid, group = self._updated(
+                state, tid, lambda old: old.with_probability(probability)
+            )
+            if len(group) > 1:
+                check_rule_mass(group, by_tid)
+            version = state.version + 1
+            return self._publish(
+                TableState(by_tid, state.rules, state.rule_of, version),
+                Delta(
+                    version=version,
                     op="update_probability",
                     tid=tid,
                     probability=updated.probability,
@@ -354,17 +333,14 @@ class MutableUncertainTable(UncertainTable):
         attribute scorers; the delta records the merged result)."""
         with self._mutex:
             state = self._state
-            old = state.by_tid.get(tid)
-            if old is None:
-                raise DataModelError(f"unknown tuple id {tid!r}")
-            updated = old.with_attributes(**dict(attributes))
-            tuples = [updated if t.tid == tid else t for t in state.tuples]
-            group = state.groups[state.group_of[tid]]
-            return self._adopt(
-                tuples,
-                self.explicit_rules,
-                lambda v: Delta(
-                    version=v,
+            old, updated, by_tid, group = self._updated(
+                state, tid, lambda old: old.with_attributes(**dict(attributes))
+            )
+            version = state.version + 1
+            return self._publish(
+                TableState(by_tid, state.rules, state.rule_of, version),
+                Delta(
+                    version=version,
                     op="update_score",
                     tid=tid,
                     attributes=dict(updated.attributes),
@@ -377,10 +353,11 @@ class MutableUncertainTable(UncertainTable):
     def apply_payload(self, op: str, payload: Mapping[str, Any]) -> Delta:
         """Dispatch a JSON mutation payload (the service's entry point).
 
-        Field types are checked before any candidate is built: ``tid``
-        must be a string or an integer, ``attributes`` an object and
-        ``probability`` a number, so a malformed payload raises
-        :class:`DataModelError` and leaves the table untouched.
+        Field types are checked before the mutation runs: ``tid``
+        (and ``group_with`` when present) must be a string or an
+        integer, ``attributes`` an object and ``probability`` a number,
+        so a malformed payload raises :class:`DataModelError` and
+        leaves the table untouched.
 
         :param op: one of :data:`MUTATION_OPS`.
         :param payload: keyword payload; ``tid`` is always required,
@@ -390,11 +367,10 @@ class MutableUncertainTable(UncertainTable):
             tid = payload["tid"]
         except KeyError:
             raise DataModelError("mutation payload requires 'tid'") from None
-        if isinstance(tid, bool) or not isinstance(tid, (str, int)):
-            raise DataModelError(
-                "'tid' must be a string or an integer, got "
-                f"{type(tid).__name__}"
-            )
+        _check_tid("tid", tid)
+        group_with = payload.get("group_with")
+        if group_with is not None:
+            _check_tid("group_with", group_with)
         attributes = payload.get("attributes")
         if attributes is not None and not isinstance(attributes, Mapping):
             raise DataModelError(
@@ -414,7 +390,7 @@ class MutableUncertainTable(UncertainTable):
                 tid,
                 dict(attributes or {}),
                 probability,
-                group_with=payload.get("group_with"),
+                group_with=group_with,
             )
         if op == "expire":
             return self.expire(tid)
@@ -438,5 +414,5 @@ class MutableUncertainTable(UncertainTable):
         state = self._state
         return (
             f"MutableUncertainTable(name={self._name!r}, "
-            f"tuples={len(state.tuples)}, version={state.version})"
+            f"tuples={len(state.by_tid)}, version={state.version})"
         )

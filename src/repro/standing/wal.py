@@ -1,6 +1,6 @@
 """Durability for mutable tables: write-ahead log + snapshots.
 
-The serving tier keeps every mutable table, its change log, and the
+The serving tier keeps every mutable table and the
 standing-subscription registry in process memory — all of it gone on a
 crash.  This module makes that state recoverable:
 

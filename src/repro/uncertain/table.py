@@ -8,15 +8,20 @@ world; the probabilities inside one group must sum to at most 1
 singleton groups.  Groups are independent of each other.
 
 A table's contents at one version are one immutable :class:`TableState`
-held in one attribute.  Every accessor reads it once, a mutable table
-(:class:`repro.standing.changelog.MutableUncertainTable`) publishes its
-next version in one assignment, and :meth:`UncertainTable.frozen` hands
-a reader one version to read as often as it likes.
+held in one attribute: the tuples by tid in table order, the explicit
+rules in rule order, and the version.  Every accessor reads it once, a
+mutable table (:class:`repro.standing.changelog.MutableUncertainTable`)
+derives its next version from the previous one by copying only the
+containers a mutation touches and publishes it in one assignment, and
+:meth:`UncertainTable.frozen` hands a reader one version to read as
+often as it likes.  The whole-table views (the tuple sequence and the
+dense group ids) are derived once per version, on first use.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import DataModelError, MutualExclusionError
 from repro.uncertain.model import PROBABILITY_EPSILON, UncertainTuple
@@ -25,25 +30,78 @@ from repro.uncertain.model import PROBABILITY_EPSILON, UncertainTuple
 GROUP_MASS_EPSILON = 1e-9
 
 
-class TableState(NamedTuple):
+def check_rule_mass(
+    members: tuple[Any, ...], by_tid: Mapping[Any, UncertainTuple]
+) -> None:
+    """Raise :class:`MutualExclusionError` when an ME rule's mass
+    exceeds 1 (within :data:`GROUP_MASS_EPSILON`).
+
+    The mass is summed in member order, so the constructor and a
+    mutation that touches one rule reject the same borderline floats.
+    """
+    mass = 0.0
+    for tid in members:
+        mass += by_tid[tid].probability
+    if mass > 1.0 + GROUP_MASS_EPSILON:
+        raise MutualExclusionError(
+            f"ME rule {members!r} has total probability {mass:.6f} > 1"
+        )
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class TableState:
     """One version of a table's contents.
 
-    Never mutated in place: a mutation builds the next value, so
-    versions may share these containers.
+    Its stored fields never change once published (only the derived
+    views are filled in, once): a mutation copies the containers it
+    touches and shares the rest, so versions may share containers.
 
-    :ivar tuples: the tuples, in insertion order.
-    :ivar by_tid: tuple id -> tuple.
-    :ivar group_of: tuple id -> dense ME-group id.
-    :ivar groups: group members by id (explicit rules first, then
-        singletons in table order).
+    Stored:
+
+    :ivar by_tid: tuple id -> tuple; its insertion order is the table
+        order.
+    :ivar rules: rule id -> member tids, in rule order.  Rule ids never
+        change, so dropping a rule renumbers nothing.
+    :ivar rule_of: tuple id -> rule id, for the tuples a rule names.
     :ivar version: the data version (0 for immutable tables).
+
+    Derived once per version, on first use (only whole-table readers
+    need them; see :meth:`derived`), else ``None``:
+
+    :ivar tuples: the tuples, in table order.
+    :ivar groups: group members by dense id: the rules in rule order,
+        then singletons in table order.
+    :ivar group_of: tuple id -> dense group id.
     """
 
-    tuples: tuple[UncertainTuple, ...]
-    by_tid: Mapping[Any, UncertainTuple]
-    group_of: Mapping[Any, int]
-    groups: tuple[tuple[Any, ...], ...]
+    by_tid: dict[Any, UncertainTuple]
+    rules: dict[int, tuple[Any, ...]]
+    rule_of: dict[Any, int]
     version: int
+    tuples: tuple[UncertainTuple, ...] | None = None
+    groups: tuple[tuple[Any, ...], ...] | None = None
+    group_of: dict[Any, int] | None = None
+
+    def derived(self) -> "TableState":
+        """This state with its derived views filled.
+
+        Two threads deriving at once compute equal values, so the race
+        is harmless; ``group_of`` is assigned last, so a reader that
+        sees it set sees the other views set too.
+        """
+        if self.group_of is None:
+            rule_of = self.rule_of
+            groups = (
+                *self.rules.values(),
+                *((tid,) for tid in self.by_tid if tid not in rule_of),
+            )
+            self.tuples = tuple(self.by_tid.values())
+            self.groups = groups
+            self.group_of = {
+                tid: gid for gid, members in enumerate(groups)
+                for tid in members
+            }
+        return self
 
 
 class UncertainTable:
@@ -90,7 +148,6 @@ class UncertainTable:
                     f"ME rule {members!r} must name at least two tuples"
                 )
             gid = len(groups)
-            mass = 0.0
             for tid in members:
                 if tid not in by_tid:
                     raise MutualExclusionError(
@@ -101,23 +158,25 @@ class UncertainTable:
                         f"tuple id {tid!r} appears in more than one ME rule"
                     )
                 group_of[tid] = gid
-                mass += by_tid[tid].probability
-            if mass > 1.0 + GROUP_MASS_EPSILON:
-                raise MutualExclusionError(
-                    f"ME rule {members!r} has total probability {mass:.6f} > 1"
-                )
+            check_rule_mass(members, by_tid)
             groups.append(members)
+        # Each rule's id is its dense group id.
+        rule_members, rule_of = dict(enumerate(groups)), dict(group_of)
         for t in rows:
             if t.tid not in group_of:
                 group_of[t.tid] = len(groups)
                 groups.append((t.tid,))
         self._name = name
-        self._state = TableState(rows, by_tid, group_of, tuple(groups), 0)
+        # The derived views come for free here.
+        self._state = TableState(
+            by_tid, rule_members, rule_of, 0, rows, tuple(groups), group_of
+        )
 
     @classmethod
     def _of(cls, state: TableState, name: str) -> "UncertainTable":
         """A table holding ``state`` as it is: no copy and no checks,
-        since every state comes out of the constructor."""
+        since every state comes out of the constructor or a validated
+        mutation."""
         table = cls.__new__(cls)
         table._name = name
         table._state = state
@@ -155,10 +214,10 @@ class UncertainTable:
         return self
 
     def __len__(self) -> int:
-        return len(self._state.tuples)
+        return len(self._state.by_tid)
 
     def __iter__(self) -> Iterator[UncertainTuple]:
-        return iter(self._state.tuples)
+        return iter(self._state.by_tid.values())
 
     def __getitem__(self, tid: Any) -> UncertainTuple:
         return self._state.by_tid[tid]
@@ -169,12 +228,12 @@ class UncertainTable:
     @property
     def tuples(self) -> Sequence[UncertainTuple]:
         """The tuples, in insertion order."""
-        return self._state.tuples
+        return self._state.derived().tuples
 
     @property
     def tids(self) -> Sequence[Any]:
         """Tuple ids, in insertion order."""
-        return tuple(t.tid for t in self._state.tuples)
+        return tuple(self._state.by_tid)
 
     # ------------------------------------------------------------------
     # Mutual exclusion structure
@@ -182,24 +241,28 @@ class UncertainTable:
     @property
     def groups(self) -> Sequence[tuple[Any, ...]]:
         """All ME groups (explicit rules first, singletons after)."""
-        return self._state.groups
+        return self._state.derived().groups
 
     @property
     def explicit_rules(self) -> Sequence[tuple[Any, ...]]:
-        """Only the explicit multi-tuple ME rules."""
-        return tuple(g for g in self._state.groups if len(g) > 1)
+        """Only the explicit multi-tuple ME rules, in rule order."""
+        return tuple(self._state.rules.values())
 
     def group_of(self, tid: Any) -> int:
         """The dense integer group id of tuple ``tid``."""
-        return self._state.group_of[tid]
+        state = self._state
+        group_of = state.group_of
+        if group_of is None:  # stage 1 calls this once per row
+            group_of = state.derived().group_of
+        return group_of[tid]
 
     def group_members(self, gid: int) -> tuple[Any, ...]:
         """The tids belonging to group ``gid``."""
-        return self._state.groups[gid]
+        return self._state.derived().groups[gid]
 
     def group_mass(self, gid: int) -> float:
         """Total membership probability of the group (<= 1)."""
-        state = self._state
+        state = self._state.derived()
         return sum(state.by_tid[tid].probability for tid in state.groups[gid])
 
     def me_tuple_fraction(self) -> float:
@@ -208,10 +271,9 @@ class UncertainTable:
         This is the quantity varied in Figure 11 of the paper.
         """
         state = self._state
-        if not state.tuples:
+        if not state.by_tid:
             return 0.0
-        in_rules = sum(len(g) for g in state.groups if len(g) > 1)
-        return in_rules / len(state.tuples)
+        return len(state.rule_of) / len(state.by_tid)
 
     # ------------------------------------------------------------------
     # Derivations
@@ -227,9 +289,9 @@ class UncertainTable:
         unknown = keep - set(state.by_tid)
         if unknown:
             raise DataModelError(f"unknown tuple ids in subset: {sorted(map(repr, unknown))}")
-        tuples = [t for t in state.tuples if t.tid in keep]
+        tuples = [t for t in state.by_tid.values() if t.tid in keep]
         rules = []
-        for g in state.groups:
+        for g in state.rules.values():
             reduced = tuple(tid for tid in g if tid in keep)
             if len(reduced) >= 2:
                 rules.append(reduced)
@@ -241,22 +303,24 @@ class UncertainTable:
         """Apply ``fn(tuple) -> Mapping`` to every tuple's attributes."""
         state = self._state
         tuples = [
-            UncertainTuple(t.tid, fn(t), t.probability) for t in state.tuples
+            UncertainTuple(t.tid, fn(t), t.probability)
+            for t in state.by_tid.values()
         ]
-        rules = [g for g in state.groups if len(g) > 1]
-        return UncertainTable(tuples, rules, name=name or self._name)
+        return UncertainTable(
+            tuples, state.rules.values(), name=name or self._name
+        )
 
     def attribute_names(self) -> tuple[str, ...]:
         """Union of attribute names across tuples, in first-seen order."""
         seen: dict[str, None] = {}
-        for t in self._state.tuples:
+        for t in self._state.by_tid.values():
             for key in t.attributes:
                 seen.setdefault(key, None)
         return tuple(seen)
 
     def total_expected_tuples(self) -> float:
         """Expected number of existing tuples (sum of probabilities)."""
-        return sum(t.probability for t in self._state.tuples)
+        return sum(t.probability for t in self._state.by_tid.values())
 
     def validate(self) -> None:
         """Re-check all invariants; raises on violation.
@@ -264,7 +328,7 @@ class UncertainTable:
         Construction already validates, but generators that mutate
         tuples in place may call this as a final sanity pass.
         """
-        state = self._state
+        state = self._state.derived()
         for g in state.groups:
             mass = sum(state.by_tid[tid].probability for tid in g)
             if mass > 1.0 + GROUP_MASS_EPSILON:

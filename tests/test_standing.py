@@ -1,8 +1,13 @@
-"""Units for :mod:`repro.standing`: change log, mutable tables, the
+"""Units for :mod:`repro.standing`: mutable tables and their deltas, the
 delta-applicability classifier, the registry — plus the Session's
 table-version cache keys the subsystem rides on."""
 
 from __future__ import annotations
+
+import itertools
+import sys
+import threading
+import time
 
 import pytest
 
@@ -14,9 +19,9 @@ from repro.exceptions import (
     ScoringError,
 )
 from repro.standing import (
+    MUTATION_OPS,
     RECOMPUTE,
     SKIP,
-    ChangeLog,
     Delta,
     MutableUncertainTable,
     PrefixFingerprint,
@@ -33,25 +38,6 @@ def mutable(rows, rules=(), name="live") -> MutableUncertainTable:
     return MutableUncertainTable.from_table(make_table(rows, rules, name))
 
 
-class TestChangeLog:
-    def test_versions_are_dense_and_monotone(self) -> None:
-        log = ChangeLog()
-        assert log.version == 0
-        log.append(Delta(version=1, op="insert", tid="a"))
-        log.append(Delta(version=2, op="expire", tid="a"))
-        assert log.version == 2
-        with pytest.raises(DataModelError):
-            log.append(Delta(version=4, op="insert", tid="b"))
-
-    def test_since_slices_by_version(self) -> None:
-        log = ChangeLog()
-        for v in range(1, 6):
-            log.append(Delta(version=v, op="insert", tid=f"t{v}"))
-        assert [d.version for d in log.since(3)] == [4, 5]
-        assert log.since(5) == ()
-        assert len(log.since(0)) == len(log) == 5
-
-
 class TestMutableTable:
     def test_mutations_bump_version_and_log(self) -> None:
         table = mutable([("a", 10, 0.5), ("b", 20, 0.4)])
@@ -63,7 +49,7 @@ class TestMutableTable:
         assert (d1.version, d2.version, d3.version, d4.version) == (
             1, 2, 3, 4,
         )
-        assert table.version == 4 == table.log.version
+        assert table.version == 4 == d4.version
         assert table["a"].probability == 0.7
         assert table["b"]["score"] == 25
         assert "c" not in table
@@ -90,7 +76,6 @@ class TestMutableTable:
             # Would push the group's mass over 1.
             table.update_probability("a", 0.6)
         assert table.version == 0
-        assert len(table.log) == 0
         assert table["a"].probability == 0.4
         with pytest.raises(DataModelError):
             table.insert("a", {"score": 1}, 0.1)
@@ -130,6 +115,68 @@ class TestMutableTable:
             table.apply_payload("update_probability", {"tid": "a"})
         with pytest.raises(DataModelError):
             table.apply_payload("teleport", {"tid": "a"})
+
+
+def python_calls(fn) -> int:
+    """Python-level calls (``call`` and ``c_call`` profile events) made
+    while running ``fn()``; a count, so it does not depend on the
+    machine."""
+    calls = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def write_calls(rows: int, *, rule_size: int = 0) -> dict[str, int]:
+    """Calls per ``apply_payload`` op on a ``rows``-row table, whose
+    rows form rules of ``rule_size`` members when ``rule_size > 0``
+    (the ops then touch a rule)."""
+    table = mutable(
+        [(f"t{i}", float(i % 97), 0.9 / max(rule_size, 1))
+         for i in range(rows)],
+        [
+            tuple(f"t{i + j}" for j in range(rule_size))
+            for i in range(0, rows, rule_size)
+        ] if rule_size else (),
+    )
+    insert = {"tid": "new", "attributes": {"score": 5.0},
+              "probability": 0.05}
+    if rule_size:
+        insert["group_with"] = "t1"
+    ops = [
+        ("insert", insert),
+        ("update_probability", {"tid": "t2", "probability": 0.01}),
+        ("update_score", {"tid": "t2", "attributes": {"score": 7.0}}),
+        ("expire", {"tid": "t2"}),
+    ]
+    return {
+        op: python_calls(lambda: table.apply_payload(op, payload))
+        for op, payload in ops
+    }
+
+
+class TestWriteCost:
+    """A mutation validates and copies what it touches: its
+    Python-level work does not grow with the table."""
+
+    #: Calls a 20k-row write may make beyond a 1k-row one.
+    SLACK = 4
+
+    @pytest.mark.parametrize("rule_size", [0, 4])
+    def test_python_calls_do_not_grow_with_rows(self, rule_size) -> None:
+        small = write_calls(1_000, rule_size=rule_size)
+        large = write_calls(20_000, rule_size=rule_size)
+        for op in MUTATION_OPS:
+            assert large[op] <= small[op] + self.SLACK, (op, small, large)
 
 
 class TestClassifyDelta:
@@ -505,6 +552,64 @@ class TestOneVersionPerRead:
             Session({"t": after}).execute(spec("t", "score", 3))
         )
         assert session.fusion_info()["groups"] == 0
+
+    def test_concurrent_readers_derive_consistent_views(self) -> None:
+        """Readers deriving a version's groups while a writer publishes
+        the next ones: each frozen version's derived views agree with
+        its own rows and rules."""
+        table = mutable(EIGHT_ROWS, EIGHT_RULES)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        checked = [0]
+
+        def write() -> None:
+            try:
+                for i in itertools.count():
+                    if stop.is_set():
+                        return
+                    tid = f"w{i}"
+                    table.insert(tid, {"score": i % 50}, 0.05,
+                                 group_with="t7" if i % 3 else None)
+                    table.update_probability("t1", 0.1 + (i % 5) / 10)
+                    table.expire(tid)
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+
+        def read() -> None:
+            try:
+                while not stop.is_set():
+                    frozen = table.frozen()
+                    groups = frozen.groups
+                    tids = frozen.tids
+                    assert sorted(tid for g in groups for tid in g) == \
+                        sorted(tids)
+                    for tid in tids:
+                        assert tid in groups[frozen.group_of(tid)]
+                    rules = frozen.explicit_rules
+                    assert tuple(groups[: len(rules)]) == rules
+                    assert frozen.tuples == tuple(frozen)
+                    checked[0] += 1
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+            stop.set()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert checked[0] > 0 and table.version > 0
 
     def test_frozen_is_unchanged_by_later_mutations(self) -> None:
         table = mutable(EIGHT_ROWS, EIGHT_RULES)

@@ -1,16 +1,23 @@
 """Differential suite for the standing-query maintainer.
 
 Randomized mutation streams drive a :class:`StandingRegistry`; at
-every log version, every subscription's *maintained* answer must be
+every table version, every subscription's *maintained* answer must be
 byte-identical (as canonical JSON) to a cold recompute on a fresh
 immutable copy of the table — for all six registered semantics, under
 Theorem-2 truncation, explicit depths, and ME-rule tables (which
 exercise the recompute tier).
+
+``REPRO_DIFF_SEED`` shifts every stream's seed (the CI fuzz smoke
+rotates it daily) and ``REPRO_DIFF_DEPTH=N`` runs ``N`` times as many
+streams per test, as in ``tests/test_differential.py``.  The defaults
+run the fixed seeds.  Case ids are stream indexes, so a failure
+reproduces with the printed environment and the case id.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +30,17 @@ from repro.standing import MutableUncertainTable, StandingRegistry
 from repro.uncertain.table import UncertainTable
 
 SEMANTICS = sorted(available_semantics())
+
+#: Seed offset, rotated by the CI fuzz smoke.
+SEED_OFFSET = int(os.environ.get("REPRO_DIFF_SEED", "0"))
+
+#: Stream multiplier (the nightly workflow runs 5).
+DIFF_DEPTH = max(1, int(os.environ.get("REPRO_DIFF_DEPTH", "1")))
+
+
+def streams(count: int) -> range:
+    """Stream indexes for a test that runs ``count`` at depth 1."""
+    return range(count * DIFF_DEPTH)
 
 
 def canonical(answer) -> str:
@@ -156,36 +174,41 @@ class TestMaintainedAnswersMatchCold:
             "expected_ranks",
         } <= set(SEMANTICS)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_truncated_me_free_stream(self, seed) -> None:
+    @pytest.mark.parametrize("stream", streams(4))
+    def test_truncated_me_free_stream(self, stream) -> None:
         tiers = run_stream(
-            seed, rules=(), specs=six_specs(p_tau=0.05)
+            SEED_OFFSET + stream, rules=(), specs=six_specs(p_tau=0.05)
         )
         # The stream is mixed enough to exercise both tiers.
         assert tiers["skip"] > 0 and tiers["recompute"] > 0
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_me_rule_stream_falls_back_soundly(self, seed) -> None:
+    @pytest.mark.parametrize("stream", streams(3))
+    def test_me_rule_stream_falls_back_soundly(self, stream) -> None:
         rules = [("t0", "t1"), ("t2", "t3", "t4")]
         tiers = run_stream(
-            100 + seed, rules=rules, specs=six_specs(p_tau=0.05)
+            SEED_OFFSET + 100 + stream,
+            rules=rules,
+            specs=six_specs(p_tau=0.05),
         )
         # Truncating subscriptions over ME tables may skip (the delta
         # provably misses the prefix); the rest recompute.
         assert tiers["recompute"] > 0
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_explicit_depth_stream(self, seed) -> None:
+    @pytest.mark.parametrize("stream", streams(2))
+    def test_explicit_depth_stream(self, stream) -> None:
         run_stream(
-            200 + seed,
+            SEED_OFFSET + 200 + stream,
             rules=[("t0", "t1")],
             specs=six_specs(depth=8),
         )
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_untruncated_stream(self, seed) -> None:
+    @pytest.mark.parametrize("stream", streams(2))
+    def test_untruncated_stream(self, stream) -> None:
         tiers = run_stream(
-            300 + seed, rules=(), specs=six_specs(p_tau=0.0), rows=15
+            SEED_OFFSET + 300 + stream,
+            rules=(),
+            specs=six_specs(p_tau=0.0),
+            rows=15,
         )
         # p_tau = 0 scans the whole table: nothing is ever skippable.
         assert tiers["skip"] == 0

@@ -94,6 +94,11 @@ class TestMutateEndpoint:
             ("probability", None),
             ("tid", [1]),
             ("tid", {"a": 1}),
+            ("group_with", [1]),
+            ("group_with", {"a": 1}),
+            # A bool is an int to Python: on a table with integer tids
+            # it would join tid 1.
+            ("group_with", True),
         ],
     )
     def test_malformed_fields_are_a_400(

@@ -91,12 +91,14 @@ class TestDeltaToWire:
     def test_all_ops_replay_identically(self) -> None:
         source = mutable([("a", 10, 0.5), ("b", 20, 0.4)])
         replayed = mutable([("a", 10, 0.5), ("b", 20, 0.4)])
-        source.insert("c", {"score": 30}, 0.3)
-        source.insert("d", {"score": 5}, 0.2, group_with="c")
-        source.update_probability("a", 0.8)
-        source.update_score("b", {"score": 25})
-        source.expire("a")
-        for delta in source.log.since(0):
+        deltas = [
+            source.insert("c", {"score": 30}, 0.3),
+            source.insert("d", {"score": 5}, 0.2, group_with="c"),
+            source.update_probability("a", 0.8),
+            source.update_score("b", {"score": 25}),
+            source.expire("a"),
+        ]
+        for delta in deltas:
             wire = delta_to_wire(delta)
             assert wire["v"] == delta.version
             out = replayed.apply_payload(wire["op"], wire["payload"])
@@ -106,8 +108,8 @@ class TestDeltaToWire:
 
     def test_insert_group_with_survives(self) -> None:
         table = mutable([("a", 10, 0.5)])
-        table.insert("b", {"score": 20}, 0.3, group_with="a")
-        wire = delta_to_wire(table.log.since(0)[-1])
+        delta = table.insert("b", {"score": 20}, 0.3, group_with="a")
+        wire = delta_to_wire(delta)
         assert wire["payload"]["group_with"] == "a"
 
 
