@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Any
 
 #: Workload shape — the baseline suite's ``me_shared_prefix_cartel120_k10``.
@@ -41,19 +40,11 @@ MIN_SPEEDUP = 3.0
 REPEATS = 3
 
 
-def _best_of(case, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        case()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_comparison() -> dict[str, Any]:
     """Both backends over the identical prefix, plus the speedup."""
     from repro.api.calibration import load_cost_model
     from repro.api.planner import exact_cost
+    from repro.bench.runner import time_callable
     from repro.bench.workloads import cartel_workload, congestion_scorer
     from repro.core import kernels
     from repro.core.distribution import prepare_scored_prefix
@@ -66,12 +57,12 @@ def run_comparison() -> dict[str, Any]:
     units = exact_cost(len(prefix), K, prefix.me_member_count())
     model = load_cost_model()
 
-    python_s = _best_of(
+    python_s = time_callable(
         lambda: dp_distribution(
             prefix, K, max_lines=MAX_LINES, backend="python"
         ),
-        REPEATS,
-    )
+        repeats=REPEATS,
+    ).seconds
     result: dict[str, Any] = {
         "workload": {
             "name": "me_shared_prefix_cartel120_k10",
@@ -96,12 +87,12 @@ def run_comparison() -> dict[str, Any]:
         result["native_error"] = build.load_error() or "kernel not loadable"
         return result
 
-    native_s = _best_of(
+    native_s = time_callable(
         lambda: dp_distribution(
             prefix, K, max_lines=MAX_LINES, backend="native"
         ),
-        REPEATS,
-    )
+        repeats=REPEATS,
+    ).seconds
     native = dp_distribution(prefix, K, max_lines=MAX_LINES, backend="native")
     python = dp_distribution(prefix, K, max_lines=MAX_LINES, backend="python")
     assert (

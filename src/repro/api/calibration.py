@@ -170,16 +170,16 @@ def load_cost_model(path: str | Path | None = None) -> CostModel:
 # ----------------------------------------------------------------------
 # The micro-benchmark (``repro calibrate``)
 # ----------------------------------------------------------------------
-def _best_of(case: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds of ``case()``."""
-    import time
+def _warm_seconds(case: Callable[[], object], repeats: int) -> float:
+    """Best-of-``repeats`` wall seconds of ``case()`` after one untimed call.
 
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        case()
-        best = min(best, time.perf_counter() - start)
-    return best
+    The untimed call pays the one-time costs (lazy imports, a kernel
+    load, first-touch allocations) that a per-unit rate must not carry.
+    """
+    from repro.bench.runner import time_callable
+
+    case()
+    return time_callable(case, repeats=repeats).seconds
 
 
 def run_calibration(
@@ -205,7 +205,7 @@ def run_calibration(
 
     # Stage 1: score + rank-order + truncate, per row.
     prefix_rows = 220
-    prefix_s = _best_of(
+    prefix_s = _warm_seconds(
         lambda: prepare_scored_prefix(table, "score", 8, p_tau=0.0),
         repeats,
     )
@@ -215,7 +215,7 @@ def run_calibration(
     dp_prefix = prepare_scored_prefix(table, "score", 8, p_tau=0.0)
     dp_prefix = dp_prefix.prefix(150)
     dp_units = exact_cost(len(dp_prefix), 8, 0)
-    dp_s = _best_of(lambda: dp_distribution(dp_prefix, 8), repeats)
+    dp_s = _warm_seconds(lambda: dp_distribution(dp_prefix, 8), repeats)
 
     # The same DP under the compiled kernel, when this machine has one
     # (and REPRO_BACKEND does not pin it off).
@@ -228,7 +228,7 @@ def run_calibration(
     except Exception:
         probe_native = False
     if probe_native:
-        dp_native_s = _best_of(
+        dp_native_s = _warm_seconds(
             lambda: dp_distribution(dp_prefix, 8, backend="native"),
             repeats,
         )
@@ -236,14 +236,14 @@ def run_calibration(
     # k-Combo, per enumerated combination.
     combo_prefix = dp_prefix.prefix(12)
     combo_units = math.comb(12, 4)
-    combo_s = _best_of(
+    combo_s = _warm_seconds(
         lambda: k_combo_distribution(combo_prefix, 4), repeats
     )
 
     # State expansion, per ``n · 2^n`` state-row unit.
     state_prefix = dp_prefix.prefix(12)
     state_units = 12 * 2**12
-    state_s = _best_of(
+    state_s = _warm_seconds(
         lambda: state_expansion_distribution(state_prefix, 4, p_tau=0.0),
         repeats,
     )
@@ -256,7 +256,7 @@ def run_calibration(
     def mc_case() -> object:
         return MCEngine(mc_prefix, 8, samples=mc_samples, seed=0).run()
 
-    mc_s = _best_of(mc_case, repeats)
+    mc_s = _warm_seconds(mc_case, repeats)
 
     # Packed-storage prefix materialization, per prefix row: pack a
     # small table to a scratch directory and time cold-cache prefix
@@ -276,7 +276,7 @@ def run_calibration(
             store.clear_page_cache()
             return store.prefix(storage_rows)
 
-        storage_s = _best_of(storage_case, repeats)
+        storage_s = _warm_seconds(storage_case, repeats)
     finally:
         shutil.rmtree(storage_dir, ignore_errors=True)
 

@@ -3,11 +3,12 @@
 Each ``figXX_*`` function in :mod:`repro.bench.figures` reproduces one
 figure of Section 5 (plus the Figure 2/3 motivating example) and
 returns structured rows; :mod:`repro.bench.reporting` renders them the
-way the paper reports them.  The ``benchmarks/`` pytest-benchmark
-suite wraps these functions; they can also be run directly::
+way the paper reports them.  The registry
+:data:`repro.bench.figures.EXPERIMENTS` pairs every figure and ablation
+with a check of the paper's claim about its rows::
 
-    python -m repro.bench.figures          # run everything
-    python -m repro.bench.figures fig10    # one experiment
+    repro figures          # run and check everything (exit 1 on a failed claim)
+    repro figures fig10    # one experiment
 """
 
 from repro.bench.reporting import format_table, print_series

@@ -1,25 +1,28 @@
-"""Ablation twins of the production dynamic program.
+"""Ablation twins of production engines.
 
-Two earlier shapes of the mutual-exclusion path of
-:func:`repro.core.dp.dp_distribution`, kept only so the ablation
-benchmarks and figures can measure what the production engine saves —
-and so the tests can use them as independent references:
+Earlier shapes of the production code, kept only so the registry's
+ablations (``repro figures <entry>``) can measure what the production
+engines save, and so the tests can use them as independent references:
 
 * :func:`dp_distribution_per_ending` — one bottom-up dynamic program
-  per ending unit (``benchmarks/bench_ablation_shared_prefix.py``,
-  the ``me_per_ending_*`` workload of ``repro bench``);
+  per ending unit (``repro figures ablation_shared_prefix``, the
+  ``me_per_ending_*`` workload of ``repro bench``);
 * :func:`dp_distribution_without_lead_regions` — the "simple
   extension" of Section 3.3.2, one program per ending tuple
-  (``benchmarks/bench_ablation_lead_regions.py``,
-  :func:`repro.bench.figures.ablation_lead_regions`).
+  (``repro figures ablation_lead_regions``);
+* :func:`sample_worlds_per_world` — the possible-world sampler the
+  batched Monte-Carlo engine replaced (``repro figures ablation_mc``).
 
-Both compute the same distributions as the production engine; they
-reuse its cell machinery and are reachable from no query path.
+Each computes what its production counterpart computes; the DP twins
+reuse the production cell machinery, and none is reachable from a
+query path.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 from repro.core.dp import (
     DEFAULT_MAX_LINES,
@@ -34,6 +37,7 @@ from repro.core.dp import (
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable
+from repro.uncertain.table import UncertainTable
 
 
 def _compressed_units(
@@ -114,9 +118,8 @@ def dp_distribution_per_ending(
     compressed prefix units from scratch, degrading toward O(kEn) with
     E ending units.  Semantically equivalent to :func:`dp_distribution`
     (which realizes the Section-3.3.3 O(kmn) bound by sharing the
-    prefix state); kept for the ablation benchmark
-    ``benchmarks/bench_ablation_shared_prefix.py``, mirroring
-    :func:`dp_distribution_without_lead_regions`.
+    prefix state); kept for ``repro figures ablation_shared_prefix``,
+    mirroring :func:`dp_distribution_without_lead_regions`.
     """
     if k < 1:
         raise AlgorithmError(f"k must be >= 1, got {k}")
@@ -150,8 +153,8 @@ def dp_distribution_without_lead_regions(
     Runs one dynamic program per ending *tuple* (positions k-1 .. n-1),
     never batching lead-tuple regions.  Semantically identical to
     :func:`dp_distribution`; asymptotically slower when most tuples are
-    independent.  Used by ``benchmarks/bench_ablation_lead_regions.py``
-    to quantify the Section 3.3.3 refinement.
+    independent.  ``repro figures ablation_lead_regions`` uses it to
+    quantify the Section 3.3.3 refinement.
     """
     if k < 1:
         raise AlgorithmError(f"k must be >= 1, got {k}")
@@ -170,3 +173,33 @@ def dp_distribution_without_lead_regions(
             partial.append(cell)
     merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
     return _cell_to_pmf(merged)
+
+
+def sample_worlds_per_world(
+    table: UncertainTable, count: int, seed: int
+) -> list[frozenset]:
+    """Ablation: the pre-batched ``WorldSampler``.
+
+    One O(#groups) Python pass and one ``searchsorted`` per world,
+    where :class:`~repro.mc.sampler.BatchWorldSampler` draws every
+    world of a batch in a few numpy operations.
+    """
+    rng = np.random.default_rng(seed)
+    group_tids = []
+    group_cumprobs = []
+    for members in table.groups:
+        probs = np.array(
+            [table[tid].probability for tid in members], dtype=float
+        )
+        group_tids.append(tuple(members))
+        group_cumprobs.append(np.cumsum(probs))
+    worlds = []
+    for _ in range(count):
+        tids = []
+        draws = rng.random(len(group_tids))
+        for members, cum, u in zip(group_tids, group_cumprobs, draws):
+            index = int(np.searchsorted(cum, u, side="right"))
+            if index < len(members):
+                tids.append(members[index])
+        worlds.append(frozenset(tids))
+    return worlds

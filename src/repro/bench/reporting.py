@@ -18,17 +18,22 @@ def format_table(
 ) -> str:
     """Render dict rows as an aligned text table.
 
-    :param rows: sequence of homogeneous mappings.
-    :param columns: column order; defaults to the first row's keys.
-    :param floatfmt: format spec applied to float values.
+    :param rows: sequence of mappings; a row without a column leaves
+        its cell blank.
+    :param columns: column order; defaults to every row key, in
+        first-seen order.
+    :param floatfmt: format spec applied to float values, also inside
+        tuples (rendered ``/``-joined).
     """
     if not rows:
         return "(no rows)"
-    cols = list(columns) if columns else list(rows[0].keys())
+    cols = list(columns or dict.fromkeys(key for row in rows for key in row))
 
     def cell(value: Any) -> str:
         if isinstance(value, float):
             return format(value, floatfmt)
+        if isinstance(value, tuple):
+            return "/".join(cell(item) for item in value)
         return str(value)
 
     rendered = [[cell(row.get(col, "")) for col in cols] for row in rows]

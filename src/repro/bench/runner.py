@@ -1,9 +1,8 @@
-"""Timing helpers for the experiment harness.
+"""The one best-of wall-clock timer.
 
-pytest-benchmark owns the statistically careful measurements in
-``benchmarks/``; this module provides the lightweight wall-clock
-timing used when the figure functions run standalone (the paper
-reports single execution times per configuration).
+The figure generators time single runs (the paper reports one
+execution time per configuration); the ablations, ``repro
+calibrate`` and the backend bar take the best of several.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Canonical workloads for the experiments.
 
 One constructor per dataset family, with the seeds fixed so every
-benchmark run (and EXPERIMENTS.md) refers to the same data.
+``repro figures`` run, and each claim it checks, refers to the same
+data.
 """
 
 from __future__ import annotations

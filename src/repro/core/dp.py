@@ -36,7 +36,7 @@ tuples — at most ``m`` of them — on top of the shared prefix state and
 O(km) cost (hence O(kmn) total) of Section 3.3.3 instead of re-running
 the whole O(kn) program per ending.  The former per-ending
 implementation lives on, with the Section-3.3.2 per-tuple variant, in
-:mod:`repro.bench.ablations` for the ablation benchmarks.
+:mod:`repro.bench.ablations` for the ablations of ``repro figures``.
 
 Implementation notes
 --------------------

@@ -16,13 +16,16 @@ the paper solves it with a two-function dynamic program in O(cn):
 with G_1(j) = sum_{b=j..n} p_b (s_b - s_j) and F_a(n+1) = 0.  F is the
 optimum for the suffix {s_j..s_n}; G additionally fixes s_j as a chosen
 (typical) score.  Prefix sums P(j) = sum p_b and PS(j) = sum p_b s_b
-reduce each inner sum to O(1).
+reduce each inner sum to O(1).  This module evaluates every (j, k)
+cell, O(c·n²) in all, as one numpy pass per level.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError, EmptyDistributionError
@@ -64,9 +67,9 @@ class TypicalResult(NamedTuple):
 def select_typical(pmf: ScorePMF, c: int) -> TypicalResult:
     """Choose the c-Typical-Topk answers from a score distribution.
 
-    Runs the O(cn) two-function dynamic program of Figure 7.  When
-    ``c`` is at least the number of distinct scores, every score is
-    typical and the expected distance is 0.
+    Runs the two-function dynamic program of Figure 7.  When ``c`` is
+    at least the number of distinct scores, every score is typical and
+    the expected distance is 0.
 
     :param pmf: the top-k score distribution (from
         :func:`repro.core.distribution.top_k_score_distribution` or any
@@ -117,10 +120,45 @@ def select_typical_clamped(pmf: ScorePMF, c: int) -> TypicalResult:
     return select_typical(pmf, min(c, len(pmf)))
 
 
+#: Matrix cells per block of :func:`_row_minima`: bounds the scratch
+#: memory of one level to a few MiB whatever the distribution's length.
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_minima(
+    n: int, cells: Callable[[int, int], np.ndarray], offset: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima over the upper triangle of an ``n``-column matrix.
+
+    ``cells(j0, j1)`` returns matrix rows ``j0..j1-1``; row ``r``
+    minimizes over its columns ``i >= r``.  Returns the minima and the
+    first argmins plus ``offset`` (``argmin`` keeps the first minimum,
+    as the scalar recurrence's strict ``<`` does).
+    """
+    minima = np.empty(n)
+    argmins = np.empty(n, dtype=np.intp)
+    columns = np.arange(n)
+    step = max(1, _BLOCK_CELLS // n)
+    for j0 in range(0, n, step):
+        j1 = min(n, j0 + step)
+        values = cells(j0, j1)
+        values[columns[None, :] < columns[j0:j1, None]] = _INF
+        index = values.argmin(axis=1)
+        minima[j0:j1] = values[np.arange(j1 - j0), index]
+        argmins[j0:j1] = index + offset
+    return minima, argmins
+
+
 def _typical_indices(
     scores: Sequence[float], probs: Sequence[float], c: int
 ) -> list[int]:
-    """The Figure-7 dynamic program; returns chosen 0-based indices."""
+    """The Figure-7 dynamic program; returns chosen 0-based indices.
+
+    Each level takes F (and G) as row minima of a (j, k) cost matrix
+    in numpy.  Every cell is the scalar recurrence's float expression,
+    evaluated in the same order, so the choices are exactly those of
+    an O(c·n²) scalar loop, at a few numpy passes per level.
+    """
     n = len(scores)
     # 1-based prefix sums: P[j] = p_1 + ... + p_j, PS likewise with s.
     P = [0.0] * (n + 1)
@@ -128,58 +166,37 @@ def _typical_indices(
     for j in range(1, n + 1):
         P[j] = P[j - 1] + probs[j - 1]
         PS[j] = PS[j - 1] + probs[j - 1] * scores[j - 1]
+    p, ps, s = np.array(P), np.array(PS), np.array(scores, dtype=float)
+    # Matrix row r is j = r + 1, so P[j - 1] = p_j[r]; column i is
+    # k = i + 1 in F (P[k] = p_k[i]) and k = i + 2 in G (P[k - 1] = p_k[i]).
+    p_j, p_k = p[:-1, None], p[None, 1:]
+    ps_j, ps_k = ps[:-1, None], ps[None, 1:]
 
-    def seg_below(j: int, k: int) -> float:
-        """sum_{b=j..k} p_b (s_k - s_b): cost of j..k served by s_k."""
-        return (P[k] - P[j - 1]) * scores[k - 1] - (PS[k] - PS[j - 1])
+    def f_cells(j0: int, j1: int) -> np.ndarray:
+        """seg_below(j, k) + G_a(k): j..k served by s_k, then G."""
+        return (
+            (p_k - p_j[j0:j1]) * s[None, :] - (ps_k - ps_j[j0:j1])
+            + G[None, :]
+        )
 
-    def seg_above(j: int, k: int) -> float:
-        """sum_{b=j..k-1} p_b (s_b - s_j): cost of j..k-1 served by s_j."""
-        return (PS[k - 1] - PS[j - 1]) - (P[k - 1] - P[j - 1]) * scores[j - 1]
+    def g_cells(j0: int, j1: int) -> np.ndarray:
+        """seg_above(j, k) + F_{a-1}(k): j..k-1 served by s_j, then F."""
+        return (
+            (ps_k - ps_j[j0:j1]) - (p_k - p_j[j0:j1]) * s[j0:j1, None]
+            + F_after[None, :]
+        )
 
-    # G[j] for the current level a; F[j] for the current level a
-    # (levels are filled a = 1..c, each overwriting the previous).
-    G = [0.0] * (n + 2)
-    F = [0.0] * (n + 2)
-    g_arg = [[0] * (n + 2) for _ in range(c + 1)]
-    f_arg = [[0] * (n + 2) for _ in range(c + 1)]
-
-    # Level a = 1 boundary: G_1(j) = cost of the whole suffix served by
-    # s_j from above.
-    for j in range(1, n + 1):
-        G[j] = seg_above(j, n + 1)
-        g_arg[1][j] = n + 1
-    F[n + 1] = 0.0
-
-    def fill_F(a: int) -> None:
-        """F_a(j) = min_{j<=k<=n} seg_below(j, k) + G_a(k)."""
-        for j in range(1, n + 1):
-            best = _INF
-            best_k = j
-            for k in range(j, n + 1):
-                value = seg_below(j, k) + G[k]
-                if value < best:
-                    best = value
-                    best_k = k
-            F[j] = best
-            f_arg[a][j] = best_k
-
-    fill_F(1)
-
-    prev_F = list(F)
-    for a in range(2, c + 1):
-        for j in range(1, n + 1):
-            best = _INF
-            best_k = j + 1
-            for k in range(j + 1, n + 2):
-                value = seg_above(j, k) + prev_F[k]
-                if value < best:
-                    best = value
-                    best_k = k
-            G[j] = best
-            g_arg[a][j] = best_k
-        fill_F(a)
-        prev_F = list(F)
+    # Level a = 1: G_1(j) is the whole suffix served by s_j from above.
+    G = (ps[n] - ps[:-1]) - (p[n] - p[:-1]) * s
+    g_arg = [np.empty(0, dtype=np.intp), np.full(n, n + 1)]
+    F, f_first = _row_minima(n, f_cells, 1)
+    f_arg = [np.empty(0, dtype=np.intp), f_first]
+    for _ in range(2, c + 1):
+        F_after = np.append(F[1:], 0.0)  # F_{a-1}(k), k = 2..n+1
+        G, g_level = _row_minima(n, g_cells, 2)
+        g_arg.append(g_level)
+        F, f_level = _row_minima(n, f_cells, 1)
+        f_arg.append(f_level)
 
     # Trace back (lines 36-41 of Figure 7): at each level the F-argmin
     # is the next typical score; its G-argmin is where the following
@@ -187,9 +204,9 @@ def _typical_indices(
     chosen: list[int] = []
     j = 1
     for a in range(c, 0, -1):
-        i = f_arg[a][j]
+        i = int(f_arg[a][j - 1])
         chosen.append(i - 1)
-        j = g_arg[a][i]
+        j = int(g_arg[a][i - 1])
         if j > n:
             break
     return chosen

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.figures import (
     EXPERIMENTS,
+    MC_SAMPLES,
+    MC_TUPLES,
     fig02_possible_worlds,
     fig03_toy_distribution,
     main,
@@ -54,6 +60,13 @@ class TestReporting:
         text = format_table(rows, columns=["b"])
         assert "a" not in text.splitlines()[0]
 
+    def test_format_table_ragged_rows_and_tuples(self):
+        text = format_table([{"a": 1}, {"b": (2.5, 3.0)}])
+        header, _, first, second = text.splitlines()
+        assert header.split() == ["a", "b"]
+        assert first.split() == ["1"]
+        assert second.split() == ["2.5/3"]
+
     def test_print_series(self, capsys):
         print_series("My experiment", [{"x": 1}])
         out = capsys.readouterr().out
@@ -85,28 +98,132 @@ class TestWorkloads:
         assert scorer(t) == pytest.approx(10.0)
 
 
+#: Registry entries fast enough for tier-1 (about 1.5 s together).
+FAST_EXPERIMENTS = (
+    "fig02", "fig03", "fig09", "fig11", "fig14", "fig15",
+    "ablation_coalescing", "ablation_session_cache",
+)
+
+
+def synthetic(config, **columns):
+    return {"config": config, "u_topk_score": 1.0, **columns}
+
+
+#: Hand-built rows that satisfy every requirement of an entry's check
+#: but its last one, so the whole check runs and then must fail.
+BROKEN_ROWS = {
+    "fig08": ("outside the support", [
+        {"area": "a", "u_topk_score": 9.0, "u_topk_prob": 0.01,
+         "typical": (1.0, 5.0), "min": 2.0, "max": 9.0},
+    ]),
+    "fig09": ("3x band", [
+        {"k": k, "scan_depth": d} for k, d in ((10, 20), (20, 30), (30, 90))
+    ]),
+    "fig10": ("k-Combo: empty", [
+        {"algorithm": "main (dp)", "k": 5, "lines": 9},
+        {"algorithm": "StateExpansion", "k": 1, "lines": 9},
+        {"algorithm": "k-Combo", "k": 1, "lines": 0},
+    ]),
+    "fig11": ("do not grow", [
+        {"me_portion_config": 0.1, "me_tuple_fraction": 0.5, "lines": 3},
+        {"me_portion_config": 0.2, "me_tuple_fraction": 0.4, "lines": 3},
+    ]),
+    "fig12": ("exceed the budget", [{"max_lines": 50, "output_lines": 51}]),
+    "fig13": ("does not shift left", [
+        synthetic("rho=+0.0", **{"E[S]": 100.0, "u_topk_pctl": 0.9}),
+        synthetic("rho=+0.8", **{"E[S]": 110.0, "u_topk_pctl": 0.9}),
+        synthetic("rho=-0.8", **{"E[S]": 105.0, "u_topk_pctl": 0.9}),
+    ]),
+    "fig14": ("does not grow", [
+        synthetic("sigma=60", span90=100.0, std=10.0),
+        synthetic("sigma=100", span90=200.0, std=9.0),
+    ]),
+    "fig15": ("more than 10%", [
+        synthetic("gaps=1-8", **{"E[S]": 100.0}),
+        synthetic("gaps=1-40", **{"E[S]": 120.0}),
+    ]),
+    "fig16": ("not extreme", [
+        synthetic("sizes=2-3", span90=100.0, **{"E[S]": 100.0}),
+        synthetic("sizes=2-10", span90=200.0, u_topk_pctl=0.5,
+                  **{"E[S]": 90.0}),
+    ]),
+    "ablation_lead_regions": ("two grid widths", [
+        {"mass": 1.0, "support_span": 200.0, "wasserstein_vs_other": 5.0},
+        {"mass": 1.0},
+    ]),
+    "ablation_coalescing": ("lost", [
+        {"max_lines": 10, "wasserstein_error": 0.1, "grid_width": 1.0,
+         "mass_error": 1e-6},
+    ]),
+    "ablation_scan_depth": ("more than the full mass", [
+        {"p_tau": 0.1, "scan_depth": 10, "mass": 0.9,
+         "mass_lost_vs_full": 0.1},
+        {"p_tau": 0.01, "scan_depth": 20, "mass": 1.0,
+         "mass_lost_vs_full": -1e-6},
+    ]),
+    "ablation_session_cache": ("0.90x the cold run", [
+        {"request": "cold", "speedup_vs_cold": 1.0},
+        {"request": "warm", "speedup_vs_cold": 0.9},
+    ]),
+    "ablation_shared_prefix": ("0.90x the per-ending", [
+        {"me_fraction": 0.5, "mass": 1.0, "per_ending_mass": 1.0,
+         "wasserstein": 0.1, "grid_width": 1.0, "speedup": 0.9},
+    ]),
+    "ablation_mc": ("more than 2%", [
+        {"ms": 100.0},
+        {"ms": 50.0},
+        {"speedup_vs_loop": 20.0, "worlds": MC_SAMPLES, "tuples": MC_TUPLES},
+        {"ms": 100.0, "E[S]": 100.0},
+        {"ms": 10.0, "E[S]": 110.0},
+    ]),
+    "semantics": ("below 0.3", [
+        {"answers": 1},
+        {"answers": 3},
+        {"semantics": "u_kranks", "k": 10, "answers": 10},
+        {"min_prob": 0.2},
+        {"semantics": "global_topk", "k": 10, "answers": 10},
+    ]),
+}
+
+
 class TestFigureFunctions:
     def test_fig02_rows(self):
-        rows = fig02_possible_worlds()
-        assert len(rows) == 18
-        assert sum(r["prob"] for r in rows) == pytest.approx(1.0)
-        assert rows[0]["prob"] == max(r["prob"] for r in rows)
+        EXPERIMENTS["fig02"].check(fig02_possible_worlds())
 
     def test_fig03_contains_paper_numbers(self):
+        EXPERIMENTS["fig03"].check(fig03_toy_distribution())
+
+    @pytest.mark.parametrize("name", FAST_EXPERIMENTS)
+    def test_fast_claims_hold(self, name):
+        experiment = EXPERIMENTS[name]
+        experiment.check(experiment.run())
+
+    def test_checks_reject_broken_rows(self):
+        rows = fig02_possible_worlds()
+        with pytest.raises(AssertionError, match="17 worlds"):
+            EXPERIMENTS["fig02"].check(rows[1:])
         rows = fig03_toy_distribution()
-        by_score = {r["score"]: r for r in rows if "U-Topk" not in r["vector"]}
-        assert by_score[118.0]["prob"] == pytest.approx(0.2)
-        assert by_score[235.0]["prob"] == pytest.approx(0.12)
-        u = [r for r in rows if "U-Topk" in r["vector"]]
-        assert len(u) == 1
-        assert u[0]["score"] == pytest.approx(118.0)
+        with pytest.raises(AssertionError, match="U-Topk rows"):
+            EXPERIMENTS["fig03"].check(rows[:-1])
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_ROWS))
+    def test_check_fails_on_rows_that_break_its_claim(self, name):
+        message, rows = BROKEN_ROWS[name]
+        with pytest.raises(AssertionError, match=message):
+            EXPERIMENTS[name].check(rows)
 
     def test_registry_complete(self):
         for name in (
             "fig02", "fig03", "fig08", "fig09", "fig10", "fig11",
             "fig12", "fig13", "fig14", "fig15", "fig16",
+            "ablation_lead_regions", "ablation_coalescing",
+            "ablation_scan_depth", "ablation_session_cache",
+            "ablation_shared_prefix", "ablation_mc", "semantics",
         ):
             assert name in EXPERIMENTS
+        for name, experiment in EXPERIMENTS.items():
+            assert callable(experiment.check), name
+            assert experiment.check.__doc__, f"{name} states no claim"
 
     def test_main_rejects_unknown(self, capsys):
         assert main(["not_an_experiment"]) == 2
@@ -115,3 +232,39 @@ class TestFigureFunctions:
         assert main(["fig02"]) == 0
         out = capsys.readouterr().out
         assert "Figure 2" in out
+        assert "claim: The toy table has 18 possible worlds" in out
+        assert "fig02: holds" in out
+
+    def test_main_fails_and_names_a_failed_claim(self, monkeypatch, capsys):
+        def check(rows):
+            """A claim the rows break."""
+            raise AssertionError("broken on purpose")
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig03", EXPERIMENTS["fig03"]._replace(check=check)
+        )
+        assert main(["fig02", "fig03"]) == 1
+        captured = capsys.readouterr()
+        assert "fig02: holds" in captured.out
+        assert "fig03: FAILED: broken on purpose" in captured.out
+        assert "1 of 2 claims failed: fig03" in captured.err
+
+    def test_gate_holds_under_optimize(self):
+        # Checks raise explicitly, so ``python -O`` (which strips
+        # ``assert``) cannot switch the gate off.
+        script = (
+            "import repro.bench.figures as f\n"
+            "e = f.EXPERIMENTS['fig02']\n"
+            "f.EXPERIMENTS['fig02'] = e._replace(run=lambda: e.run()[1:])\n"
+            "raise SystemExit(f.main(['fig02']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "fig02: FAILED: 17 worlds" in result.stdout

@@ -267,6 +267,29 @@ class TestCostModelCalibration:
             == str(path)
         )
 
+    def test_calibration_times_warm_probes(self, monkeypatch) -> None:
+        """A probe's one-time first-call cost stays out of its rate."""
+        import time
+
+        from repro.api.plan import exact_cost
+        from repro.core import dp
+
+        real = dp.dp_distribution
+        calls = []
+
+        def slow_first_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(1.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "dp_distribution", slow_first_call)
+        document = run_calibration(repeats=1, target_ms=100.0)
+        # The probe's DP: 150 rows, k = 8, independent tuples.
+        first_call_unit_ns = 1.0e9 / exact_cost(150, 8, 0)
+        assert document["constants"]["dp_unit_ns"] < first_call_unit_ns / 2
+        assert len(calls) >= 2  # one untimed call, then the timed ones
+
     def test_schema_1_file_loads_with_backend_defaults(
         self, tmp_path
     ) -> None:

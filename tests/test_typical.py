@@ -7,8 +7,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import typical
 from repro.core.pmf import ScorePMF
 from repro.core.typical import (
+    _typical_indices,
     expected_typical_distance,
     select_typical,
     select_typical_brute_force,
@@ -168,3 +170,99 @@ class TestOptimality:
         assert math.isclose(
             result.expected_distance, recomputed, abs_tol=1e-9
         )
+
+
+def scalar_typical_indices(scores, probs, c):
+    """Figure 7 as the scalar O(c·n²) loop: the byte-identity reference.
+
+    ``min`` keeps the first of equal minima, as a strict ``<`` scan does.
+    """
+    n = len(scores)
+    P = [0.0] * (n + 1)
+    PS = [0.0] * (n + 1)
+    for j in range(1, n + 1):
+        P[j] = P[j - 1] + probs[j - 1]
+        PS[j] = PS[j - 1] + probs[j - 1] * scores[j - 1]
+
+    def below(j, k):
+        return (P[k] - P[j - 1]) * scores[k - 1] - (PS[k] - PS[j - 1])
+
+    def above(j, k):
+        return (PS[k - 1] - PS[j - 1]) - (P[k - 1] - P[j - 1]) * scores[j - 1]
+
+    rows = range(1, n + 1)
+    G = {j: above(j, n + 1) for j in rows}
+    g_arg = {1: {j: n + 1 for j in rows}}
+    f_arg = {}
+    F = {}
+    for a in range(1, c + 1):
+        if a > 1:
+            after = {**F, n + 1: 0.0}
+            g_arg[a] = {
+                j: min(range(j + 1, n + 2), key=lambda k: above(j, k) + after[k])
+                for j in rows
+            }
+            G = {j: above(j, g_arg[a][j]) + after[g_arg[a][j]] for j in rows}
+        f_arg[a] = {
+            j: min(range(j, n + 1), key=lambda k: below(j, k) + G[k])
+            for j in rows
+        }
+        F = {j: below(j, f_arg[a][j]) + G[f_arg[a][j]] for j in rows}
+    chosen, j = [], 1
+    for a in range(c, 0, -1):
+        i = f_arg[a][j]
+        chosen.append(i - 1)
+        j = g_arg[a][i]
+        if j > n:
+            break
+    return chosen
+
+
+@st.composite
+def tie_prone_pmfs(draw):
+    """Up to 40 lines with integer scores and dyadic masses: many equal
+    segment costs, so argmin tie-breaking matters."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    scores = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=120),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        )
+    )
+    probs = draw(
+        st.lists(
+            st.sampled_from((0.0625, 0.125, 0.25, 0.5, 0.1, 1 / 3)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return pmf_of(list(zip(map(float, scores), probs)))
+
+
+def ladder_pmf(n):
+    return pmf_of(
+        (float(3 * i + i % 4), 0.5 if i % 3 else 0.125) for i in range(n)
+    )
+
+
+class TestVectorizedDP:
+    """The numpy level passes choose exactly what the scalar loop does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(pmf=tie_prone_pmfs(), c=st.integers(min_value=1, max_value=6))
+    def test_same_choices_as_scalar_loop(self, pmf, c):
+        c = min(c, len(pmf) - 1)
+        assert _typical_indices(pmf.scores, pmf.probs, c) == (
+            scalar_typical_indices(pmf.scores, pmf.probs, c)
+        )
+
+    def test_row_blocks_change_nothing(self, monkeypatch):
+        pmf = ladder_pmf(60)
+        whole = _typical_indices(pmf.scores, pmf.probs, 5)
+        monkeypatch.setattr(typical, "_BLOCK_CELLS", 7)  # one row per block
+        assert _typical_indices(pmf.scores, pmf.probs, 5) == whole
+        assert whole == scalar_typical_indices(pmf.scores, pmf.probs, 5)
