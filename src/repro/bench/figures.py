@@ -1,15 +1,17 @@
-"""The experiment registry: each figure, ablation and its claim.
+"""The experiment registry: each figure, ablation and bar with its claim.
 
 :data:`EXPERIMENTS` maps a name to an :class:`Experiment`: a title, a
 generator that regenerates the series as plain dict rows, and a check
-over those rows that states what the paper claims about them.  Run
-them as a script (or as ``repro figures``)::
+over those rows that states what the paper claims about them, or the
+speed bar the system holds (the bars live in :mod:`repro.bench.bars`).
+Run them as a script (or as ``repro figures``)::
 
-    python -m repro.bench.figures            # all experiments
-    python -m repro.bench.figures fig10 fig13
+    python -m repro.bench.figures            # every claim and bar
+    python -m repro.bench.figures fig10 bar_standing
 
-Each series is printed, then its claim and verdict; the exit status is
-1 when any claim fails, which makes the registry the claims gate of CI.
+Each series is printed, then its claim, its verdict and its wall time;
+the exit status is 1 when any claim fails, which makes the registry
+the claims gate of CI.
 
 Absolute runtimes differ from the paper's 2009 testbed; the
 reproduction targets the *shapes*: who wins, growth rates, direction
@@ -20,15 +22,17 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+import time
+from typing import Any, Sequence
 
+from repro.bench import bars
 from repro.bench.ablations import (
     dp_distribution_per_ending,
     dp_distribution_without_lead_regions,
     sample_worlds_per_world,
 )
 from repro.bench.reporting import print_series
-from repro.bench.runner import time_callable
+from repro.bench.runner import Experiment, Row, _require, time_callable
 from repro.bench.workloads import (
     AREA_SEEDS,
     cartel_workload,
@@ -57,8 +61,6 @@ from repro.uncertain.sampling import WorldSampler
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from repro.uncertain.worlds import enumerate_worlds, top_k_vectors_of_world
 
-Row = Mapping[str, Any]
-
 #: p_tau of the paper's performance experiments (Section 5.3).
 P_TAU = 1e-3
 
@@ -68,30 +70,6 @@ MC_TUPLES = 300
 
 #: PT-k threshold of the semantics-cost supplement.
 PT_K_THRESHOLD = 0.3
-
-
-class Experiment(NamedTuple):
-    """One registry entry.
-
-    :ivar title: the banner printed above the series.
-    :ivar run: zero-argument generator of the series' rows.
-    :ivar check: raises :class:`AssertionError` when the rows break the
-        claim; the first line of its docstring states the claim.
-    """
-
-    title: str
-    run: Callable[[], list[Row]]
-    check: Callable[[Sequence[Row]], None]
-
-
-def _require(condition: bool, message: str) -> None:
-    """Raise ``AssertionError(message)`` unless ``condition`` holds.
-
-    Checks call this rather than ``assert``, which ``python -O``
-    strips.
-    """
-    if not condition:
-        raise AssertionError(message)
 
 
 def _close(
@@ -970,7 +948,8 @@ def _check_semantics(rows: Sequence[Row]) -> None:
     )
 
 
-#: The registry: the only place an experiment and its claim are defined.
+#: The registry: the only place an experiment or bar and its claim are
+#: defined.
 EXPERIMENTS: dict[str, Experiment] = {
     "fig02": Experiment("Figure 2: possible worlds of the toy table",
                         fig02_possible_worlds, _check_fig02),
@@ -1015,6 +994,28 @@ EXPERIMENTS: dict[str, Experiment] = {
     "semantics": Experiment(
         "Supplement: cost of each semantics (CarTel, k=10)",
         semantics_costs, _check_semantics),
+    "bar_service_batching": Experiment(
+        f"Bar: batched vs unbatched service ({bars.SERVICE_REQUESTS} mixed "
+        f"requests, concurrency {bars.SERVICE_CONCURRENCY})",
+        bars.service_batching, bars.check_service_batching),
+    "bar_service_scaling": Experiment(
+        f"Bar: {bars.SCALE_WORKERS} worker processes vs one "
+        f"({bars.SCALE_REQUESTS} distinct-p_tau requests)",
+        bars.service_scaling, bars.check_service_scaling),
+    "bar_standing": Experiment(
+        "Bar: standing maintenance vs recompute "
+        f"({bars.STANDING_SUBSCRIPTIONS} subscriptions, "
+        f"{bars.STANDING_MUTATIONS} mutations, {bars.STANDING_TABLE})",
+        bars.standing, bars.check_standing),
+    "bar_plan_fusion": Experiment(
+        "Bar: fused vs unfused mixed-k batch (CarTel, ME 0.95)",
+        bars.plan_fusion, bars.check_plan_fusion),
+    "bar_backend": Experiment(
+        "Bar: native vs python DP kernel (cartel120, k=10)",
+        bars.backend, bars.check_backend),
+    "bar_storage_depth": Experiment(
+        f"Bar: out-of-core scan-depth pushdown (depth {bars.STORAGE_DEPTH})",
+        bars.storage_depth, bars.check_storage_depth),
 }
 
 
@@ -1036,8 +1037,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
     failed = []
+    started = time.perf_counter()
     for name in names:
         experiment = EXPERIMENTS[name]
+        start = time.perf_counter()
         rows = experiment.run()
         print_series(experiment.title, rows)
         print(f"claim: {_claim_of(experiment)}")
@@ -1045,17 +1048,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             experiment.check(rows)
         except AssertionError as exc:
             failed.append(name)
-            print(f"{name}: FAILED: {exc}")
+            verdict = f"FAILED: {exc}"
         else:
-            print(f"{name}: holds")
+            verdict = "holds"
+        print(f"{name}: {verdict} ({time.perf_counter() - start:.1f} s)")
+    total = f"{time.perf_counter() - started:.1f} s"
     if failed:
         print(
             f"\n{len(failed)} of {len(names)} claims failed: "
-            f"{', '.join(failed)}",
+            f"{', '.join(failed)} ({total})",
             file=sys.stderr,
         )
         return 1
-    print(f"\nall {len(names)} claims hold")
+    print(f"\nall {len(names)} claims hold ({total})")
     return 0
 
 

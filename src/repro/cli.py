@@ -11,7 +11,7 @@ Usage (``python -m repro <command> ...``)::
     repro generate cartel --out area.csv --seed 11 --segments 100
     repro pack table.csv --out packed/       # out-of-core scored table
     repro answer packed/ --score score -k 5  # served by prefix pushdown
-    repro figures fig03 fig09
+    repro figures fig03 bar_standing   # the paper's claims and speed bars
     repro bench --json                  # writes BENCH_core.json
     repro bench --tiny --check BENCH_core.json   # CI perf smoke
     repro serve --table demo=synthetic:tuples=400,me=0.9 --port 8000
@@ -415,7 +415,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    """``repro figures``: run the paper-figure experiments."""
+    """``repro figures``: run and check the paper's claims and the bars."""
     from repro.bench.figures import main as figures_main
 
     return figures_main(args.names)
@@ -975,9 +975,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the pack summary as JSON")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("figures", help="run the paper-figure experiments")
+    p = sub.add_parser(
+        "figures",
+        help="run the paper-figure experiments and the speed bars, "
+        "checking each claim",
+    )
     p.add_argument("names", nargs="*",
-                   help="experiment names (default: all)")
+                   help="experiment or bar names (default: all)")
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser(

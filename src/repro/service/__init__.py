@@ -16,7 +16,7 @@ Layers:
   ``/v1/unsubscribe`` / ``/v1/reload``, the SSE stream
   ``GET /v1/watch``, plus ``GET /healthz``, ``/metrics``);
 * :mod:`repro.service.loadgen` — the closed-loop client behind
-  ``repro loadgen`` and ``benchmarks/bench_service.py``;
+  ``repro loadgen`` and the batching bar of ``repro figures``;
 * :mod:`repro.service.degrade` / :mod:`repro.service.breaker` —
   graceful degradation of overloaded exact work onto bounded
   Monte-Carlo (explicit confidence intervals) and the per

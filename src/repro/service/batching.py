@@ -44,10 +44,11 @@ Fault points (:mod:`repro.service.faults`): ``exec_delay`` sleeps
 every batch before execution, ``exec_error`` fails a batch with
 :class:`~repro.exceptions.FaultInjectedError`.
 
-``batched=False`` gives the naive baseline the service benchmark
-compares against: every request is queued and executes alone, through
-a fresh session with cold caches — exactly what each pre-service
-entry point (CLI, one-shot ``Session``) did per invocation.
+``batched=False`` gives the naive baseline the batching bar
+(``repro figures bar_service_batching``) compares against: every
+request is queued and executes alone, through a fresh session with
+cold caches — exactly what each pre-service entry point (CLI,
+one-shot ``Session``) did per invocation.
 """
 
 from __future__ import annotations

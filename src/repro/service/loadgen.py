@@ -9,8 +9,9 @@ of ``k``/``p_tau`` shapes.  429 backpressure responses are retried
 after the server's ``Retry-After`` hint and counted separately, so an
 overloaded server degrades throughput instead of failing the run.
 
-The same machinery runs in-process in ``benchmarks/bench_service.py``
-(batched vs. unbatched ≥2x) and in the ``service-smoke`` CI job.
+The same machinery runs in-process in the ``bar_service_batching``
+entry of ``repro figures`` (batched vs. unbatched ≥2x) and in the
+``service-smoke`` CI job.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -41,6 +42,15 @@ class TestRunner:
 
         result = time_callable(fn, repeats=3)
         assert len(calls) == 3
+
+    def test_each_timed_run_starts_after_a_full_collection(self):
+        # Collections of generation 0 raise generation 1's count; a
+        # run timed without a full collection first would start with
+        # that garbage pending and could pay for collecting it.
+        for _ in range(3):
+            gc.collect(0)
+        counts = time_callable(gc.get_count, repeats=2).value
+        assert counts[1:] == (0, 0)
 
 
 class TestReporting:
@@ -183,6 +193,86 @@ BROKEN_ROWS = {
         {"min_prob": 0.2},
         {"semantics": "global_topk", "k": 10, "answers": 10},
     ]),
+    "bar_service_batching": ("1.90x unbatched, below 2.0x", [
+        {"mode": "unbatched", "requests": 60, "ok": 60},
+        {"mode": "batched", "requests": 60, "ok": 60, "speedup": 1.9},
+    ]),
+    "bar_service_scaling": ("1.90x one process, below 2.0x", [
+        {"workers": 1, "cores": 4, "requests": 48, "failed": 0},
+        {"workers": 4, "cores": 4, "requests": 48, "failed": 0,
+         "speedup": 1.9},
+    ]),
+    "bar_standing": ("2.90x recompute, below 3.0x", [
+        {"mode": "recompute"},
+        {"mode": "maintained", "subscriptions": 20, "match_cold": 20,
+         "speedup": 2.9},
+    ]),
+    "bar_plan_fusion": ("1.40x unfused, below 1.5x", [
+        {"path": "unfused"},
+        {"path": "fused", "requests": 12, "dp_sweeps": 1,
+         "equal_answers": 12, "speedup": 1.4},
+    ]),
+    "bar_backend": ("2.90x python, below 3.0x", [
+        {"backend": "python"},
+        {"backend": "native", "identical": True, "speedup": 2.9},
+    ]),
+    "bar_storage_depth": ("12.0% of the resident", [
+        {"tuples": 100_000, "lazy_latency_s": 0.010},
+        {"tuples": 1_000_000, "lazy_latency_s": 0.012,
+         "rss_fraction": 0.12},
+    ]),
+}
+
+#: Rows on which a bar's speed would hold but what it computed is
+#: wrong, so the check must fail before it reads the speedup.
+WRONG_BAR_ROWS = [
+    ("bar_service_batching", "unbatched: 1 of 60 requests failed", [
+        {"mode": "unbatched", "requests": 60, "ok": 59},
+        {"mode": "batched", "requests": 60, "ok": 60, "speedup": 4.0},
+    ]),
+    ("bar_service_scaling", "4 worker\\(s\\): 2 of 48 requests failed", [
+        {"workers": 1, "cores": 4, "requests": 48, "failed": 0},
+        {"workers": 4, "cores": 4, "requests": 48, "failed": 2,
+         "speedup": 3.0},
+    ]),
+    ("bar_standing", "1 of 20 maintained answers differ", [
+        {"mode": "recompute"},
+        {"mode": "maintained", "subscriptions": 20, "match_cold": 19,
+         "speedup": 9.0},
+    ]),
+    ("bar_plan_fusion", "ran 2 DP sweeps", [
+        {"path": "unfused"},
+        {"path": "fused", "requests": 12, "dp_sweeps": 2,
+         "equal_answers": 12, "speedup": 2.0},
+    ]),
+    ("bar_plan_fusion", "1 of 12 fused answers differ", [
+        {"path": "unfused"},
+        {"path": "fused", "requests": 12, "dp_sweeps": 1,
+         "equal_answers": 11, "speedup": 2.0},
+    ]),
+    ("bar_backend", "differs from the numpy path", [
+        {"backend": "python"},
+        {"backend": "native", "identical": False, "speedup": 8.0},
+    ]),
+    ("bar_storage_depth", "grew 2.00x", [
+        {"tuples": 100_000, "lazy_latency_s": 0.010},
+        {"tuples": 1_000_000, "lazy_latency_s": 0.020,
+         "rss_fraction": 0.02},
+    ]),
+]
+
+#: Rows from a machine that cannot measure the bar: one core, or no
+#: loadable DP kernel.  The check holds and says why.
+UNMEASURABLE_BAR_ROWS = {
+    "bar_service_scaling": ("one core", [
+        {"workers": 1, "cores": 1, "requests": 48, "failed": 0},
+        {"workers": 4, "cores": 1, "requests": 48, "failed": 0,
+         "speedup": 0.5},
+    ]),
+    "bar_backend": ("native kernel unavailable", [
+        {"backend": "python", "n": 136, "seconds": 1.5},
+        {"backend": "native", "unavailable": "no C compiler"},
+    ]),
 }
 
 
@@ -212,6 +302,21 @@ class TestFigureFunctions:
         with pytest.raises(AssertionError, match=message):
             EXPERIMENTS[name].check(rows)
 
+    @pytest.mark.parametrize(
+        "name, message, rows", WRONG_BAR_ROWS,
+        ids=[f"{name}-{index}" for index, (name, _, _) in
+             enumerate(WRONG_BAR_ROWS)],
+    )
+    def test_bar_fails_on_what_it_computed(self, name, message, rows):
+        with pytest.raises(AssertionError, match=message):
+            EXPERIMENTS[name].check(rows)
+
+    @pytest.mark.parametrize("name", sorted(UNMEASURABLE_BAR_ROWS))
+    def test_bar_holds_where_it_cannot_measure(self, name, capsys):
+        reason, rows = UNMEASURABLE_BAR_ROWS[name]
+        EXPERIMENTS[name].check(rows)
+        assert reason in capsys.readouterr().out
+
     def test_registry_complete(self):
         for name in (
             "fig02", "fig03", "fig08", "fig09", "fig10", "fig11",
@@ -219,6 +324,9 @@ class TestFigureFunctions:
             "ablation_lead_regions", "ablation_coalescing",
             "ablation_scan_depth", "ablation_session_cache",
             "ablation_shared_prefix", "ablation_mc", "semantics",
+            "bar_service_batching", "bar_service_scaling",
+            "bar_standing", "bar_plan_fusion", "bar_backend",
+            "bar_storage_depth",
         ):
             assert name in EXPERIMENTS
         for name, experiment in EXPERIMENTS.items():
@@ -248,6 +356,50 @@ class TestFigureFunctions:
         assert "fig02: holds" in captured.out
         assert "fig03: FAILED: broken on purpose" in captured.out
         assert "1 of 2 claims failed: fig03" in captured.err
+
+    def test_main_fails_and_names_a_failed_bar(self, monkeypatch, capsys):
+        _, rows = BROKEN_ROWS["bar_service_batching"]
+        entry = EXPERIMENTS["bar_service_batching"]
+        monkeypatch.setitem(
+            EXPERIMENTS, "bar_service_batching",
+            entry._replace(run=lambda: rows),
+        )
+        assert main(["bar_service_batching"]) == 1
+        captured = capsys.readouterr()
+        assert "claim: Batched serving is >= 2x" in captured.out
+        assert (
+            "bar_service_batching: FAILED: batched serving is 1.90x"
+            in captured.out
+        )
+        assert "1 of 1 claims failed: bar_service_batching" in captured.err
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM"
+    )
+    def test_storage_probe_reads_its_own_peak_rss(self):
+        # A child's ru_maxrss starts at its parent's peak, so a probe
+        # started by a large process would read that peak, and the
+        # lazy path's RSS growth would vanish.  The probe started here
+        # by a parent holding 128 MiB must read only its own.
+        script = (
+            "import subprocess, sys\n"
+            "ballast = b'x' * (128 << 20)\n"
+            "probe = 'from repro.bench.bars import _peak_rss_kb; "
+            "print(_peak_rss_kb())'\n"
+            "out = subprocess.run([sys.executable, '-c', probe],\n"
+            "                     capture_output=True, text=True, check=True)\n"
+            "print(out.stdout.strip())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.strip()) < 100 * 1024
 
     def test_gate_holds_under_optimize(self):
         # Checks raise explicitly, so ``python -O`` (which strips
