@@ -8,9 +8,9 @@ Usage (``python -m repro <command> ...``)::
     repro answer table.csv --score score -k 5 --semantics typical \\
         --algorithm mc --epsilon 0.005 --confidence 0.99
     repro query "SELECT * FROM t ORDER BY score DESC LIMIT 3" --table t=table.csv
-    repro generate cartel --out area.csv --seed 11 --segments 100
+    repro generate cartel --out area.csv --seed 11 --size 100
     repro pack table.csv --out packed/       # out-of-core scored table
-    repro answer packed/ --score score -k 5  # served by prefix pushdown
+    repro answer packed/ --score score -k 5 --semantics typical  # prefix pushdown
     repro figures fig03 bar_standing   # the paper's claims and speed bars
     repro bench --json                  # writes BENCH_core.json
     repro bench --tiny --check BENCH_core.json   # CI perf smoke

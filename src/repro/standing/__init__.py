@@ -7,9 +7,11 @@ The subsystem has three layers:
   ME rule, version-bumped, and returned (and handed to the table's
   observer) as :class:`Delta` records;
 * :mod:`repro.standing.registry` — the :class:`StandingRegistry`,
-  which keeps registered queries' materialized answers current per
-  delta through the skip / recompute tiers (see that module's
-  docstring for the Theorem-2 applicability argument);
+  which keeps registered queries' materialized answers current
+  through the skip / recompute tiers, given the deltas since the last
+  maintenance (one per service mutation; every slide since the last
+  query for a sliding window, :mod:`repro.stream.window`) — see that
+  module's docstring for the Theorem-2 applicability argument;
 * :mod:`repro.standing.wal` — durability: an fsync'd, CRC-framed
   write-ahead log per mutable table plus periodic snapshot
   compaction and the durable subscription manifest, so ``repro serve

@@ -3,10 +3,12 @@
 A client registers a :class:`~repro.api.spec.QuerySpec` over a
 :class:`~repro.standing.changelog.MutableUncertainTable` and the
 registry keeps the materialized answer current as mutations arrive.
-Per ``(subscription, delta)`` the maintainer picks the cheapest sound
-tier:
+:meth:`StandingRegistry.on_delta` takes the deltas since the last
+maintenance (one per service mutation; every slide since the previous
+query for a :mod:`sliding window <repro.stream.window>`), and per
+subscription the maintainer picks the cheapest sound tier for them:
 
-**skip** — the mutation provably cannot change the answer.  This is
+**skip** — the mutations provably cannot change the answer.  This is
 the Theorem-2 argument turned into an applicability test: when the
 subscription's prefix was *truncated* (the scan stopped before the end
 of the table), the stopping position was justified by the probability
@@ -16,18 +18,20 @@ score, is not itself a prefix row, and shares no ME group with a
 prefix row, leaves that mass and the tie structure at the boundary
 intact, so a cold re-evaluation would reproduce the *identical* prefix
 — and every downstream stage is a pure function of the prefix rows.
-The maintainer re-seeds the retained prefix object into the session
-under the table's new version (:meth:`~repro.api.session.Session.
-seed_prefix`), which keeps the whole cached PMF/answer chain warm, and
-leaves the answer untouched.
+Such deltas compose, each leaving the prefix as it found it.  When
+every delta skips, the maintainer re-seeds the retained prefix object
+into the session under the table's current version
+(:meth:`~repro.api.session.Session.seed_prefix`), which keeps the
+whole cached PMF/answer chain warm, and leaves the answer untouched.
 
-**recompute** — the delta may move the prefix: the session re-runs
-the query cold (its version-keyed caches miss by construction after a
-mutation).  Every subscription on the table recomputes through the
-session's one sort per ``(table, scorer, version)``, and those with
-the same ``(k, p_tau)`` share one prefix, hence one PMF per algorithm
-and line budget — and maintained answers stay byte-identical to cold
-ones by construction.
+**recompute** — some delta may move the prefix: the session re-runs
+the query cold, once however many deltas there were (its
+version-keyed caches miss by construction after a mutation).  Every
+subscription on the table recomputes through the session's one sort
+per ``(table, scorer, version)``, and those with the same
+``(k, p_tau)`` share one prefix, hence one PMF per algorithm and line
+budget — and maintained answers stay byte-identical to cold ones by
+construction.
 
 Watchers long-poll :meth:`StandingRegistry.wait`, which blocks until a
 subscription's maintained version passes the watermark they have seen.
@@ -319,17 +323,21 @@ class StandingRegistry:
         self.on_delta(table, delta)
         return delta
 
-    def on_delta(self, table: MutableUncertainTable, delta: Delta) -> None:
-        """Maintain all subscriptions after an already-applied delta.
+    def on_delta(self, table: MutableUncertainTable, *deltas: Delta) -> None:
+        """Maintain all subscriptions after already-applied deltas.
 
-        Split from :meth:`mutate` so embedders that hold a direct
-        table reference can drive maintenance themselves.
+        ``deltas`` are every delta applied to ``table`` since the last
+        maintenance (at least one), consecutive versions oldest
+        first; each subscription on the table then skips or evaluates
+        once.  Split from :meth:`mutate` so embedders that hold a
+        direct table reference can drive maintenance themselves, as
+        often as they read.
         """
         with self._cond:
-            self._stats["mutations"] += 1
+            self._stats["mutations"] += len(deltas)
             for sub in self._subs.values():
                 if self._session.resolve(sub.spec) is table:
-                    self._maintain(sub, table, delta)
+                    self._maintain(sub, table, deltas)
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -339,25 +347,29 @@ class StandingRegistry:
         self, sub: Subscription, table: UncertainTable, delta: Delta
     ) -> tuple[float | None, float | None]:
         """The affected tuple's (old, new) scores under the sub's
-        scorer — from the delta payloads alone, no table history."""
+        scorer — from the delta payloads alone, no table history, so
+        a row inserted and expired since the last maintenance still
+        scores.  ``update_probability`` carries no attributes and
+        scores the live row; only the service issues it, one delta
+        per call."""
         scorer = resolve_scorer(sub.spec.scorer)
-        old_score = new_score = None
-        if delta.old_attributes is not None:
-            old_score = float(
-                scorer(
-                    UncertainTuple(
-                        delta.tid,
-                        delta.old_attributes,
-                        delta.old_probability or 1.0,
-                    )
-                )
-            )
-        elif delta.op == "update_probability":
-            # Attributes unchanged: score both states off the live row.
-            old_score = new_score = float(scorer(table[delta.tid]))
-        if delta.attributes is not None:
-            new_score = float(scorer(table[delta.tid]))
-        return old_score, new_score
+        if delta.op == "update_probability":
+            # Attributes unchanged: both states score alike.
+            score = float(scorer(table[delta.tid]))
+            return score, score
+
+        def score_of(attributes, probability) -> float | None:
+            if attributes is None:
+                return None
+            row = UncertainTuple(delta.tid, attributes, probability)
+            return float(scorer(row))
+
+        return (
+            score_of(delta.old_attributes, delta.old_probability),
+            # update_score keeps the probability, so its delta carries
+            # only the old one.
+            score_of(delta.attributes, delta.probability or delta.old_probability),
+        )
 
     def _evaluate(
         self, sub: Subscription, table: UncertainTable, version: int
@@ -374,36 +386,39 @@ class StandingRegistry:
         self,
         sub: Subscription,
         table: MutableUncertainTable,
-        delta: Delta,
+        deltas: tuple[Delta, ...],
     ) -> None:
+        version = deltas[-1].version
         try:
             tier = RECOMPUTE
             fingerprint = sub.fingerprint
             if fingerprint is not None and sub.error is None:
-                old_score, new_score = self._delta_scores(
-                    sub, table, delta
-                )
-                tier = classify_delta(
-                    fingerprint,
-                    delta,
-                    old_score=old_score,
-                    new_score=new_score,
-                )
+                tier = SKIP
+                for delta in deltas:
+                    old_score, new_score = self._delta_scores(sub, table, delta)
+                    tier = classify_delta(
+                        fingerprint,
+                        delta,
+                        old_score=old_score,
+                        new_score=new_score,
+                    )
+                    if tier == RECOMPUTE:
+                        break
             if tier == SKIP:
                 assert fingerprint is not None
                 # The prefix is unchanged: re-seeding the *same object*
                 # under the table's new version keeps the downstream
                 # PMF/answer cache chain warm (they key by identity).
                 self._session.seed_prefix(sub.spec, fingerprint.prefix)
-                sub.version = delta.version
+                sub.version = version
                 sub.error = None
             else:
-                self._evaluate(sub, table, delta.version)
+                self._evaluate(sub, table, version)
             sub.tiers[tier] += 1
             self._stats[tier] += 1
         except Exception as exc:  # sticky; cleared by a later success
             sub.error = f"{type(exc).__name__}: {exc}"
-            sub.version = delta.version
+            sub.version = version
             sub.fingerprint = None
             sub.errors += 1
             # A fresh error episode gets a fresh (bounded) retry

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
-from repro.cli import load_table, main, resolve_cli_scorer, save_table
+import repro.cli
+from repro.cli import (
+    build_parser,
+    load_table,
+    main,
+    resolve_cli_scorer,
+    save_table,
+)
 from repro.datasets.soldier import soldier_table
 from repro.io.csv_io import write_table_csv
 from repro.io.json_io import write_table_json
@@ -158,3 +166,25 @@ class TestFiguresCommand:
 
     def test_unknown_figure(self, capsys):
         assert main(["figures", "nope"]) == 2
+
+
+def docstring_commands() -> list[str]:
+    """The ``repro ...`` lines of the CLI module docstring, with
+    backslash continuations joined."""
+    commands, pending = [], ""
+    for raw in repro.cli.__doc__.splitlines():
+        line = pending + raw.strip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.startswith("repro "):
+            commands.append(line)
+    return commands
+
+
+class TestModuleDocstring:
+    @pytest.mark.parametrize("command", docstring_commands())
+    def test_documented_command_parses(self, command):
+        # argparse exits 2 on an unknown option or a missing one.
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])

@@ -287,6 +287,40 @@ class TestStandingRegistry:
         snapshot = reg.wait(sub.sid, after_version=1, timeout=1.0)
         assert snapshot is not None and snapshot["version"] == 2
 
+    def test_one_tier_for_the_deltas_since_the_last_maintenance(
+        self,
+    ) -> None:
+        rows = [(f"t{i}", 100 - i, 0.95) for i in range(30)]
+        table, reg = self.setup_registry(rows)
+        sub = reg.subscribe(
+            QuerySpec(
+                table="live", scorer="score", k=2,
+                semantics="u_topk", p_tau=0.1,
+            )
+        )
+        before = sub.answer
+        # "low" is gone again before maintenance runs: its insert is
+        # scored from the delta, not the live table.
+        reg.on_delta(
+            table,
+            table.insert("low", {"score": -1000}, 0.5),
+            table.expire("low"),
+            table.expire("t29"),
+        )
+        assert (sub.version, sub.tiers, sub.error) == (
+            3, {SKIP: 1, RECOMPUTE: 0}, None,
+        )
+        assert sub.answer is before
+        reg.on_delta(
+            table,
+            table.insert("high", {"score": 1000}, 0.9),
+            table.expire("high"),
+        )
+        assert (sub.version, sub.tiers, sub.error) == (
+            5, {SKIP: 1, RECOMPUTE: 1}, None,
+        )
+        assert reg.describe()["mutations"] == 5
+
     def test_subscriptions_share_one_dp_after_a_prefix_delta(
         self, monkeypatch
     ) -> None:
