@@ -18,10 +18,7 @@ keys can never drift apart:
   is ``"mc"``, in one canonical order);
 * :meth:`LogicalPlan.answer_params` — the stage-3 key tail;
 * :meth:`LogicalPlan.batch_key` — the service's micro-batch grouping
-  key (requests sharing it share pipeline stages);
-* :meth:`LogicalPlan.fusion_key` — the multi-query fusion group: all
-  requests over one ``(table, scorer, max_lines)`` whose exact DP can
-  be served by a single shared-prefix sweep.
+  key (requests sharing it share pipeline stages).
 
 The Session composes these parameter tails with the resolved *objects*
 (table, prefix, PMF — hashed by identity), which is what keeps cache
@@ -176,14 +173,6 @@ class LogicalPlan:
             spec.p_tau,
             spec.algorithm,
         ) + self.mc_params(spec.algorithm)
-
-    def fusion_key(self) -> Hashable:
-        """The multi-query fusion group: requests over one table and
-        scorer whose exact dynamic programs may merge into a single
-        shared-prefix sweep (any mix of ``k``; the planner further
-        splits by prefix shape and slice safety)."""
-        spec = self.spec
-        return (self.table_key, self.scorer_key, spec.max_lines)
 
     # ------------------------------------------------------------------
     # Presentation

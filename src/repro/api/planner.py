@@ -55,7 +55,9 @@ class FusionCandidate:
     """One batch request the planner may fuse.
 
     :ivar index: the request's position in the submitted batch.
-    :ivar fusion_key: :meth:`LogicalPlan.fusion_key` of the request.
+    :ivar fusion_key: the request's fusion group, as the session's
+        planned request keys it: table (by identity), version, scorer
+        and ``max_lines``.
     :ivar prefix: the request's own resolved stage-1 prefix.
     :ivar k: the request's top-k size.
     :ivar depth: ``len(prefix)`` (the request's own scan depth).

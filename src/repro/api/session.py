@@ -270,6 +270,18 @@ class _Planned(NamedTuple):
             self.physical.algorithm
         )
 
+    def fusion_key(self) -> Hashable:
+        # The multi-query fusion group: exact DPs over one table
+        # version, scorer and line budget may share one sweep (any mix
+        # of k; the planner further splits by prefix shape).  Plans
+        # that sorted different versions of a table never share one.
+        return (
+            ByIdentity(self.table),
+            self.version,
+            self.logical.scorer_key,
+            self.logical.spec.max_lines,
+        )
+
     def answer_key(self, pmf: ScorePMF | None) -> Hashable:
         # Keyed by the consumed stage's *identity*: ScorePMF compares
         # by (scores, probs) only, so value-equal distributions from
@@ -701,14 +713,7 @@ class Session:
             candidates.append(
                 FusionCandidate(
                     index=index,
-                    # Plans that sorted different versions of a table
-                    # never share a sweep.
-                    fusion_key=(
-                        ByIdentity(request.table),
-                        request.version,
-                        request.logical.scorer_key,
-                        spec.max_lines,
-                    ),
+                    fusion_key=request.fusion_key(),
                     prefix=request.prefix,
                     k=spec.k,
                     depth=len(request.prefix),
@@ -781,7 +786,7 @@ class Session:
             "logical": {
                 "stages": list(logical.stages()),
                 "batch_key": repr(logical.batch_key()),
-                "fusion_key": repr(logical.fusion_key()),
+                "fusion_key": repr(planned.fusion_key()),
             },
             "physical": physical.explain(model),
             "cache": cache,

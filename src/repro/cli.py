@@ -464,23 +464,71 @@ def _serve_until_signalled(server: Any, drain_timeout: float) -> None:
             signal.signal(signum, handler)
 
 
+def _print_boot_report(
+    server: Any, config: Any, documents: list[dict[str, Any]]
+) -> None:
+    """Print what each service replica loaded, recovered and restored
+    (its :func:`~repro.service.worker.boot_document`): the in-process
+    server lists its tables, a sharded one each worker and its WALs."""
+    sharded = len(documents) > 1
+    mode = "batched" if config.batched else "unbatched (naive per-request)"
+    if sharded:
+        mode += f", {len(documents)} worker processes"
+    host, port = server.server_address[:2]
+    print(f"repro serve: listening on http://{host}:{port} ({mode})")
+    indent = "    " if sharded else "  "
+    for document in documents:
+        if sharded:
+            print(
+                f"  worker w{document['worker']}: replicates "
+                f"{len(document['tables'])} tables, owns WAL for "
+                f"{document['wal_tables'] or 'none'}"
+            )
+        else:
+            for name, info in document["tables"].items():
+                print(
+                    f"  table {name}: {info['tuples']} tuples "
+                    f"({info['me_rules']} ME rules) from {info['source']}"
+                )
+        for name, info in sorted(document.get("recovery", {}).items()):
+            print(
+                f"{indent}recovered {name}: version {info['version']} "
+                f"(snapshot {info['snapshot_version']} + "
+                f"{info['replayed']} WAL records, "
+                f"{info['truncated_bytes']} torn bytes truncated)"
+            )
+        for sid in document["restored_subscriptions"]:
+            print(f"{indent}restored subscription {sid}")
+        for sid, reason in sorted(document["failed_subscriptions"].items()):
+            print(
+                f"{indent}FAILED to restore subscription {sid}: {reason}",
+                file=sys.stderr,
+            )
+        if "faults" in document:
+            print(f"{indent}fault injection armed: {document['faults']}")
+    print("endpoints: POST /v1/answer /v1/distribution /v1/typical "
+          "/v1/mutate /v1/subscribe /v1/unsubscribe /v1/reload; "
+          "GET /v1/watch /healthz /metrics", flush=True)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the batching concurrent query service.
 
-    ``--workers 1`` (the default) serves in process; ``--workers N``
-    forks N worker processes, each owning a consistent-hash shard of
-    the ``(table, p_tau)`` space (see :mod:`repro.service.router`).
+    ``--workers 1`` (the default) serves in process, as worker 0 of 1;
+    ``--workers N`` forks N worker processes, each owning a
+    consistent-hash shard of the ``(table, p_tau)`` space (see
+    :mod:`repro.service.router`).  Either way the flags become one
+    :class:`~repro.service.worker.WorkerConfig`, and every service
+    replica comes from :func:`~repro.service.worker.build_service`.
     """
     from repro.service import (
-        DatasetCatalog,
-        DegradationPolicy,
-        FaultInjector,
+        ServiceHTTPServer,
+        WorkerConfig,
         load_catalog_file,
-        make_server,
         make_sharded_server,
         parse_binding,
     )
-    from repro.standing import DurableStore
+    from repro.service.worker import boot_document, build_service
 
     bindings: dict[str, str] = {}
     if args.catalog:
@@ -488,7 +536,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for binding in args.table:
         name, source = parse_binding(binding)
         bindings[name] = source
-    mode = "unbatched (naive per-request)" if args.unbatched else "batched"
+    config = WorkerConfig(
+        cache_size=args.cache_size,
+        threads=args.threads,
+        max_queue=args.max_queue,
+        max_batch=args.max_batch,
+        batched=not args.unbatched,
+        request_timeout_s=args.request_timeout,
+        degrade=not args.no_degrade,
+        degrade_deadline_s=args.degrade_deadline,
+        degrade_queue_depth=args.degrade_queue,
+        data_dir=args.data_dir,
+        snapshot_every=args.snapshot_every,
+        warm=args.warm,
+    )
     if args.workers > 1:
         server = make_sharded_server(
             bindings,
@@ -496,115 +557,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             verbose=args.verbose,
             workers=args.workers,
-            cache_size=args.cache_size,
-            threads=args.threads,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            batched=not args.unbatched,
-            request_timeout_s=args.request_timeout,
-            degrade=not args.no_degrade,
-            degrade_deadline_s=args.degrade_deadline,
-            degrade_queue_depth=args.degrade_queue,
-            data_dir=args.data_dir,
-            snapshot_every=args.snapshot_every,
-            warm=args.warm,
+            config=config,
         )
-        host, port = server.server_address[:2]
-        print(
-            f"repro serve: listening on http://{host}:{port} "
-            f"({mode}, {args.workers} worker processes)"
+        documents = server.service.pool.boot_documents
+    else:
+        service = build_service(0, 1, bindings, config)
+        server = ServiceHTTPServer(
+            (args.host, args.port), service, verbose=args.verbose
         )
-        sharded = server.service
-        for document in sharded.pool.boot_documents:
-            index = document["worker"]
-            print(
-                f"  worker w{index}: replicates "
-                f"{len(document['tables'])} tables, owns WAL for "
-                f"{document['wal_tables'] or 'none'}"
-            )
-            for name, info in sorted(
-                document.get("recovery", {}).items()
-            ):
-                print(
-                    f"    recovered {name}: version {info['version']} "
-                    f"(snapshot {info['snapshot_version']} + "
-                    f"{info['replayed']} WAL records)"
-                )
-            for sid in document["restored_subscriptions"]:
-                print(f"    restored subscription {sid}")
-            for sid, reason in sorted(
-                document["failed_subscriptions"].items()
-            ):
-                print(
-                    f"    FAILED to restore subscription {sid}: {reason}",
-                    file=sys.stderr,
-                )
-        print("endpoints: POST /v1/answer /v1/distribution /v1/typical "
-              "/v1/mutate /v1/subscribe /v1/unsubscribe /v1/reload; "
-              "GET /v1/watch /healthz /metrics", flush=True)
-        _serve_until_signalled(server, args.drain_timeout)
-        return 0
-    # Injected faults crash the *process* (like a power cut), so the
-    # chaos harness can assert real recovery — not a caught exception.
-    faults = FaultInjector.from_env(crash_mode="exit")
-    store = None
-    if args.data_dir is not None:
-        store = DurableStore(
-            args.data_dir,
-            snapshot_every=args.snapshot_every,
-            faults=faults,
-        )
-    catalog = DatasetCatalog(
-        bindings, cache_size=args.cache_size, store=store
-    )
-    if args.warm is not None:
-        catalog.warm(args.warm)
-    degradation = None
-    if not args.no_degrade:
-        degradation = DegradationPolicy(
-            deadline_s=args.degrade_deadline,
-            queue_depth=args.degrade_queue,
-        )
-    server = make_server(
-        catalog,
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        workers=args.threads,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        batched=not args.unbatched,
-        request_timeout_s=args.request_timeout,
-        degrade=not args.no_degrade,
-        degradation=degradation,
-        faults=faults,
-    )
-    host, port = server.server_address[:2]
-    print(f"repro serve: listening on http://{host}:{port} ({mode})")
-    for name, info in catalog.describe().items():
-        print(
-            f"  table {name}: {info['tuples']} tuples "
-            f"({info['me_rules']} ME rules) from {info['source']}"
-        )
-    if store is not None:
-        for name, info in sorted(store.recovery_info.items()):
-            print(
-                f"  recovered {name}: version {info['version']} "
-                f"(snapshot {info['snapshot_version']} + "
-                f"{info['replayed']} WAL records, "
-                f"{info['truncated_bytes']} torn bytes truncated)"
-            )
-        service = server.service
-        for sid in service.restored_subscriptions:
-            print(f"  restored subscription {sid}")
-        for sid, reason in sorted(service.failed_subscriptions.items()):
-            print(f"  FAILED to restore subscription {sid}: {reason}",
-                  file=sys.stderr)
-    if faults:
-        print(f"  fault injection armed: {faults.describe()}")
-    print("endpoints: POST /v1/answer /v1/distribution /v1/typical "
-          "/v1/mutate /v1/subscribe /v1/unsubscribe /v1/reload; "
-          "GET /v1/watch /healthz /metrics", flush=True)
+        documents = [boot_document(0, service)]
+    _print_boot_report(server, config, documents)
     _serve_until_signalled(server, args.drain_timeout)
     return 0
 

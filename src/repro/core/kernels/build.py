@@ -16,11 +16,11 @@ Resolution order when loading:
 3. a fresh compile into that cache, silently skipped when no compiler
    is on ``PATH`` — ``pip install`` never requires one.
 
-Binding strategies, in order: ``ctypes`` (primary — raw buffer
-addresses cross as plain integers at ~200 ns a call), then ``cffi`` in
-ABI/dlopen mode when ctypes is unavailable or broken.  Every failure
-is recorded rather than raised; callers see ``load() is None`` plus
-:func:`load_error`, and the pure-numpy backend stays available.
+The library binds through ``ctypes``, which ships with every
+supported CPython: raw buffer addresses cross as plain integers at
+~200 ns a call.  Every failure is recorded rather than raised; callers
+see ``load() is None`` plus :func:`load_error`, and the pure-numpy
+backend stays available.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class KernelLib:
 
     :ivar fold: ``repro_fold`` — fused combine over DP columns.
     :ivar vectors: ``repro_vectors`` — arena-id chain materializer.
-    :ivar strategy: binding used (``ctypes`` or ``cffi``).
+    :ivar strategy: binding used (``ctypes``).
     :ivar path: the shared library file that was loaded.
     """
 
@@ -188,56 +188,6 @@ def _bind_ctypes(path: Path) -> KernelLib:
     return KernelLib(fold, vectors, "ctypes", str(path))
 
 
-def _bind_cffi(path: Path) -> KernelLib:
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(
-        """
-        long long repro_fold(
-            const long long *ihdr, const double *fhdr,
-            const long long *slabs, long long *tags, long long tag_start,
-            double *ws, long long ws_cap, long long *wsi,
-            long long *out_lens);
-        long long repro_vectors(
-            const long long *ids, long long n, const long long *bases,
-            const long long *offs, long long nchunks,
-            const long long *tags, long long *out, long long out_cap,
-            long long *lens);
-        """
-    )
-    lib = ffi.dlopen(str(path))
-    ll = "long long *"
-
-    def fold(ihdr, fhdr, slabs, tags, tag_start, ws, ws_cap, wsi, out_lens):
-        return lib.repro_fold(
-            ffi.cast(ll, ihdr),
-            ffi.cast("double *", fhdr),
-            ffi.cast(ll, slabs),
-            ffi.cast(ll, tags),
-            tag_start,
-            ffi.cast("double *", ws),
-            ws_cap,
-            ffi.cast(ll, wsi),
-            ffi.cast(ll, out_lens),
-        )
-
-    def vectors(ids, n, bases, offs, nchunks, tags, out, out_cap, lens):
-        return lib.repro_vectors(
-            ffi.cast(ll, ids),
-            n,
-            ffi.cast(ll, bases),
-            ffi.cast(ll, offs),
-            nchunks,
-            ffi.cast(ll, tags),
-            ffi.cast(ll, out),
-            out_cap,
-            ffi.cast(ll, lens),
-        )
-
-    return KernelLib(fold, vectors, "cffi", str(path))
-
-
 def load() -> KernelLib | None:
     """The loaded kernel, building it on first use; cached per process."""
     global _LIB, _ERROR
@@ -247,19 +197,15 @@ def load() -> KernelLib | None:
     if path is None:
         _LIB = None
         return None
-    errors = []
-    for binder in (_bind_ctypes, _bind_cffi):
-        try:
-            lib = binder(path)
-        except Exception as exc:  # noqa: BLE001 - record, fall through
-            errors.append(f"{binder.__name__}: {exc}")
-            continue
-        _LIB = lib
-        _ERROR = None
-        return lib
-    _LIB = None
-    _ERROR = f"native kernel load failed: {'; '.join(errors)}"
-    return None
+    try:
+        lib = _bind_ctypes(path)
+    except Exception as exc:  # noqa: BLE001 - record, fall back
+        _LIB = None
+        _ERROR = f"native kernel load failed: {exc}"
+        return None
+    _LIB = lib
+    _ERROR = None
+    return lib
 
 
 def load_error() -> str | None:

@@ -45,6 +45,7 @@ from repro.datasets.specs import generate_from_spec, is_generator_spec
 from repro.exceptions import ServiceError
 from repro.io import load_table_file
 from repro.standing.changelog import Delta, MutableUncertainTable
+from repro.standing.registry import StandingRegistry
 from repro.standing.wal import DurableStore
 from repro.uncertain.table import UncertainTable
 
@@ -245,7 +246,7 @@ class DatasetCatalog:
         op: str,
         payload: Mapping[str, Any],
         *,
-        registry: Any = None,
+        registry: StandingRegistry | None = None,
     ) -> Delta:
         """Apply one mutation to the table *currently* under ``name``.
 
@@ -258,21 +259,16 @@ class DatasetCatalog:
         inside ``apply_payload``, so the record is on disk before this
         returns.
 
-        :param registry: optional
-            :class:`~repro.standing.registry.StandingRegistry`; its
-            subscriptions on the table are maintained before returning.
+        :param registry: the
+            :class:`~repro.standing.registry.StandingRegistry` over this
+            catalog's session that applies the mutation and maintains
+            its subscriptions on the table before returning; ``None``
+            applies it with no subscription to maintain.
         """
         with self._reload_lock:
-            table = self.session.catalog.resolve(name)
-            if not isinstance(table, MutableUncertainTable):
-                raise ServiceError(
-                    f"table {name!r} is not mutable; load the catalog "
-                    "with mutable tables to accept mutations"
-                )
-            delta = table.apply_payload(op, payload)
-            if registry is not None:
-                registry.on_delta(table, delta)
-            return delta
+            if registry is None:
+                registry = StandingRegistry(self.session)  # none to maintain
+            return registry.mutate(name, op, payload)
 
     def names(self) -> tuple[str, ...]:
         """Catalog table names, sorted."""

@@ -48,17 +48,12 @@ import re
 import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.exceptions import ServiceError
 from repro.service.batching import DEFAULT_RETRY_AFTER_S
 from repro.service.metrics import ServiceMetrics
-from repro.service.server import (
-    MAX_WATCH_TIMEOUT_S,
-    WATCH_WAIT_SLICE_S,
-    ServiceHTTPServer,
-    _Reply,
-)
+from repro.service.server import ServiceHTTPServer, WatchLoop, _Reply
 from repro.service.shard import ShardRing, payload_query_key
 from repro.service.worker import (
     BOOT_ID,
@@ -267,7 +262,7 @@ class WorkerPool:
                 handle.process.join(timeout=2.0)
 
 
-class ShardedQueryService:
+class ShardedQueryService(WatchLoop):
     """The front: ServiceProtocol over a pool of worker processes."""
 
     def __init__(
@@ -364,6 +359,8 @@ class ShardedQueryService:
 
     def _sid_worker(self, sid: str) -> int | None:
         """The worker index a sid encodes (``w{i}-sub-N``), or None."""
+        if self.pool.workers == 1:
+            return 0  # worker 0 of 1 keeps the unsharded ``sub-N`` sids
         match = _SID_PREFIX.match(sid or "")
         if match is None:
             return None
@@ -449,50 +446,26 @@ class ShardedQueryService:
         except Exception:
             return False
 
-    def watch_events(
-        self,
-        sid: str,
-        *,
-        after: int,
-        count: int,
-        timeout_s: float,
-        should_stop: Callable[[], bool] | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Watch by proxy: sliced ``watch_wait`` round trips to the
-        sid's worker, same semantics as the in-process generator."""
+    def watch_wait(
+        self, sid: str, after: int, timeout_s: float
+    ) -> dict[str, Any] | None:
+        """The ``watch_wait`` round trip to the sid's worker (see
+        :class:`~repro.service.server.WatchLoop`); ``None`` ends the
+        watch when no live worker holds the sid."""
         index = self._sid_worker(sid)
         if index is None:
-            return
-        deadline = time.monotonic() + min(
-            max(timeout_s, 0.0), MAX_WATCH_TIMEOUT_S
-        )
-        watermark = after
-        sent = 0
-        while sent < count:
-            if should_stop is not None and should_stop():
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            slice_s = min(remaining, WATCH_WAIT_SLICE_S)
-            try:
-                snapshot = self.pool.request(
-                    index,
-                    "watch_wait",
-                    sid,
-                    watermark,
-                    slice_s,
-                    timeout=slice_s + FORWARD_TIMEOUT_SLACK_S,
-                )
-            except Exception:
-                return
-            if snapshot is None:
-                return
-            if snapshot["version"] <= watermark:
-                continue
-            watermark = snapshot["version"]
-            sent += 1
-            yield snapshot
+            return None
+        try:
+            return self.pool.request(
+                index,
+                "watch_wait",
+                sid,
+                after,
+                timeout_s,
+                timeout=timeout_s + FORWARD_TIMEOUT_SLACK_S,
+            )
+        except Exception:
+            return None
 
     def healthz(self) -> _Reply:
         """Merged liveness: per-worker documents plus the ring map."""

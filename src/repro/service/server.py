@@ -252,12 +252,78 @@ class ServiceProtocol(Protocol):
     ) -> None: ...
 
 
-class QueryService:
+class WatchLoop:
+    """The ``/v1/watch`` loop of both deployments.
+
+    A service supplies :meth:`watch_wait`, one bounded wait for a
+    subscription's next snapshot: its registry's, in process, or a
+    round trip to the sid's worker, behind the sharded front.
+    """
+
+    def watch_wait(
+        self, sid: str, after: int, timeout_s: float
+    ) -> dict[str, Any] | None:
+        """Block at most ``timeout_s`` for a snapshot of ``sid`` past
+        version ``after``; the current one on timeout, ``None`` when
+        the subscription is gone."""
+        raise NotImplementedError
+
+    def watch_events(
+        self,
+        sid: str,
+        *,
+        after: int,
+        count: int,
+        timeout_s: float,
+        should_stop: Callable[[], bool] | None = None,
+    ) -> Iterator[dict[str, Any]]:
+        """``/v1/watch``: yield subscription snapshots as SSE events.
+
+        Yields up to ``count`` snapshot documents: the current one
+        immediately when its version already exceeds ``after``, then
+        one per maintained advance, until the deadline.  Terminates
+        (StopIteration) on timeout or when the subscription vanishes.
+
+        ``should_stop`` is the transport's disconnect probe: when it
+        returns true the generator ends immediately instead of holding
+        a registry waiter for the rest of the deadline.  Waits are
+        sliced to at most :data:`WATCH_WAIT_SLICE_S` so the probe runs
+        even while the subscription is idle.
+        """
+        deadline = time.monotonic() + min(
+            max(timeout_s, 0.0), MAX_WATCH_TIMEOUT_S
+        )
+        watermark = after
+        sent = 0
+        while sent < count:
+            if should_stop is not None and should_stop():
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            snapshot = self.watch_wait(
+                sid, watermark, min(remaining, WATCH_WAIT_SLICE_S)
+            )
+            if snapshot is None:
+                return
+            if snapshot["version"] <= watermark:
+                continue  # wait slice elapsed; loop re-probes and re-checks
+            watermark = snapshot["version"]
+            sent += 1
+            yield snapshot
+
+
+class QueryService(WatchLoop):
     """Catalog + shared session + executor + metrics, as one object.
 
     This is the transport-independent core: the HTTP handler (and the
     in-process tests and the service benchmark) call :meth:`handle`
     with parsed JSON and get back a status plus a JSON-ready document.
+
+    :param degradation: when overloaded exact work degrades onto
+        Monte-Carlo; a per ``(table, semantics)`` circuit breaker
+        feeds it.  ``None`` disables both; the default degrades at the
+        :mod:`~repro.service.degrade` defaults.
     """
 
     #: POST endpoint name -> executor operation.
@@ -276,20 +342,13 @@ class QueryService:
         max_batch: int = DEFAULT_MAX_BATCH,
         batched: bool = True,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-        degrade: bool = True,
-        degradation: DegradationPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
+        degradation: DegradationPolicy | None = DegradationPolicy(),
         faults: FaultInjector | None = None,
         sid_prefix: str = "sub-",
     ) -> None:
         self.catalog = catalog
         self.metrics = ServiceMetrics()
         self.request_timeout_s = request_timeout_s
-        if degrade:
-            degradation = degradation or DegradationPolicy()
-            breaker = breaker or CircuitBreaker()
-        else:
-            degradation = breaker = None
         self.faults = faults
         self.executor = BatchingExecutor(
             catalog.session,
@@ -299,7 +358,7 @@ class QueryService:
             batched=batched,
             metrics=self.metrics,
             degradation=degradation,
-            breaker=breaker,
+            breaker=None if degradation is None else CircuitBreaker(),
             faults=faults,
         )
         #: ``(endpoint, spec) -> (answer, body)``: the last body sent
@@ -368,6 +427,13 @@ class QueryService:
         "reload",
     )
 
+    def _unknown_table(self, name: object) -> tuple[int, dict[str, Any]]:
+        """The 404 of a request naming a table the catalog lacks."""
+        return 404, {
+            "error": f"unknown table {name!r}",
+            "tables": list(self.catalog.names()),
+        }
+
     def handle(self, endpoint: str, payload: dict[str, Any]) -> _Reply:
         """Serve one POST endpoint; never raises.
 
@@ -410,13 +476,8 @@ class QueryService:
         try:
             spec = build_spec(payload, "explain")
             if spec.table not in self.catalog:
-                return 404, {
-                    "error": f"unknown table {spec.table!r}",
-                    "tables": list(self.catalog.names()),
-                }
+                return self._unknown_table(spec.table)
             document = self.catalog.session.explain(spec)
-        except BadRequestError as exc:
-            return 400, {"error": str(exc)}
         except QueryPlanError as exc:
             return 404, {"error": str(exc)}
         except ReproError as exc:
@@ -438,10 +499,7 @@ class QueryService:
         if not isinstance(table, str) or not table:
             return 400, {"error": '"table" must name a catalog table'}
         if table not in self.catalog:
-            return 404, {
-                "error": f"unknown table {table!r}",
-                "tables": list(self.catalog.names()),
-            }
+            return self._unknown_table(table)
         op = payload.get("op")
         mutation = {
             key: value
@@ -456,8 +514,6 @@ class QueryService:
             delta = self.catalog.mutate(
                 table, op, mutation, registry=self.standing
             )
-        except ServiceError as exc:
-            return 400, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # pragma: no cover - defensive
@@ -475,13 +531,8 @@ class QueryService:
         try:
             spec = build_spec(payload, "subscribe")
             if spec.table not in self.catalog:
-                return 404, {
-                    "error": f"unknown table {spec.table!r}",
-                    "tables": list(self.catalog.names()),
-                }
+                return self._unknown_table(spec.table)
             sub = self.standing.subscribe(spec)
-        except BadRequestError as exc:
-            return 400, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # pragma: no cover - defensive
@@ -512,10 +563,7 @@ class QueryService:
         if not isinstance(name, str) or not name:
             return 400, {"error": '"table" must name a catalog table'}
         if name not in self.catalog:
-            return 404, {
-                "error": f"unknown table {name!r}",
-                "tables": list(self.catalog.names()),
-            }
+            return self._unknown_table(name)
         try:
             return 200, self.catalog.reload(name)
         except ServiceError as exc:
@@ -523,51 +571,11 @@ class QueryService:
         except Exception as exc:  # pragma: no cover - defensive
             return 500, {"error": f"internal error: {exc}"}
 
-    def watch_events(
-        self,
-        sid: str,
-        *,
-        after: int,
-        count: int,
-        timeout_s: float,
-        should_stop: Callable[[], bool] | None = None,
-    ):
-        """``/v1/watch``: yield subscription snapshots as SSE events.
-
-        Yields up to ``count`` snapshot documents: the current one
-        immediately when its version already exceeds ``after``, then
-        one per maintained advance, until the deadline.  Terminates
-        (StopIteration) on timeout or when the subscription vanishes.
-
-        ``should_stop`` is the transport's disconnect probe: when it
-        returns true the generator ends immediately instead of holding
-        a registry waiter for the rest of the deadline.  Waits are
-        sliced to at most :data:`WATCH_WAIT_SLICE_S` so the probe runs
-        even while the subscription is idle.
-        """
-        deadline = time.monotonic() + min(
-            max(timeout_s, 0.0), MAX_WATCH_TIMEOUT_S
-        )
-        watermark = after
-        sent = 0
-        while sent < count:
-            if should_stop is not None and should_stop():
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            snapshot = self.standing.wait(
-                sid,
-                after_version=watermark,
-                timeout=min(remaining, WATCH_WAIT_SLICE_S),
-            )
-            if snapshot is None:
-                return
-            if snapshot["version"] <= watermark:
-                continue  # wait slice elapsed; loop re-probes and re-checks
-            watermark = snapshot["version"]
-            sent += 1
-            yield snapshot
+    def watch_wait(
+        self, sid: str, after: int, timeout_s: float
+    ) -> dict[str, Any] | None:
+        """One bounded wait in the registry (see :class:`WatchLoop`)."""
+        return self.standing.wait(sid, after_version=after, timeout=timeout_s)
 
     def has_subscription(self, sid: str) -> bool:
         """Whether ``sid`` names a live subscription (transport probe)."""
@@ -621,10 +629,7 @@ class QueryService:
                 timeout_s = min(timeout_s, self.request_timeout_s)
             spec = build_spec(payload, endpoint)
             if spec.table not in self.catalog:
-                return 404, {
-                    "error": f"unknown table {spec.table!r}",
-                    "tables": list(self.catalog.names()),
-                }
+                return self._unknown_table(spec.table)
             future = self.executor.submit(
                 op,
                 spec,

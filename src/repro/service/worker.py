@@ -4,8 +4,8 @@
 :mod:`repro.service.router` for the front).  Each worker is a complete
 single-process :class:`~repro.service.server.QueryService` — its own
 catalog replica, session caches, batching executor, standing registry
-— plus a thin message loop speaking tuples over a pair of
-``multiprocessing`` queues:
+— built by :func:`build_service`, plus a thin message loop speaking
+tuples over a pair of ``multiprocessing`` queues:
 
 ================  =============================================  =========================================
 request                                                           response payload
@@ -34,6 +34,9 @@ over the *same* worker count on both sides of the queue):
   for subscriptions restored from the worker's own durable manifest
   (``subscriptions.w{index}.json``).
 
+Plain ``repro serve`` builds its in-process service with the same
+:func:`build_service`, as worker 0 of 1.
+
 Requests are dispatched on a thread pool sized to the executor's
 admission bound (:func:`dispatch_pool_size`), so every message is
 *running* ``handle`` immediately and a full executor queue surfaces as
@@ -48,7 +51,12 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.distribution import DEFAULT_P_TAU
+from repro.service.catalog import DatasetCatalog
+from repro.service.degrade import DegradationPolicy
+from repro.service.faults import FaultInjector
+from repro.service.server import QueryService
 from repro.service.shard import ShardRing
+from repro.standing.wal import DurableStore
 
 #: Reserved response id of the one boot acknowledgement.
 BOOT_ID = -1
@@ -72,10 +80,11 @@ def dispatch_pool_size(max_queue: int, threads: int) -> int:
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything one worker needs to build its service replica.
+    """Everything one service replica needs besides its bindings.
 
-    Mirrors the ``repro serve`` flags; picklable so it crosses the
-    process boundary under any multiprocessing start method.
+    ``repro serve`` turns its flags into one of these for either
+    deployment; picklable so it crosses the process boundary under
+    any multiprocessing start method.
     """
 
     cache_size: int = 64
@@ -92,34 +101,45 @@ class WorkerConfig:
     warm: int | None = None
 
 
-def _build_service(
+def build_service(
     index: int,
     workers: int,
     bindings: Mapping[str, str],
     config: WorkerConfig,
-):
-    """One worker's QueryService: full catalog replica, owned WAL shard."""
-    from repro.service.catalog import DatasetCatalog
-    from repro.service.degrade import DegradationPolicy
-    from repro.service.faults import FaultInjector
-    from repro.service.server import QueryService
-    from repro.standing.wal import DurableStore
+) -> QueryService:
+    """Worker ``index`` of ``workers``: a full catalog replica that
+    owns its ring shard of the WALs and warm keys.
 
+    Worker 0 of 1 is the in-process server: it owns every table and
+    keeps the unsharded durable names, ``subscriptions.json`` and
+    ``sub-N`` sids.
+    """
+    # Injected faults crash the *process* (like a power cut), so the
+    # chaos harness can assert real recovery, not a caught exception.
     faults = FaultInjector.from_env(crash_mode="exit")
+    wal_tables: set[str] | None = None
+    warm_tables: list[str] | None = None
+    manifest_name, sid_prefix = "subscriptions.json", "sub-"
+    if workers > 1:
+        ring = ShardRing(workers)
+        wal_tables = {
+            name for name in bindings if ring.table_owner(name) == index
+        }
+        warm_tables = [
+            name
+            for name in sorted(bindings)
+            if ring.query_owner(name, DEFAULT_P_TAU) == index
+        ]
+        manifest_name = f"subscriptions.w{index}.json"
+        sid_prefix = f"w{index}-sub-"
     store = None
     if config.data_dir is not None:
         store = DurableStore(
             config.data_dir,
             snapshot_every=config.snapshot_every,
             faults=faults,
-            manifest_name=f"subscriptions.w{index}.json",
+            manifest_name=manifest_name,
         )
-    ring = ShardRing(workers) if workers > 1 else None
-    wal_tables = None
-    if ring is not None:
-        wal_tables = {
-            name for name in bindings if ring.table_owner(name) == index
-        }
     catalog = DatasetCatalog(
         bindings,
         cache_size=config.cache_size,
@@ -139,33 +159,23 @@ def _build_service(
         max_batch=config.max_batch,
         batched=config.batched,
         request_timeout_s=config.request_timeout_s,
-        degrade=config.degrade,
         degradation=degradation,
         faults=faults,
-        sid_prefix=f"w{index}-sub-",
+        sid_prefix=sid_prefix,
     )
     if config.warm is not None:
-        # Warm only the default-p_tau keys the front routes here.
-        catalog.warm(
-            config.warm,
-            tables=(
-                None
-                if ring is None
-                else [
-                    name
-                    for name in catalog.names()
-                    if ring.query_owner(name, DEFAULT_P_TAU) == index
-                ]
-            ),
-        )
+        # A sharded worker warms only the default-p_tau keys routed to it.
+        catalog.warm(config.warm, tables=warm_tables)
     return service
 
 
-def _boot_document(index: int, service: Any) -> dict[str, Any]:
-    """The boot ack payload: what this worker recovered and restored."""
+def boot_document(index: int, service: QueryService) -> dict[str, Any]:
+    """What one replica loaded, recovered and restored: the sharded
+    boot ack's payload, and what either deployment's boot report
+    prints."""
     document: dict[str, Any] = {
         "worker": index,
-        "tables": sorted(service.catalog.names()),
+        "tables": service.catalog.describe(),
         "wal_tables": sorted(
             name
             for name in service.catalog.names()
@@ -177,6 +187,8 @@ def _boot_document(index: int, service: Any) -> dict[str, Any]:
     store = service.catalog.store
     if store is not None:
         document["recovery"] = store.recovery_info
+    if service.faults:
+        document["faults"] = service.faults.describe()
     return document
 
 
@@ -197,10 +209,7 @@ def _dispatch(service: Any, message: tuple, response_q: Any) -> None:
         elif kind == "has_sub":
             result = service.has_subscription(message[2])
         elif kind == "watch_wait":
-            sid, after, timeout_s = message[2], message[3], message[4]
-            result = service.standing.wait(
-                sid, after_version=after, timeout=timeout_s
-            )
+            result = service.watch_wait(*message[2:5])
         else:
             raise ValueError(f"unknown worker message kind {kind!r}")
     except Exception as exc:
@@ -226,13 +235,13 @@ def worker_main(
     # signal or the graceful path never runs.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        service = _build_service(index, workers, bindings, config)
+        service = build_service(index, workers, bindings, config)
     except Exception as exc:
         response_q.put(
             (BOOT_ID, False, f"{type(exc).__name__}: {exc}")
         )
         return
-    response_q.put((BOOT_ID, True, _boot_document(index, service)))
+    response_q.put((BOOT_ID, True, boot_document(index, service)))
     pool = ThreadPoolExecutor(
         max_workers=dispatch_pool_size(config.max_queue, config.threads),
         thread_name_prefix=f"repro-w{index}",

@@ -82,7 +82,7 @@ class SlidingWindowTopK:
 
     >>> win = SlidingWindowTopK(window=4, k=2)
     >>> for i in range(6):
-    ...     win.append({"score": float(i)}, probability=0.9)
+    ...     tid = win.append({"score": float(i)}, probability=0.9)
     >>> len(win)
     4
     >>> win.distribution().scores[-1]   # best total = 5 + 4

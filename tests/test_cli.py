@@ -188,3 +188,47 @@ class TestModuleDocstring:
     def test_documented_command_parses(self, command):
         # argparse exits 2 on an unknown option or a missing one.
         build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
+class TestServeBootReport:
+    """``repro serve`` prints either deployment's boot report from its
+    replicas' boot documents through one function."""
+
+    def test_in_process_and_sharded_reports(self, tmp_path, capsys) -> None:
+        from types import SimpleNamespace
+
+        from repro.cli import _print_boot_report
+        from repro.service.worker import WorkerConfig, boot_document, build_service
+
+        source = "synthetic:tuples=40,me=0.0,seed=7"
+        config = WorkerConfig(threads=1, data_dir=str(tmp_path))
+        service = build_service(0, 1, {"live": source}, config)
+        try:
+            document = boot_document(0, service)
+        finally:
+            service.shutdown(drain=True)
+        server = SimpleNamespace(server_address=("127.0.0.1", 8123))
+        recovered = (
+            "recovered live: version 0 (snapshot None + 0 WAL records, "
+            "0 torn bytes truncated)"
+        )
+        _print_boot_report(server, config, [document])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "repro serve: listening on http://127.0.0.1:8123 (batched)",
+            f"  table live: 40 tuples (0 ME rules) from {source}",
+            f"  {recovered}",
+        ]
+        assert lines[3].startswith("endpoints: POST /v1/answer")
+        _print_boot_report(
+            server, config, [document, dict(document, worker=1, wal_tables=[])]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "repro serve: listening on http://127.0.0.1:8123 "
+            "(batched, 2 worker processes)",
+            "  worker w0: replicates 1 tables, owns WAL for ['live']",
+            f"    {recovered}",
+            "  worker w1: replicates 1 tables, owns WAL for none",
+            f"    {recovered}",
+        ]

@@ -284,7 +284,7 @@ class TestServiceDegradation:
 
     def test_no_degrade_service_has_no_policy(self) -> None:
         catalog = DatasetCatalog([f"live={self.LIVE_SPEC}"])
-        service = QueryService(catalog, workers=1, degrade=False)
+        service = QueryService(catalog, workers=1, degradation=None)
         try:
             status, doc = self.post(service, "answer", {
                 "table": "live", "k": 3, "timeout_s": 0.3,

@@ -392,3 +392,22 @@ class TestSharedKeyDerivation:
         assert logical.pmf_params("dp") == logical.pmf_params("dp")
         assert logical.mc_params("dp") == ()
         assert logical.mc_params("mc") == (None, 0.95, None, 3)
+
+    def test_explain_renders_the_key_fusion_groups_by(self) -> None:
+        from repro.standing import MutableUncertainTable
+
+        table = MutableUncertainTable.from_table(soldier_table())
+        session = Session({"s": table})
+        spec = QuerySpec(table="s", scorer="score", k=2)
+
+        def fusion_key(spec: QuerySpec) -> str:
+            return session.explain(spec)["logical"]["fusion_key"]
+
+        before = fusion_key(spec)
+        assert before == repr(session._plan(spec).fusion_key())
+        # Any k over one table version fuses; another line budget or
+        # a new version of the same table never does.
+        assert fusion_key(spec.with_(k=3)) == before
+        assert fusion_key(spec.with_(max_lines=50)) != before
+        table.expire(table.tids[0])
+        assert fusion_key(spec) != before

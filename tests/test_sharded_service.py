@@ -125,10 +125,57 @@ def single():
     service.shutdown()
 
 
+class TestBuildService:
+    """One builder for both deployments: worker 0 of 1 is the
+    in-process server and keeps the unsharded durable names."""
+
+    def test_names_follow_the_worker_count(self, tmp_path) -> None:
+        from repro.service.worker import WorkerConfig, build_service
+
+        seen = {}
+        for workers in (1, 2):
+            data_dir = tmp_path / f"of{workers}"
+            service = build_service(
+                0,
+                workers,
+                {"live": BINDINGS["live"]},
+                WorkerConfig(threads=1, data_dir=str(data_dir)),
+            )
+            try:
+                reply = service.handle("subscribe", {"table": "live", "k": 2})
+                files = sorted(p.name for p in data_dir.iterdir() if p.is_file())
+                seen[workers] = (reply.document["sid"], files)
+            finally:
+                service.shutdown(drain=True)
+        assert seen[1] == ("sub-1", ["subscriptions.json"])
+        assert seen[2] == ("w0-sub-1", ["subscriptions.w0.json"])
+
+    def test_degrade_flag_sets_the_one_degradation_input(self) -> None:
+        from repro.service.worker import WorkerConfig, build_service
+
+        bindings = {"live": BINDINGS["live"]}
+        for degrade in (True, False):
+            service = build_service(
+                0,
+                1,
+                bindings,
+                WorkerConfig(threads=1, degrade=degrade, degrade_deadline_s=0.25),
+            )
+            try:
+                policy = service.executor.degradation
+                if degrade:
+                    assert policy is not None and policy.deadline_s == 0.25
+                    assert service.executor.breaker is not None
+                else:
+                    assert policy is None and service.executor.breaker is None
+            finally:
+                service.shutdown()
+
+
 class TestWorkerWarm:
     def test_each_worker_warms_only_its_default_keys(self) -> None:
         from repro.core.distribution import DEFAULT_P_TAU
-        from repro.service.worker import WorkerConfig, _build_service
+        from repro.service.worker import WorkerConfig, build_service
 
         bindings = {
             f"t{i}": f"synthetic:tuples=30,me=0.0,seed={i}"
@@ -143,7 +190,7 @@ class TestWorkerWarm:
                 if ring.query_owner(name, DEFAULT_P_TAU) == index
             }
             assert 0 < len(owned) < len(bindings)
-            service = _build_service(
+            service = build_service(
                 index, 2, bindings, WorkerConfig(threads=1, warm=2)
             )
             try:

@@ -5,7 +5,8 @@ every table version, every subscription's *maintained* answer must be
 byte-identical (as canonical JSON) to a cold recompute on a fresh
 immutable copy of the table — for all six registered semantics, under
 Theorem-2 truncation, explicit depths, and ME-rule tables (which
-exercise the recompute tier).
+exercise the recompute tier), including inserts whose ME group
+straddles the Theorem-2 stop.
 
 ``REPRO_DIFF_SEED`` shifts every stream's seed (the CI fuzz smoke
 rotates it daily) and ``REPRO_DIFF_DEPTH=N`` runs ``N`` times as many
@@ -25,8 +26,10 @@ import pytest
 from repro.api.registry import available_semantics
 from repro.api.session import Session
 from repro.api.spec import QuerySpec
+from repro.core.scan_depth import scan_depth, scan_depth_threshold
 from repro.io.json_io import answer_to_jsonable
 from repro.standing import MutableUncertainTable, StandingRegistry
+from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from repro.uncertain.table import UncertainTable
 
 SEMANTICS = sorted(available_semantics())
@@ -107,6 +110,43 @@ def random_mutation(rng, table: MutableUncertainTable, counter):
     )
 
 
+def straddling_insert(rng, table: MutableUncertainTable, counter, *, k, p_tau):
+    """Insert a row that scores just below the Theorem-2 stop and joins
+    the ME group of a prefix row whose mass above the stop exceeds the
+    stop's margin over the threshold; ``None`` when no group can.
+
+    The scan excludes a row's own group mass, so the new row cannot
+    stop it: the stop moves down past a row scoring below every prefix
+    row, which only ``classify_delta``'s ME-straddle rule catches.
+    """
+    scored = ScoredTable.from_table(table, attribute_scorer("score"))
+    depth = scan_depth(scored, k, p_tau)
+    if depth == len(scored):
+        return None
+    prefix = [scored[pos] for pos in range(depth)]
+    # Summed in scan order, as scan_depth accumulates it.
+    margin = sum(item.prob for item in prefix) - scan_depth_threshold(k, p_tau)
+    above: dict[int, float] = {}
+    for item in prefix:
+        above[item.group] = above.get(item.group, 0.0) + item.prob
+    anchors = [
+        item
+        for item in prefix
+        if above[item.group] > margin and table.group_mass(item.group) < 0.9
+    ]
+    if not anchors:
+        return None
+    anchor = anchors[rng.integers(len(anchors))]
+    headroom = 1.0 - table.group_mass(anchor.group)
+    low, high = scored[depth].score, prefix[-1].score
+    return table.insert(
+        f"x{next(counter)}",
+        {"score": low + (high - low) * float(rng.uniform(0.25, 0.75))},
+        float(rng.uniform(0.01, headroom * 0.9)),
+        group_with=anchor.tid,
+    )
+
+
 def run_stream(
     seed: int,
     *,
@@ -114,6 +154,7 @@ def run_stream(
     specs,
     steps: int = 25,
     rows: int = 50,
+    mutate=random_mutation,
 ) -> dict:
     """Drive one mutation stream and check every version."""
     import itertools
@@ -142,7 +183,7 @@ def run_stream(
     counter = itertools.count()
     tiers = {"skip": 0, "recompute": 0}
     for _ in range(steps):
-        delta = random_mutation(rng, table, counter)
+        delta = mutate(rng, table, counter)
         registry.on_delta(table, delta)
         for sub in subs:
             assert sub.version == delta.version, (seed, delta)
@@ -193,6 +234,30 @@ class TestMaintainedAnswersMatchCold:
         # Truncating subscriptions over ME tables may skip (the delta
         # provably misses the prefix); the rest recompute.
         assert tiers["recompute"] > 0
+
+    @pytest.mark.parametrize("stream", streams(3))
+    def test_me_group_straddling_the_stop(self, stream) -> None:
+        # Half the steps insert below the stop into a prefix row's
+        # group; the stop then moves, so no such insert may skip.
+        straddles = []
+
+        def mutate(rng, table, counter):
+            if rng.random() < 0.5:
+                delta = straddling_insert(
+                    rng, table, counter, k=3, p_tau=0.05
+                )
+                if delta is not None:
+                    straddles.append(delta)
+                    return delta
+            return random_mutation(rng, table, counter)
+
+        run_stream(
+            SEED_OFFSET + 400 + stream,
+            rules=(),
+            specs=six_specs(p_tau=0.05),
+            mutate=mutate,
+        )
+        assert straddles
 
     @pytest.mark.parametrize("stream", streams(2))
     def test_explicit_depth_stream(self, stream) -> None:
