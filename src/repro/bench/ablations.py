@@ -20,8 +20,6 @@ query path.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.core.dp import (
@@ -31,7 +29,7 @@ from repro.core.dp import (
     _dp_run,
     _ending_units,
     _merge_cells,
-    _order_cell_vectors,
+    _rows,
     _Unit,
 )
 from repro.core.pmf import ScorePMF
@@ -56,19 +54,12 @@ def _compressed_units(
     determinism (order is semantically irrelevant once the ending is
     fixed).
     """
-    members_by_group: dict[int, list[tuple[float, float, Any]]] = {}
-    order: list[int] = []
-    for pos in range(cutoff):
-        item = scored[pos]
-        if item.group == exclude_group:
-            continue
-        if item.group not in members_by_group:
-            members_by_group[item.group] = []
-            order.append(item.group)
-        members_by_group[item.group].append(
-            (item.score, item.prob, item.tid)
-        )
-    return [_Unit(members_by_group[g]) for g in order]
+    members_by_group: dict[int, list[tuple[float, float, int]]] = {}
+    groups = scored.group_column.tolist()
+    for row in _rows(scored)[:cutoff]:
+        if groups[row[2]] != exclude_group:
+            members_by_group.setdefault(groups[row[2]], []).append(row)
+    return [_Unit(members) for members in members_by_group.values()]
 
 
 def _per_ending_cell(
@@ -86,19 +77,17 @@ def _per_ending_cell(
     if end <= k - 1:
         # A top-k vector's ending tuple sits at position >= k - 1.
         return None
+    rows = _rows(scored)
     if end - start == 1 and not scored.is_lead(start):
-        pos = start
-        units = _compressed_units(scored, pos, scored[pos].group)
-        item = scored[pos]
-        units.append(_Unit([(item.score, item.prob, item.tid)]))
+        units = _compressed_units(scored, start, scored[start].group)
+        units.append(_Unit((rows[start],)))
         exits = [False] * len(units)
         exits[-1] = True
     else:
         units = _compressed_units(scored, start, None)
         exits = [False] * len(units)
         for pos in range(start, end):
-            item = scored[pos]
-            units.append(_Unit([(item.score, item.prob, item.tid)]))
+            units.append(_Unit((rows[pos],)))
             exits.append(True)
     return _dp_run(units, k, exits, max_lines, backend)
 
@@ -128,18 +117,16 @@ def dp_distribution_per_ending(
         return ScorePMF(())
 
     if scored.me_member_count() == 0:
-        units = [
-            _Unit([(item.score, item.prob, item.tid)]) for item in scored
-        ]
-        return _cell_to_pmf(_dp_run(units, k, [True] * n, max_lines, backend))
+        units = [_Unit((row,)) for row in _rows(scored)]
+        cell = _dp_run(units, k, [True] * n, max_lines, backend)
+        return _cell_to_pmf(cell, scored)
 
     partial = []
     for start, end in _ending_units(scored):
         cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
         if cell is not None:
             partial.append(cell)
-    merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
-    return _cell_to_pmf(merged)
+    return _cell_to_pmf(_merge_cells(partial, max_lines), scored)
 
 
 def dp_distribution_without_lead_regions(
@@ -161,18 +148,17 @@ def dp_distribution_without_lead_regions(
     n = len(scored)
     if n < k:
         return ScorePMF(())
+    rows = _rows(scored)
     partial: list[_Cell] = []
     for pos in range(k - 1, n):
-        item = scored[pos]
-        units = _compressed_units(scored, pos, item.group)
-        units.append(_Unit([(item.score, item.prob, item.tid)]))
+        units = _compressed_units(scored, pos, scored[pos].group)
+        units.append(_Unit((rows[pos],)))
         exits = [False] * len(units)
         exits[-1] = True
         cell = _dp_run(units, k, exits, max_lines)
         if cell is not None:
             partial.append(cell)
-    merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
-    return _cell_to_pmf(merged)
+    return _cell_to_pmf(_merge_cells(partial, max_lines), scored)
 
 
 def sample_worlds_per_world(

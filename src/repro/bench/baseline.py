@@ -16,17 +16,24 @@ are comparable; absolute numbers across machines are not, which is why
 every baseline also times a fixed *calibration* workload in the same
 run and the regression guard compares calibration-normalized ratios —
 a uniformly slower CI runner cancels out, and only genuine relative
-slowdowns (beyond the generous factor) trip the guard.  The committed
-file is recorded under ``REPRO_BACKEND=python``, the slowest DP
-engine, so runs that load the compiled kernel only ever read faster.
+slowdowns (beyond the generous factor) trip the guard.
+
+Schema 2 times every workload on each DP backend: a workload's entry
+is ``{"python": seconds, "native": seconds}``, with ``native`` only
+where the compiled kernel loads (a ``REPRO_BACKEND`` pin times that
+backend alone).  The guard compares each backend present in both
+files and reads a schema-1 entry (``{"seconds": s}``, recorded under
+``REPRO_BACKEND=python``) as python-only.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,30 +154,62 @@ def _calibration_factory() -> Callable[[], object]:
     return run
 
 
+def timed_backends() -> list[str]:
+    """The DP backends a baseline times: the pinned one under
+    ``REPRO_BACKEND``, else python, plus native where the kernel
+    loads."""
+    if os.environ.get(kernels.BACKEND_ENV, "").strip():
+        return [kernels.resolve_backend(None)]
+    return ["python", "native"] if kernels.native_available() else ["python"]
+
+
+@contextmanager
+def _pinned(backend: str) -> Iterator[None]:
+    """Run the block with ``REPRO_BACKEND`` set to ``backend``.
+
+    The streaming workload reaches the DP through a session whose
+    planner picks the backend; the variable is the one switch every
+    path obeys.
+    """
+    before = os.environ.get(kernels.BACKEND_ENV)
+    os.environ[kernels.BACKEND_ENV] = backend
+    try:
+        yield
+    finally:
+        if before is None:
+            del os.environ[kernels.BACKEND_ENV]
+        else:
+            os.environ[kernels.BACKEND_ENV] = before
+
+
 def run_baseline(
     *, tiny_only: bool = False, repeats: int = 3
 ) -> dict[str, object]:
-    """Time every workload; return the machine-readable baseline."""
-    seconds: dict[str, float] = {}
+    """Time every workload on each backend; return the schema-2
+    baseline."""
+    backends = timed_backends()
+    workloads: dict[str, dict[str, float]] = {}
     for name, factory in workload_factories(tiny_only).items():
         case = factory()  # setup (dataset + prefix) outside the timer
-        seconds[name] = time_callable(case, repeats=repeats).seconds
+        workloads[name] = {}
+        for backend in backends:
+            with _pinned(backend):
+                timing = time_callable(case, repeats=repeats)
+            workloads[name][backend] = timing.seconds
     calibration = time_callable(
         _calibration_factory(), repeats=max(3, repeats)
     ).seconds
     return {
-        "schema": 1,
+        "schema": 2,
         "meta": {
             "repeats": repeats,
             "tiny_only": tiny_only,
-            "backend": kernels.resolve_backend(None),
+            "backends": backends,
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
         "calibration": {"seconds": calibration},
-        "workloads": {
-            name: {"seconds": value} for name, value in seconds.items()
-        },
+        "workloads": workloads,
     }
 
 
@@ -198,6 +237,14 @@ def _calibration_scale(current: dict, committed: dict) -> float:
     return 1.0
 
 
+def _backend_seconds(entry: dict) -> dict[str, float]:
+    """A workload entry as ``{backend: seconds}``; a schema-1 entry
+    ``{"seconds": s}`` was recorded under ``REPRO_BACKEND=python``."""
+    if "seconds" in entry:
+        return {"python": float(entry["seconds"])}
+    return {backend: float(value) for backend, value in entry.items()}
+
+
 def check_against_baseline(
     current: dict,
     committed: dict,
@@ -208,22 +255,22 @@ def check_against_baseline(
 
     Workload times are normalized by the in-run calibration probe
     before comparing, so a uniformly slower machine does not trip the
-    guard.  Only workloads present in both baselines are compared;
-    returns human-readable violation lines (empty = pass).
+    guard.  Only workloads and backends present in both baselines are
+    compared; returns human-readable violation lines (empty = pass).
     """
     violations: list[str] = []
     scale = _calibration_scale(current, committed)
     committed_workloads = committed.get("workloads", {})
     for name, entry in current.get("workloads", {}).items():
-        reference = committed_workloads.get(name)
-        if reference is None:
-            continue
-        now = float(entry["seconds"])
-        before = float(reference["seconds"]) * scale
-        if before > 0.0 and now > factor * before:
-            violations.append(
-                f"{name}: {now:.4f}s vs baseline {before:.4f}s "
-                f"(machine-normalized, x{scale:.2f}; "
-                f"{now / before:.1f}x > {factor:.1f}x guard)"
-            )
+        reference = _backend_seconds(committed_workloads.get(name, {}))
+        for backend, now in _backend_seconds(entry).items():
+            if backend not in reference:
+                continue
+            before = reference[backend] * scale
+            if before > 0.0 and now > factor * before:
+                violations.append(
+                    f"{name} ({backend}): {now:.4f}s vs baseline "
+                    f"{before:.4f}s (machine-normalized, x{scale:.2f}; "
+                    f"{now / before:.1f}x > {factor:.1f}x guard)"
+                )
     return violations

@@ -788,7 +788,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     data = run_baseline(tiny_only=args.tiny, repeats=args.repeats)
     for name, entry in data["workloads"].items():
-        print(f"{name:42s} {entry['seconds'] * 1e3:10.2f} ms")
+        times = "".join(
+            f"  {backend} {seconds * 1e3:9.2f} ms"
+            for backend, seconds in entry.items()
+        )
+        print(f"{name:36s}{times}")
     if args.json is not None:
         write_baseline(data, args.json)
         print(f"wrote {args.json}")

@@ -41,13 +41,18 @@ implementation lives on, with the Section-3.3.2 per-tuple variant, in
 Implementation notes
 --------------------
 Cell distributions are ``(scores, probs, vectors)`` triples with the
-numeric columns as ascending numpy arrays; representative vectors are
-shared cons-lists ``(tid, parent)`` so the "take" step prepends in
-O(1) per line.  Distribution unions never concatenate-and-argsort:
-already-ascending parts are combined by a stable ``np.searchsorted``
-tree merge (:func:`_merge_parts`), which produces the exact same
-permutation as a stable sort of the concatenation at a fraction of the
-allocation churn.  Intermediate coalescing uses an equi-width grid
+numeric columns as ascending numpy arrays.  Inside the dynamic
+programs a row is known only by its rank position in the
+:class:`ScoredTable`, and a representative vector is an int64 id into
+a vector arena (:class:`_Arena`, or the native engine's registries)
+that records, per line, its parent vector and the position it adds.
+No Python object is built per line: a final cell's vectors are walked
+into a ``(lines, k)`` int64 array of positions, and only the lines
+that survive the last reduce become tid tuples (:func:`_cell_to_pmf`).
+Distribution unions concatenate their already-ascending parts and
+take one stable ``np.argsort`` (:func:`_stable_merge`), so equal
+scores keep part order: the permutation of the native kernel's
+sequential merge.  Intermediate coalescing uses an equi-width grid
 over the cell's own span (weighted-mean score, summed probability,
 heavier line's vector per occupied bucket): every merge joins lines at
 most ``cell span / max_lines`` apart, and since intermediate spans
@@ -60,8 +65,7 @@ pairwise strategy for presentation-time coalescing.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,92 +115,87 @@ _MIN_CELL_MASS = float(np.finfo(np.float64).tiny)
 class _Unit:
     """One DP row: an independent tuple or a compressed rule tuple.
 
-    :ivar constituents: ``(score, prob, tid)`` per original tuple; a
-        plain tuple has exactly one constituent.
+    :ivar constituents: ``(score, prob, pos)`` per original tuple,
+        ``pos`` being its rank position; a plain tuple has exactly one
+        constituent.
     :ivar absent_prob: probability that no constituent exists
         (``1 - sum of constituent probabilities``, clamped at 0).
     """
 
     __slots__ = ("constituents", "absent_prob")
 
-    def __init__(self, constituents: Sequence[tuple[float, float, Any]]):
+    def __init__(self, constituents: Sequence[tuple[float, float, int]]):
         self.constituents = tuple(constituents)
         mass = sum(p for _, p, _ in constituents)
         self.absent_prob = max(0.0, 1.0 - mass)
 
 
-def _cons_to_vector(cell) -> tuple:
-    """Unwind a cons-list ``(tid, parent)`` into a rank-ordered tuple."""
-    out = []
-    while cell is not None:
-        out.append(cell[0])
-        cell = cell[1]
-    return tuple(out)
+def _rows(scored: ScoredTable) -> list[tuple[float, float, int]]:
+    """Each row's ``(score, prob, rank position)`` constituent."""
+    return list(
+        zip(
+            scored.score_column.tolist(),
+            scored.prob_column.tolist(),
+            range(len(scored)),
+        )
+    )
 
 
 class _Arena:
-    """Chunked storage of representative vectors as integer ids.
+    """Representative vectors as int64 ids over two flat arrays.
 
-    Every "take" step of one dynamic program appends a *chunk*: all its
-    lines share the prepended tid, and each line records the id of its
-    parent vector.  Id 0 is the empty vector.  Vectors therefore live
-    as int64 arrays inside the DP (every per-line operation is numpy
-    fancy indexing) and only the final cell's handful of lines is ever
-    materialized into tid tuples.
+    Every "take" step of one dynamic program appends a run of new ids:
+    each line records its parent vector's id in ``parents`` and the
+    rank position it adds in ``positions``.  Id 0 is the empty vector.
+    Vectors therefore live as int64 arrays inside the DP (every
+    per-line operation is numpy fancy indexing), and walking a cell's
+    length-``k`` vectors is ``k`` gathers (:meth:`walk`).
     """
 
-    __slots__ = ("tids", "parents", "bases", "size", "_iota")
+    __slots__ = ("parents", "positions", "size")
 
     def __init__(self) -> None:
-        self.tids: list = [None]
-        self.parents: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        self.bases: list[int] = [0]
-        self.size: int = 1
-        # Pre-sized consecutive-id chunk, doubled on demand: ``extend``
-        # returns ``base + iota[:n]`` instead of a fresh ``arange``.
-        self._iota: np.ndarray = np.arange(256, dtype=np.int64)
+        self.parents = np.zeros(1024, dtype=np.int64)
+        self.positions = np.zeros(1024, dtype=np.int64)
+        self.size = 1
 
-    def extend(self, tid, parent_ids: np.ndarray) -> np.ndarray:
-        """New ids for lines prepending ``tid`` onto ``parent_ids``."""
+    def extend(self, pos: int, parent_ids: np.ndarray) -> np.ndarray:
+        """New ids for lines adding position ``pos`` to ``parent_ids``."""
         base = self.size
-        count = len(parent_ids)
-        self.tids.append(tid)
-        self.parents.append(parent_ids)
-        self.bases.append(base)
-        self.size += count
-        if count > len(self._iota):
-            self._iota = np.arange(
-                max(count, 2 * len(self._iota)), dtype=np.int64
-            )
-        return base + self._iota[:count]
+        end = base + len(parent_ids)
+        if end > len(self.parents):
+            # Ids at or past ``base`` are rewritten before any is read.
+            grown = max(end, 2 * len(self.parents))
+            self.parents = np.resize(self.parents, grown)
+            self.positions = np.resize(self.positions, grown)
+        self.parents[base:end] = parent_ids
+        self.positions[base:end] = pos
+        self.size = end
+        return np.arange(base, end, dtype=np.int64)
 
-    def vector(self, vec_id: int) -> tuple:
-        """Materialize an id into a rank-ordered tuple of tids."""
-        out = []
-        while vec_id != 0:
-            chunk = bisect_right(self.bases, vec_id) - 1
-            out.append(self.tids[chunk])
-            vec_id = int(self.parents[chunk][vec_id - self.bases[chunk]])
-        return tuple(out)
+    def walk(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """Length-``k`` vectors as ``(lines, k)`` positions, last pick
+        first."""
+        rows = np.empty((len(ids), k), dtype=np.int64)
+        for step in range(k):
+            rows[:, step] = self.positions[ids]
+            ids = self.parents[ids]
+        return rows
 
-    def mark(self) -> tuple[int, int]:
-        """Checkpoint for :meth:`release` (chunk count, next id)."""
-        return len(self.bases), self.size
+    def mark(self) -> int:
+        """Checkpoint for :meth:`release` (the next id)."""
+        return self.size
 
-    def release(self, mark: tuple[int, int]) -> None:
-        """Drop every chunk added since ``mark``.
+    def release(self, mark: int) -> None:
+        """Drop every id appended since ``mark``.
 
         The shared-prefix sweep uses per-ending folds as scratch work:
-        once an emitted cell's vectors are materialized, its chunks
-        are dead, and releasing them keeps the arena's footprint
-        proportional to the shared prefix instead of the whole sweep.
-        Ids issued before the mark stay valid.
+        once an emitted cell's vectors are walked, its ids are dead,
+        and releasing them keeps the arena's footprint proportional to
+        the shared prefix instead of the whole sweep.  Ids appended
+        before the mark stay valid.
         """
-        chunks, size = mark
-        del self.tids[chunks:]
-        del self.parents[chunks:]
-        del self.bases[chunks:]
-        self.size = size
+        self.size = mark
 
 
 def _segment_sums(weights: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -227,44 +226,18 @@ def _segment_winners(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return order[np.append(starts[1:], len(probs)) - 1]
 
 
-def _merge_two(a: tuple, b: tuple) -> tuple:
-    """Stable merge of two cells whose first column is ascending.
+def _stable_merge(parts: list[_Cell]) -> _Cell:
+    """Union of cells whose first column is ascending, still ascending.
 
-    Equal keys keep ``a`` before ``b`` (``side="right"``), so the
-    output is the exact permutation a stable argsort of the
-    concatenation would produce.
+    One stable ``np.argsort`` over the concatenated scores: equal
+    scores keep part order, the permutation the native kernel's
+    sequential merge produces.
     """
-    key_a, key_b = a[0], b[0]
-    pos_b = np.searchsorted(key_a, key_b, side="right")
-    pos_b = pos_b + np.arange(len(key_b), dtype=np.int64)
-    total = len(key_a) + len(key_b)
-    mask_a = np.ones(total, dtype=bool)
-    mask_a[pos_b] = False
-    merged = []
-    for col_a, col_b in zip(a, b):
-        col = np.empty(total, dtype=np.promote_types(col_a.dtype, col_b.dtype))
-        col[mask_a] = col_a
-        col[pos_b] = col_b
-        merged.append(col)
-    return tuple(merged)
-
-
-def _merge_parts(parts: list[tuple]) -> tuple:
-    """K-way stable merge of cells with ascending first columns.
-
-    Adjacent pairs merge mergesort-style, so the result equals a
-    stable sort of the parts' concatenation while every element moves
-    only O(log k) times and no concat+argsort round trip is paid.
-    """
-    while len(parts) > 1:
-        merged = [
-            _merge_two(parts[i], parts[i + 1])
-            for i in range(0, len(parts) - 1, 2)
-        ]
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
+    if len(parts) == 1:
+        return parts[0]
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(column[order] for column in columns)
 
 
 def _reduce_cell(
@@ -276,8 +249,8 @@ def _reduce_cell(
     """Merge equal scores, then grid-coalesce to ``max_lines`` lines.
 
     ``scores`` must already be ascending; ``vectors`` is an aligned
-    numpy array (int64 arena ids inside a DP, object tuples at the
-    cross-run merge).  Equal scores always merge (probabilities summed,
+    int64 array (arena ids inside a DP, line ids at the cross-ending
+    merge).  Equal scores always merge (probabilities summed,
     heavier line's vector kept — the step-3 merge rule of Section 3.2);
     the grid pass runs only when the line budget is exceeded, and every
     grid merge joins lines at most ``cell span / max_lines`` apart —
@@ -289,10 +262,10 @@ def _reduce_cell(
     mass underflows into the subnormal range or to exactly ``0.0``;
     the weighted-mean score of such a bucket is ``0/0`` (NaN) or so
     quantized by subnormal arithmetic that it lands outside its own
-    bucket, breaking the ascending-score invariant
-    :func:`_merge_two` depends on.  A line whose mass cannot even be
-    represented as a normal float is unobservable noise, so those
-    buckets are dropped (see :data:`_MIN_CELL_MASS`).
+    bucket, breaking the ascending-score invariant every merge depends
+    on.  A line whose mass cannot even be represented as a normal
+    float is unobservable noise, so those buckets are dropped (see
+    :data:`_MIN_CELL_MASS`).
 
     Segment sums go through :func:`_segment_sums` (a ``np.bincount``
     scatter-add) rather than ``np.add.reduceat``: the reduceat
@@ -351,18 +324,17 @@ def _combine(
         parts.append((scores, probs * unit.absent_prob, vectors))
     if take_cell is not None:
         scores, probs, vectors = take_cell
-        for c_score, c_prob, c_tid in unit.constituents:
+        for c_score, c_prob, c_pos in unit.constituents:
             parts.append(
                 (
                     scores + c_score,
                     probs * c_prob,
-                    arena.extend(c_tid, vectors),
+                    arena.extend(c_pos, vectors),
                 )
             )
     if not parts:
         return None
-    scores, probs, vectors = parts[0] if len(parts) == 1 else _merge_parts(parts)
-    return _reduce_cell(scores, probs, vectors, max_lines)
+    return _reduce_cell(*_stable_merge(parts), max_lines)
 
 
 class _PythonEngine:
@@ -383,10 +355,12 @@ class _PythonEngine:
       here);
     * ``fold_into(chain, unit, pairs)`` — one :func:`_combine` per
       ``(skip, take)`` pair;
-    * ``take_reduce(cell, item)`` — :func:`_take_ending` +
-      :func:`_reduce_cell`, exported as ``(scores, probs, ids)``;
+    * ``take_reduce(cell, constituent)`` — attach one ``(score, prob,
+      pos)`` as the last pick and reduce, exported as ``(scores,
+      probs, ids)``;
     * ``export_cell(cell)`` — a final cell as numpy arrays;
-    * ``materialize_ids(ids)`` — arena ids to tid tuples;
+    * ``positions(ids, k)`` — length-``k`` vectors as a ``(lines, k)``
+      int64 array of rank positions, last pick first;
     * ``mark()`` / ``release(mark)`` — scratch vector-arena windows.
     """
 
@@ -412,18 +386,16 @@ class _PythonEngine:
             for skip, take in pairs
         ]
 
-    def take_reduce(self, cell: _Cell | None, item) -> _Cell | None:
-        taken = _take_ending(cell, item, self.arena)
-        if taken is None:
-            return None
-        return _reduce_cell(*taken, self.max_lines)
+    def take_reduce(self, cell: _Cell | None, constituent) -> _Cell | None:
+        return _combine(
+            _Unit((constituent,)), None, cell, self.arena, self.max_lines
+        )
 
     def export_cell(self, cell: _Cell) -> _Cell:
         return cell
 
-    def materialize_ids(self, ids: np.ndarray) -> list[tuple]:
-        vector = self.arena.vector
-        return [vector(int(vec_id)) for vec_id in ids]
+    def positions(self, ids: np.ndarray, k: int) -> np.ndarray:
+        return self.arena.walk(ids, k)
 
     def mark(self):
         return self.arena.mark()
@@ -468,9 +440,9 @@ def _dp_run_multi(
     ``j - 1``, so computing extra columns never changes a column's
     cells: the ``k``-column of a multi-k run is byte-identical to a
     dedicated ``k``-run (the column-range pruning below only widens).
-    Returns the final row-0 cells per requested ``k`` — vectors
-    materialized as tid tuples in an object array — with ``None``
-    where no vector can be formed.
+    Returns the final row-0 cells per requested ``k`` — vectors as
+    ``(lines, k)`` rank positions (the engine's ``positions``) — with
+    ``None`` where no vector can be formed.
     """
     _count_sweep()
     n = len(units)
@@ -504,13 +476,9 @@ def _dp_run_multi(
         below = cur
     for k in live:
         final = below[k]
-        if final is None:
-            continue
-        scores, probs, ids = engine.export_cell(final)
-        vectors = np.empty(len(ids), dtype=object)
-        for index, vector in enumerate(engine.materialize_ids(ids)):
-            vectors[index] = vector
-        results[k] = (scores, probs, vectors)
+        if final is not None:
+            scores, probs, ids = engine.export_cell(final)
+            results[k] = (scores, probs, engine.positions(ids, k))
     return results
 
 
@@ -523,9 +491,9 @@ def _dp_run(
 ) -> _Cell | None:
     """One bottom-up dynamic program over ``units`` (single read-out).
 
-    Returns the final cell — row 0, column k — with vectors already
-    materialized as tid tuples in an object array, or ``None`` when no
-    vector can be formed.
+    Returns the final cell — row 0, column k — with vectors as
+    ``(lines, k)`` rank positions, or ``None`` when no vector can be
+    formed.
     """
     return _dp_run_multi(units, (k,), exit_enabled, max_lines, backend)[k]
 
@@ -534,41 +502,46 @@ def _merge_cells(cells: list[_Cell], max_lines: int) -> _Cell | None:
     """Union of per-ending final cells, reduced to the line budget.
 
     Equal scores merge exactly; the line budget is enforced by the same
-    grid coalescing as the intermediate distributions.
+    grid coalescing as the intermediate distributions.  The cells'
+    vectors are ``(lines, k)`` position rows: the union reduces line
+    ids (indices into the cells' concatenation) and then gathers only
+    the surviving lines' rows.
     """
     if not cells:
         return None
-    scores, probs, vectors = cells[0] if len(cells) == 1 else _merge_parts(cells)
-    return _reduce_cell(scores, probs, vectors, max_lines)
+    scores = np.concatenate([cell[0] for cell in cells])
+    order = np.argsort(scores, kind="stable")
+    probs = np.concatenate([cell[1] for cell in cells])[order]
+    scores, probs, lines = _reduce_cell(scores[order], probs, order, max_lines)
+    sizes = np.array([len(cell[0]) for cell in cells])
+    starts = np.cumsum(sizes) - sizes
+    owners = np.searchsorted(starts, lines, side="right") - 1
+    rows = np.empty((len(lines), cells[0][2].shape[1]), dtype=np.int64)
+    for index, (owner, line) in enumerate(
+        zip(owners.tolist(), (lines - starts[owners]).tolist())
+    ):
+        rows[index] = cells[owner][2][line]
+    return scores, probs, rows
 
 
-def _order_cell_vectors(cell: _Cell | None, scored: ScoredTable) -> _Cell | None:
-    """Re-order each vector into canonical rank order.
+def _cell_to_pmf(cell: _Cell | None, scored: ScoredTable) -> ScorePMF:
+    """Convert a final DP cell into a public :class:`ScorePMF`.
 
-    In the mutual-exclusion dynamic programs the rows are compressed
-    rule tuples ordered by their *highest* member, so a vector's tids
-    accumulate in unit order, which may interleave ranks; the vector's
-    tuple *set* is correct either way.  Presentation (and Definition 2)
-    wants rank order.
+    The cell's vectors are position rows in pick order.  The ME
+    programs pick rule tuples by their highest member, which may
+    interleave ranks; sorted, a row is the vector in rank order, as
+    presentation (and Definition 2) wants, and only then are its
+    positions mapped to tids.
     """
     if cell is None:
-        return None
-    position = {scored[pos].tid: pos for pos in range(len(scored))}
-    scores, probs, vectors = cell
-    ordered = np.empty(len(vectors), dtype=object)
-    for index, vector in enumerate(vectors):
-        ordered[index] = tuple(sorted(vector, key=position.__getitem__))
-    return scores, probs, ordered
-
-
-def _cell_to_pmf(cell: _Cell | None) -> ScorePMF:
-    """Convert a DP cell into a public :class:`ScorePMF`."""
-    if cell is None:
         return ScorePMF(())
-    scores, probs, vectors = cell
-    return ScorePMF(
-        (float(s), float(p), v) for s, p, v in zip(scores, probs, vectors)
-    )
+    scores, probs, rows = cell
+    tids = scored.tid_column
+    vectors = [
+        tuple(map(tids.__getitem__, row))
+        for row in np.sort(rows, axis=1).tolist()
+    ]
+    return ScorePMF(zip(scores.tolist(), probs.tolist(), vectors))
 
 
 def dp_distribution(
@@ -603,16 +576,14 @@ def dp_distribution(
     if scored.me_member_count() == 0:
         # Basic case (Section 3.2): tuples are independent; a single
         # dynamic program with every exit point enabled suffices.
-        units = [
-            _Unit([(item.score, item.prob, item.tid)]) for item in scored
-        ]
-        return _cell_to_pmf(_dp_run(units, k, [True] * n, max_lines, backend))
-
-    # Mutual-exclusion case (Section 3.3): one shared-prefix forward
-    # sweep over all ending units (Section 3.3.3, the O(kmn) path).
-    partial = _shared_prefix_sweep(scored, k, max_lines, backend)
-    merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
-    return _cell_to_pmf(merged)
+        units = [_Unit((row,)) for row in _rows(scored)]
+        cell = _dp_run(units, k, [True] * n, max_lines, backend)
+    else:
+        # Mutual-exclusion case (Section 3.3): one shared-prefix forward
+        # sweep over all ending units (Section 3.3.3, the O(kmn) path).
+        partial = _shared_prefix_sweep(scored, k, max_lines, backend)
+        cell = _merge_cells(partial, max_lines)
+    return _cell_to_pmf(cell, scored)
 
 
 def me_straddle_intervals(scored: ScoredTable) -> tuple[tuple[int, int], ...]:
@@ -696,13 +667,11 @@ def dp_distribution_sliced(
                 "independent-prefix requests must all share the sweep "
                 "depth; group nested depths into separate sweeps"
             )
-        units = [
-            _Unit([(item.score, item.prob, item.tid)]) for item in scored
-        ]
+        units = [_Unit((row,)) for row in _rows(scored)]
         cells = _dp_run_multi(
             units, [k for k, _ in requests], [True] * n, max_lines, backend
         )
-        return [_cell_to_pmf(cells[k]) for k, _ in requests]
+        return [_cell_to_pmf(cells[k], scored) for k, _ in requests]
 
     for _, depth in requests:
         if depth < n and not sliceable_depth(scored, depth):
@@ -713,9 +682,7 @@ def dp_distribution_sliced(
             )
     partial = _shared_prefix_sweep_multi(scored, requests, max_lines, backend)
     return [
-        _cell_to_pmf(
-            _order_cell_vectors(_merge_cells(cells, max_lines), scored)
-        )
+        _cell_to_pmf(_merge_cells(cells, max_lines), scored)
         for cells in partial
     ]
 
@@ -752,22 +719,6 @@ def _fold_unit(
     for j, out in zip(js, outs):
         new[j] = out
     return new
-
-
-def _take_ending(
-    state_cell: _Cell | None,
-    item,
-    arena: _Arena,
-) -> _Cell | None:
-    """Attach an ending tuple as the k-th pick of a prefix state."""
-    if state_cell is None:
-        return None
-    scores, probs, vectors = state_cell
-    return (
-        scores + item.score,
-        probs * item.prob,
-        arena.extend(item.tid, vectors),
-    )
 
 
 def _shared_prefix_sweep_multi(
@@ -807,9 +758,12 @@ def _shared_prefix_sweep_multi(
     by the smallest requested ``k``, which only widens the computed
     range and never changes a column's cells.
 
-    Emitted cells are materialized (vectors as tid tuples) right away
-    and the per-ending fold chunks released from the arena, so the
+    Each emitted cell is kept as ``(scores, probs, rows)``: its
+    vectors are walked into ``(lines, k)`` rank positions at once, and
+    the per-ending fold ids are then released from the arena, so the
     arena footprint tracks the shared prefix, not the whole sweep.
+    Only the lines that survive a request's final reduce become tid
+    tuples (:func:`_merge_cells`, :func:`_cell_to_pmf`).
     """
     _count_sweep()
     engine = _engine_for(backend, max_lines)
@@ -820,7 +774,9 @@ def _shared_prefix_sweep_multi(
         for g in scored.groups()
         if len(scored.group_positions(g)) > 1
     }
-    members: dict[int, list[tuple[float, float, Any]]] = {g: [] for g in multi}
+    rows = _rows(scored)
+    groups = scored.group_column.tolist()
+    members: dict[int, list[tuple[float, float, int]]] = {g: [] for g in multi}
     rule_order: list[int] = []  # multi groups by first (lead) appearance
     rule_cache: dict[int, _Unit] = {}
     ind_state: list[_Cell | None] = (
@@ -856,23 +812,18 @@ def _shared_prefix_sweep_multi(
             )
         return state
 
-    def materialize(exported: _Cell) -> _Cell:
-        scores, probs, ids = exported
-        vectors = np.empty(len(ids), dtype=object)
-        for index, vector in enumerate(engine.materialize_ids(ids)):
-            vectors[index] = vector
-        return scores, probs, vectors
-
     partial: list[list[_Cell]] = [[] for _ in requests]
 
     def emit(state: list[_Cell | None], pos: int) -> None:
-        item = scored[pos]
         for index, (k, depth) in enumerate(requests):
             if pos >= depth:
                 continue
-            exported = engine.take_reduce(state[k - 1], item)
+            exported = engine.take_reduce(state[k - 1], rows[pos])
             if exported is not None:
-                partial[index].append(materialize(exported))
+                scores, probs, ids = exported
+                partial[index].append(
+                    (scores, probs, engine.positions(ids, k))
+                )
 
     for start, end in _ending_units(scored):
         # Emit this span's exit cells from the state accumulated so
@@ -880,17 +831,16 @@ def _shared_prefix_sweep_multi(
         if end > k_min - 1:
             scratch = engine.mark()
             if end - start == 1 and not scored.is_lead(start):
-                state = folded_rules(scored[start].group, 0)
+                state = folded_rules(groups[start], 0)
                 emit(state, start)
             else:
                 state = folded_rules(None, end - start - 1)
                 for pos in range(start, end):
-                    item = scored[pos]
                     emit(state, pos)
                     if pos + 1 < end:
                         state = _fold_unit(
                             state,
-                            _Unit([(item.score, item.prob, item.tid)]),
+                            _Unit((rows[pos],)),
                             engine,
                             scratch_chain,
                             max(0, k_min - 1 - (end - 2 - pos)),
@@ -898,16 +848,16 @@ def _shared_prefix_sweep_multi(
             engine.release(scratch)
         # Advance the shared prefix past the span's rows.
         for pos in range(start, end):
-            item = scored[pos]
-            if item.group in multi:
-                if not members[item.group]:
-                    rule_order.append(item.group)
-                members[item.group].append((item.score, item.prob, item.tid))
-                rule_cache.pop(item.group, None)
+            group = groups[pos]
+            if group in multi:
+                if not members[group]:
+                    rule_order.append(group)
+                members[group].append(rows[pos])
+                rule_cache.pop(group, None)
             else:
                 ind_state = _fold_unit(
                     ind_state,
-                    _Unit([(item.score, item.prob, item.tid)]),
+                    _Unit((rows[pos],)),
                     engine,
                     ind_chain,
                 )

@@ -2,7 +2,7 @@
 
 The numpy implementation in :mod:`repro.core.dp` is always available;
 this package adds a compiled backend (``_kernel.c`` driven through
-ctypes/cffi, see :mod:`repro.core.kernels.build`).  Outputs are
+ctypes, see :mod:`repro.core.kernels.build`).  Outputs are
 byte-identical across backends — the planner and the
 ``REPRO_BACKEND`` override only trade wall-clock, never answers.
 

@@ -19,7 +19,7 @@
  *    why dp.py uses bincount rather than the SIMD-order-dependent
  *    np.add.reduceat;
  *  - merges are stable with earlier parts winning ties, the exact
- *    permutation of _merge_two's searchsorted(side="right");
+ *    permutation of dp._stable_merge's stable argsort;
  *  - the equal-score / grid tie winner is the *last* line holding the
  *    segment's maximum probability (_segment_winners' stable lexsort);
  *  - the float->int64 grid-bucket cast reproduces numpy's x86
@@ -27,8 +27,8 @@
  *
  * The file is plain C99 with no Python.h dependency: it is compiled
  * with `cc -O3 -fPIC -shared` by repro.core.kernels.build and driven
- * through ctypes (or cffi in ABI mode) with raw buffer addresses, so
- * building it never requires Python development headers.
+ * through ctypes with raw buffer addresses, so building it never
+ * requires Python development headers.
  */
 
 #include <math.h>
@@ -171,7 +171,8 @@ repro_fold(const i64 *ihdr, const f64 *fhdr, const i64 *slabs, i64 *tags,
                     acc = take_m;
                 } else if (take_m > 0) {
                     /* Stable merge: the accumulated earlier parts (A)
-                     * win ties, matching _merge_parts' part order. */
+                     * win ties, keeping part order like the stable
+                     * argsort of dp._stable_merge. */
                     i64 i = 0, j = 0, o = 0;
                     while (i < acc && j < take_m) {
                         if (sA[i] <= sB[j]) {
@@ -313,26 +314,23 @@ repro_fold(const i64 *ihdr, const f64 *fhdr, const i64 *slabs, i64 *tags,
     return appended;
 }
 
-/* repro_vectors — materialize arena ids into chunk-index chains.
+/* repro_vectors — walk arena ids into rank-position rows.
  *
  * The native arena mirrors repro.core.dp._Arena: chunk `c` covers ids
- * [bases[c], bases[c] + len), its per-line parent ids live in the tag
- * slab at offs[c], and id 0 is the empty vector.  For each of the n
- * ids the walk appends the chunk indices it passes through to `out`
- * and records the chain length in lens[i]; the python side maps chunk
- * indices to tids.  Returns the total indices written, or -1 when
- * out_cap is too small (caller grows and retries).
+ * [bases[c], bases[c] + len), adds rank position positions[c], and
+ * keeps its per-line parent ids in the tag slab at offs[c]; id 0 is
+ * the empty vector.  Each of the n ids names a vector of exactly k
+ * picks; row i of the n x k output receives its positions, last pick
+ * first.
  */
-REPRO_API i64
-repro_vectors(const i64 *ids, i64 n, const i64 *bases, const i64 *offs,
-              i64 nchunks, const i64 *tags, i64 *out, i64 out_cap,
-              i64 *lens)
+REPRO_API void
+repro_vectors(const i64 *ids, i64 n, i64 k, const i64 *bases,
+              const i64 *offs, const i64 *positions, i64 nchunks,
+              const i64 *tags, i64 *out)
 {
-    i64 total = 0;
     for (i64 i = 0; i < n; i++) {
         i64 id = ids[i];
-        i64 len = 0;
-        while (id != 0) {
+        for (i64 step = 0; step < k; step++) {
             /* bisect_right(bases, id) - 1 */
             i64 lo = 0, hi = nchunks;
             while (lo < hi) {
@@ -342,14 +340,9 @@ repro_vectors(const i64 *ids, i64 n, const i64 *bases, const i64 *offs,
                 else
                     hi = mid;
             }
-            i64 chunk = lo - 1;
-            if (total >= out_cap)
-                return -1;
-            out[total++] = chunk;
-            len++;
+            const i64 chunk = lo - 1;
+            out[i * k + step] = positions[chunk];
             id = tags[offs[chunk] + (id - bases[chunk])];
         }
-        lens[i] = len;
     }
-    return total;
 }

@@ -56,7 +56,7 @@ class KernelLib:
     """Loaded kernel entry points plus provenance for reporting.
 
     :ivar fold: ``repro_fold`` — fused combine over DP columns.
-    :ivar vectors: ``repro_vectors`` — arena-id chain materializer.
+    :ivar vectors: ``repro_vectors`` — arena ids to rank-position rows.
     :ivar strategy: binding used (``ctypes``).
     :ivar path: the shared library file that was loaded.
     """
@@ -66,7 +66,7 @@ class KernelLib:
     def __init__(
         self,
         fold: Callable[..., int],
-        vectors: Callable[..., int],
+        vectors: Callable[..., None],
         strategy: str,
         path: str,
     ) -> None:
@@ -167,13 +167,13 @@ _FOLD_ARGS = [
 _VECTORS_ARGS = [
     ctypes.c_void_p,  # ids
     ctypes.c_longlong,  # n
+    ctypes.c_longlong,  # k
     ctypes.c_void_p,  # bases
     ctypes.c_void_p,  # offs
+    ctypes.c_void_p,  # positions
     ctypes.c_longlong,  # nchunks
     ctypes.c_void_p,  # tags
     ctypes.c_void_p,  # out
-    ctypes.c_longlong,  # out_cap
-    ctypes.c_void_p,  # lens
 ]
 
 
@@ -183,7 +183,7 @@ def _bind_ctypes(path: Path) -> KernelLib:
     fold.restype = ctypes.c_longlong
     fold.argtypes = _FOLD_ARGS
     vectors = lib.repro_vectors
-    vectors.restype = ctypes.c_longlong
+    vectors.restype = None
     vectors.argtypes = _VECTORS_ARGS
     return KernelLib(fold, vectors, "ctypes", str(path))
 

@@ -18,8 +18,9 @@ the per-line vector ids (*tags*) at ``tags[tag_off:tag_off+m]`` in a
 single shared int64 bump slab.  Each DP chain owns two ping/pong
 buffers: a fold reads the current buffer and writes the other, so no
 call ever aliases its output over an input.  The vector arena mirrors
-``dp._Arena`` as flat numpy registries (chunk base ids + tag-slab
-offsets + a python tid list), walked in C by ``repro_vectors``.
+``dp._Arena`` as flat int64 registries (per chunk: base id, tag-slab
+offset and the rank position it adds), walked in C by
+``repro_vectors``.
 
 Everything python does per fold is O(columns) bookkeeping — header
 assembly into preallocated buffers whose addresses are fetched once —
@@ -29,11 +30,11 @@ launches to a share of one C call per fold.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.dp import _MIN_CELL_MASS
+from repro.core.dp import _MIN_CELL_MASS, _Unit
 
 __all__ = ["NativeEngine"]
 
@@ -42,16 +43,6 @@ _INITIAL_TAGS = 4096
 _INITIAL_CHUNKS = 1024
 _WS_SEGMENTS_F = 6
 _WS_SEGMENTS_I = 3
-
-
-class _TakeUnit:
-    """A single-constituent unit for the emit step (``_take_ending``)."""
-
-    __slots__ = ("constituents", "absent_prob")
-
-    def __init__(self, score: float, prob: float, tid: Any) -> None:
-        self.constituents = ((score, prob, tid),)
-        self.absent_prob = 0.0
 
 
 class _Chain:
@@ -99,9 +90,10 @@ class NativeEngine:
         # sentinel so real ids (>= 1) always bisect past it.
         self._chunk_bases = np.zeros(_INITIAL_CHUNKS, dtype=np.int64)
         self._chunk_offs = np.zeros(_INITIAL_CHUNKS, dtype=np.int64)
+        self._chunk_pos = np.zeros(_INITIAL_CHUNKS, dtype=np.int64)
         self._chunk_bases_ptr = self._chunk_bases.ctypes.data
         self._chunk_offs_ptr = self._chunk_offs.ctypes.data
-        self._tids: list = [None]
+        self._chunk_pos_ptr = self._chunk_pos.ctypes.data
         self._nchunks = 1
         self._arena_size = 1
 
@@ -120,12 +112,6 @@ class NativeEngine:
         self._fhdr_ptr = self._fhdr.ctypes.data
         self._out_lens = np.empty(256, dtype=np.int64)
         self._out_lens_ptr = self._out_lens.ctypes.data
-
-        # Vector-walk output buffers.
-        self._vec_out = np.empty(1024, dtype=np.int64)
-        self._vec_out_ptr = self._vec_out.ctypes.data
-        self._vec_lens = np.empty(256, dtype=np.int64)
-        self._vec_lens_ptr = self._vec_lens.ctypes.data
 
         # The emit chain: take_reduce folds one column into it.
         self._emit_chain = self.new_chain(1)
@@ -162,14 +148,12 @@ class NativeEngine:
         if need <= len(self._chunk_bases):
             return
         size = max(need, 2 * len(self._chunk_bases))
-        bases = np.zeros(size, dtype=np.int64)
-        offs = np.zeros(size, dtype=np.int64)
-        bases[: self._nchunks] = self._chunk_bases[: self._nchunks]
-        offs[: self._nchunks] = self._chunk_offs[: self._nchunks]
-        self._chunk_bases = bases
-        self._chunk_offs = offs
-        self._chunk_bases_ptr = bases.ctypes.data
-        self._chunk_offs_ptr = offs.ctypes.data
+        self._chunk_bases = np.resize(self._chunk_bases, size)
+        self._chunk_offs = np.resize(self._chunk_offs, size)
+        self._chunk_pos = np.resize(self._chunk_pos, size)
+        self._chunk_bases_ptr = self._chunk_bases.ctypes.data
+        self._chunk_offs_ptr = self._chunk_offs.ctypes.data
+        self._chunk_pos_ptr = self._chunk_pos.ctypes.data
 
     def _ensure_hdrs(self, ints: int, floats: int, ncols: int) -> None:
         if ints > len(self._ihdr):
@@ -246,7 +230,7 @@ class NativeEngine:
         # dp._Arena.extend.
         bases = self._chunk_bases
         offs = self._chunk_offs
-        tids = self._tids
+        positions = self._chunk_pos
         count = self._nchunks
         size = self._arena_size
         for skip, take in pairs:
@@ -255,10 +239,10 @@ class NativeEngine:
                 continue
             take_m = take[2]
             take_tag = take[3]
-            for _score, _prob, tid in consts:
+            for _score, _prob, pos in consts:
                 bases[count] = size
                 offs[count] = take_tag
-                tids.append(tid)
+                positions[count] = pos
                 hdr.append(size)
                 count += 1
                 size += take_m
@@ -267,9 +251,9 @@ class NativeEngine:
 
         self._ihdr[: len(hdr)] = hdr
         fhdr = [unit.absent_prob, _MIN_CELL_MASS]
-        for score, _prob, _tid in consts:
+        for score, _prob, _pos in consts:
             fhdr.append(score)
-        for _score, prob, _tid in consts:
+        for _score, prob, _pos in consts:
             fhdr.append(prob)
         self._fhdr[: len(fhdr)] = fhdr
 
@@ -303,17 +287,17 @@ class NativeEngine:
         chain.swap()
         return outs
 
-    def take_reduce(self, cell: tuple | None, item) -> tuple | None:
-        """Attach an ending tuple as the final pick, then reduce.
+    def take_reduce(self, cell: tuple | None, constituent) -> tuple | None:
+        """Attach one ``(score, prob, pos)`` as the last pick, then reduce.
 
-        The native equivalent of ``_take_ending`` + ``_reduce_cell``:
-        a one-column fold whose unit has the ending as its only
-        constituent and no skip part.  Returns exported numpy arrays
-        ``(scores, probs, ids)`` or ``None``.
+        A one-column fold whose unit has that row as its only
+        constituent and no skip part, like the numpy engine's
+        ``_combine``.  Returns exported numpy arrays ``(scores, probs,
+        ids)`` or ``None``.
         """
         if cell is None:
             return None
-        unit = _TakeUnit(item.score, item.prob, item.tid)
+        unit = _Unit((constituent,))
         out = self.fold_into(self._emit_chain, unit, [(None, cell)])[0]
         if out is None:
             return None
@@ -329,40 +313,23 @@ class NativeEngine:
             self._tags[tag_off : tag_off + m].copy(),
         )
 
-    def materialize_ids(self, ids: np.ndarray) -> list[tuple]:
-        """Materialize arena ids into rank-ordered tid tuples (in C)."""
-        n = len(ids)
-        if n == 0:
-            return []
-        ids64 = np.ascontiguousarray(ids, dtype=np.int64)
-        if n > len(self._vec_lens):
-            self._vec_lens = np.empty(max(n, 2 * len(self._vec_lens)), np.int64)
-            self._vec_lens_ptr = self._vec_lens.ctypes.data
-        while True:
-            total = self._vectors(
-                ids64.ctypes.data,
-                n,
-                self._chunk_bases_ptr,
-                self._chunk_offs_ptr,
-                self._nchunks,
-                self._tags_ptr,
-                self._vec_out_ptr,
-                len(self._vec_out),
-                self._vec_lens_ptr,
-            )
-            if total >= 0:
-                break
-            self._vec_out = np.empty(2 * len(self._vec_out), np.int64)
-            self._vec_out_ptr = self._vec_out.ctypes.data
-        chunks = self._vec_out[:total].tolist()
-        lens = self._vec_lens[:n].tolist()
-        tids = self._tids
-        vectors: list[tuple] = []
-        pos = 0
-        for ln in lens:
-            vectors.append(tuple(tids[c] for c in chunks[pos : pos + ln]))
-            pos += ln
-        return vectors
+    def positions(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """Length-``k`` vectors as ``(lines, k)`` rank positions, last
+        pick first (walked in C)."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        rows = np.empty((len(ids), k), dtype=np.int64)
+        self._vectors(
+            ids.ctypes.data,
+            len(ids),
+            k,
+            self._chunk_bases_ptr,
+            self._chunk_offs_ptr,
+            self._chunk_pos_ptr,
+            self._nchunks,
+            self._tags_ptr,
+            rows.ctypes.data,
+        )
+        return rows
 
     def mark(self) -> tuple[int, int, int]:
         """Checkpoint of (chunk count, arena size, tag bump)."""
@@ -371,4 +338,3 @@ class NativeEngine:
     def release(self, mark: tuple[int, int, int]) -> None:
         """Drop every chunk and tag appended since ``mark``."""
         self._nchunks, self._arena_size, self._bump = mark
-        del self._tids[self._nchunks :]

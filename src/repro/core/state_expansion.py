@@ -25,7 +25,7 @@ from __future__ import annotations
 import gc
 
 from repro.core.coalesce import coalesce_lines
-from repro.core.dp import DEFAULT_MAX_LINES, _cons_to_vector
+from repro.core.dp import DEFAULT_MAX_LINES
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable
@@ -33,6 +33,15 @@ from repro.uncertain.scoring import ScoredTable
 #: Internal buffer bound: the emitted-line list is sorted/merged/
 #: coalesced whenever it grows past this multiple of ``max_lines``.
 _BUFFER_FACTOR = 8
+
+
+def _cons_to_vector(cell) -> tuple:
+    """Unwind a cons-list ``(tid, parent)``, newest tid first."""
+    out = []
+    while cell is not None:
+        out.append(cell[0])
+        cell = cell[1]
+    return tuple(out)
 
 
 class _State:

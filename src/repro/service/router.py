@@ -660,8 +660,4 @@ def make_sharded_server(
     service = ShardedQueryService(
         bindings, workers=workers, **config_kwargs
     )
-    try:
-        return ServiceHTTPServer((host, port), service, verbose=verbose)
-    except Exception:
-        service.shutdown()
-        raise
+    return ServiceHTTPServer((host, port), service, verbose=verbose)

@@ -991,7 +991,18 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     ) -> None:
         self.service = service
         self.verbose = verbose
-        super().__init__(address, _Handler)
+        try:
+            super().__init__(address, _Handler)
+        except Exception as exc:
+            # The server owns its service from construction on, so a
+            # failed bind stops it (executor threads, workers, WALs).
+            service.shutdown()
+            if not isinstance(exc, (OSError, OverflowError)):
+                raise
+            reason = getattr(exc, "strerror", None) or exc
+            raise ServiceError(
+                f"cannot listen on {address[0]}:{address[1]}: {reason}"
+            ) from exc
 
     def shutdown(self) -> None:
         super().shutdown()

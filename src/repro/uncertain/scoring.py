@@ -265,6 +265,17 @@ class ScoredTable:
         """Dense ME-group ids in rank order as a read-only int64 array."""
         return self._groups
 
+    @property
+    def tid_column(self) -> Sequence[Any]:
+        """Tuple ids in rank order, indexable by position.
+
+        A packed table's whole-table view reads them from its items.
+        """
+        tids = self._tids
+        if isinstance(tids, tuple):
+            return tids
+        return tuple(item.tid for item in self.items)
+
     def scores(self) -> list[float]:
         """Scores in rank order (non-increasing)."""
         return self._scores.tolist()

@@ -11,10 +11,12 @@ from repro.bench.baseline import (
     check_against_baseline,
     read_baseline,
     run_baseline,
+    timed_backends,
     workload_factories,
     write_baseline,
 )
 from repro.cli import main
+from repro.core import kernels
 
 
 class TestBaselineModule:
@@ -26,12 +28,38 @@ class TestBaselineModule:
 
     def test_run_baseline_shape(self):
         data = run_baseline(tiny_only=True, repeats=1)
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["meta"]["tiny_only"] is True
-        assert data["meta"]["backend"] in ("python", "native")
+        assert data["meta"]["backends"] == timed_backends()
         assert data["calibration"]["seconds"] > 0.0
         for entry in data["workloads"].values():
-            assert entry["seconds"] > 0.0
+            assert list(entry) == data["meta"]["backends"]
+            assert all(seconds > 0.0 for seconds in entry.values())
+
+    def test_timed_backends(self, monkeypatch):
+        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+        native = ["native"] if kernels.native_available() else []
+        assert timed_backends() == ["python"] + native
+        monkeypatch.setenv(kernels.BACKEND_ENV, "python")
+        assert timed_backends() == ["python"]
+
+    def test_check_reads_both_schemas(self):
+        # A schema-1 entry was recorded on python: only the python
+        # column of a schema-2 run is compared against it.
+        schema1 = {"schema": 1, "workloads": {"w": {"seconds": 0.1}}}
+        schema2 = {"schema": 2, "workloads": {"w": {"python": 0.1,
+                                                    "native": 0.01}}}
+        native_slow = {"workloads": {"w": {"python": 0.1, "native": 0.05}}}
+        python_slow = {"workloads": {"w": {"python": 0.5, "native": 0.01}}}
+        assert check_against_baseline(native_slow, schema1) == []
+        assert len(check_against_baseline(python_slow, schema1)) == 1
+        assert check_against_baseline(schema2, schema2) == []
+        (line,) = check_against_baseline(native_slow, schema2)
+        assert line.startswith("w (native):")
+        # A backend only one side timed is not compared.
+        python_only = {"workloads": {"w": {"python": 0.1}}}
+        assert check_against_baseline(python_only, schema2) == []
+        assert check_against_baseline(schema2, python_only) == []
 
     def test_roundtrip(self, tmp_path):
         data = run_baseline(tiny_only=True, repeats=1)

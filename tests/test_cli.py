@@ -232,3 +232,57 @@ class TestServeBootReport:
             "  worker w1: replicates 1 tables, owns WAL for none",
             f"    {recovered}",
         ]
+
+
+class TestServeOnBoundPort:
+    """``repro serve`` on a port another socket holds exits 1 with one
+    ``error:`` line, and its service is stopped, not left running."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_error_line_and_exit_1(self, workers) -> None:
+        import os
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve",
+                 "--table", "demo=synthetic:tuples=20,me=0,seed=1",
+                 "--port", str(port), "--threads", "1",
+                 "--workers", str(workers)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode == 1, proc.stderr
+        errors = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("error:")
+        ]
+        assert errors == [
+            f"error: cannot listen on 127.0.0.1:{port}: "
+            "Address already in use"
+        ], proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_bind_stops_the_service(self) -> None:
+        import socket
+        from types import SimpleNamespace
+
+        from repro.exceptions import ServiceError
+        from repro.service import ServiceHTTPServer
+
+        stopped = []
+        service = SimpleNamespace(shutdown=lambda: stopped.append(True))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            address = holder.getsockname()
+            with pytest.raises(ServiceError, match="cannot listen on"):
+                ServiceHTTPServer(address, service)
+        assert stopped == [True]

@@ -15,7 +15,9 @@ from repro.bench.ablations import (
     dp_distribution_per_ending,
     dp_distribution_without_lead_regions,
 )
+from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import dp_distribution
+from repro.datasets.specs import generate_from_spec
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from tests.conftest import (
     assert_pmf_equal,
@@ -23,6 +25,7 @@ from tests.conftest import (
     oracle_pmf,
     random_table,
 )
+from tests.test_standing import python_calls
 
 BIG = 10**6  # line budget that disables coalescing
 
@@ -152,3 +155,20 @@ class TestCoalescedEquivalence:
         assert abs(
             shared.expectation() - per_ending.expectation()
         ) < span / 4
+
+
+class TestSweepCost:
+    """An ME sweep's Python-level work does not grow with the lines its
+    endings emit: vectors stay int64 rank positions through the final
+    reduce, and only the surviving lines become tid tuples."""
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_python_calls_grow_with_output_lines_only(self, k) -> None:
+        table = generate_from_spec("synthetic:tuples=2000,me=0.5,seed=101")
+        prefix = prepare_scored_prefix(table, "score", k, p_tau=0.01)
+        assert prefix.me_member_count() > 0
+        dp_distribution(prefix, k, max_lines=50)  # loads the kernel
+        small = python_calls(lambda: dp_distribution(prefix, k, max_lines=50))
+        large = python_calls(lambda: dp_distribution(prefix, k, max_lines=200))
+        # O(k) calls for each extra output line, none per emitted line.
+        assert large - small <= (200 - 50) * (2 * k + 10), (small, large)

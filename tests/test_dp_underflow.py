@@ -6,7 +6,7 @@ existence factors that intermediate line masses underflow into the
 subnormal float range (or to exactly 0.0).  Pre-fix, the grid
 coalescing of ``_reduce_cell`` then produced NaN scores (``0/0``) or
 subnormal-quantized weighted means outside their own bucket, breaking
-the ascending-score invariant of ``_merge_two`` and raising
+the ascending-score invariant of the cell merge and raising
 ``ValueError`` mid-sweep.  The fix drops coalesced lines whose mass is
 below the smallest normal double (``_MIN_CELL_MASS``): such lines are
 unobservable noise, so explicit ``algorithm="dp"`` requests survive
