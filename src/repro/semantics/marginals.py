@@ -36,11 +36,10 @@ def _group_masses_above(
     target tuple.
     """
     masses: dict[int, float] = {}
-    for index in range(pos):
-        item = scored[index]
-        if item.group == exclude_group:
-            continue
-        masses[item.group] = masses.get(item.group, 0.0) + item.prob
+    groups = scored.group_column[:pos].tolist()
+    for group, prob in zip(groups, scored.prob_column[:pos].tolist()):
+        if group != exclude_group:
+            masses[group] = masses.get(group, 0.0) + prob
     return [mass for mass in masses.values() if mass > 0.0]
 
 
@@ -58,13 +57,16 @@ def higher_count_distribution(
     if max_count < 0:
         raise AlgorithmError(f"max_count must be >= 0, got {max_count}")
     masses = _group_masses_above(scored, pos, scored[pos].group)
-    dist = np.zeros(max_count + 1)
-    dist[0] = 1.0
+    dist = [1.0] + [0.0] * max_count
     for q in masses:
-        # dist'[i] = dist[i] * (1-q) + dist[i-1] * q, truncated.
-        dist[1:] = dist[1:] * (1.0 - q) + dist[:-1] * q
-        dist[0] *= 1.0 - q
-    return dist
+        # dist'[i] = dist[i] * (1-q) + dist[i-1] * q, truncated (plain
+        # floats: the same IEEE ops as the array form, without numpy's
+        # per-call overhead on a k-entry array).
+        keep = 1.0 - q
+        dist = [dist[0] * keep] + [
+            above * keep + below * q for above, below in zip(dist[1:], dist)
+        ]
+    return np.array(dist)
 
 
 def rank_distribution(

@@ -20,7 +20,6 @@ injective scores this coincides with the original definition.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, NamedTuple
 
 from repro.core.distribution import (
@@ -84,30 +83,36 @@ def u_topk_scored(
     if n < k:
         return None
     # Hazard factors per position (see state_expansion): conditional on
-    # "no group mate above was chosen / all unchosen ones absent".
+    # "no group mate above was chosen / all unchosen ones absent".  A
+    # state's chosen multi-member groups are an int mask, one bit per
+    # group; ``bit[pos]`` is 0 for a singleton group.
     take = [0.0] * n
     skip = [0.0] * n
-    multi = [False] * n
+    bit = [0] * n
     mass_above: dict[int, float] = {}
-    for pos in range(n):
-        item = scored[pos]
-        if len(scored.group_positions(item.group)) > 1:
-            multi[pos] = True
-            before = mass_above.get(item.group, 0.0)
-            mass_above[item.group] = before + item.prob
+    bits: dict[int, int] = {}
+    groups = scored.group_column.tolist()
+    for pos, (group, prob) in enumerate(zip(groups, scored.prob_column.tolist())):
+        if len(scored.group_positions(group)) > 1:
+            bit[pos] = bits.setdefault(group, 1 << len(bits))
+            before = mass_above.get(group, 0.0)
+            mass_above[group] = before + prob
             denom = 1.0 - before
-            take[pos] = item.prob / denom
-            skip[pos] = max(0.0, (denom - item.prob) / denom)
+            take[pos] = prob / denom
+            skip[pos] = max(0.0, (denom - prob) / denom)
         else:
-            take[pos] = item.prob
-            skip[pos] = 1.0 - item.prob
+            take[pos] = prob
+            skip[pos] = 1.0 - prob
 
-    # Heap entries: (-prob, tiebreak, pos, count, chosen, groups).
-    counter = itertools.count()
-    heap: list[tuple] = [(-1.0, next(counter), 0, 0, (), frozenset())]
+    # Heap entries: (-prob, tiebreak, pos, count, chosen, group mask);
+    # the tiebreak numbers pushes in order.
+    hazards = list(zip(take, skip, bit))
+    push, pop = heapq.heappush, heapq.heappop
+    heap: list[tuple] = [(-1.0, 0, 0, 0, (), 0)]
+    pushed = 0
     expanded = 0
     while heap:
-        neg_prob, _, pos, count, chosen, groups = heapq.heappop(heap)
+        neg_prob, _, pos, count, chosen, mask = pop(heap)
         prob = -neg_prob
         if prob <= 0.0:
             break
@@ -123,27 +128,25 @@ def u_topk_scored(
             )
         if pos >= n or n - pos < k - count:
             continue
-        item = scored[pos]
-        consumed = multi[pos] and item.group in groups
-        if not consumed and take[pos] > 0.0:
-            new_groups = groups | {item.group} if multi[pos] else groups
-            heapq.heappush(
+        take_p, skip_p, group_bit = hazards[pos]
+        consumed = mask & group_bit
+        if not consumed and take_p > 0.0:
+            pushed += 1
+            push(
                 heap,
                 (
-                    -(prob * take[pos]),
-                    next(counter),
+                    -(prob * take_p),
+                    pushed,
                     pos + 1,
                     count + 1,
                     chosen + (pos,),
-                    new_groups,
+                    mask | group_bit,
                 ),
             )
-        skip_prob = prob if consumed else prob * skip[pos]
+        skip_prob = prob if consumed else prob * skip_p
         if skip_prob > 0.0:
-            heapq.heappush(
-                heap,
-                (-skip_prob, next(counter), pos + 1, count, chosen, groups),
-            )
+            pushed += 1
+            push(heap, (-skip_prob, pushed, pos + 1, count, chosen, mask))
     return None
 
 

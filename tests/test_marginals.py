@@ -71,6 +71,27 @@ class TestHigherCountDistribution:
         assert dist[1] == pytest.approx(0.8)
         assert dist[2] == pytest.approx(0.0)
 
+    def test_matches_the_array_recurrence(self):
+        # The reference: the Poisson-binomial rows as numpy array
+        # updates over the groups' masses in first-member order; the
+        # plain-float rows must equal it bit for bit.
+        rng = np.random.default_rng(77)
+        for trial in range(30):
+            scored = scored_of(random_table(rng, n=14, allow_me=True))
+            for pos in range(len(scored)):
+                masses: dict[int, float] = {}
+                for item in scored.items[:pos]:
+                    if item.group != scored[pos].group:
+                        masses[item.group] = masses.get(item.group, 0.0) + item.prob
+                for max_count in (0, 2, 5):
+                    want = np.zeros(max_count + 1)
+                    want[0] = 1.0
+                    for q in (m for m in masses.values() if m > 0.0):
+                        want[1:] = want[1:] * (1.0 - q) + want[:-1] * q
+                        want[0] *= 1.0 - q
+                    got = higher_count_distribution(scored, pos, max_count)
+                    assert got.tobytes() == want.tobytes()
+
     def test_invalid_max_count(self):
         t = make_table([("a", 3, 0.5)])
         with pytest.raises(AlgorithmError):

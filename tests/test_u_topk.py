@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -60,6 +61,63 @@ class TestSearchCorrectness:
                     continue
                 assert got is not None
                 assert got.probability == pytest.approx(want_prob, abs=1e-9)
+
+    def test_matches_the_frozenset_search(self):
+        # The reference: the same best-first search over item objects,
+        # with each state's chosen groups as a frozenset.  The int-mask
+        # search must return the same vector, probability and score,
+        # ties included.
+        def reference(scored, k):
+            n = len(scored)
+            take, skip, multi = [0.0] * n, [0.0] * n, [False] * n
+            mass_above = {}
+            for pos in range(n):
+                item = scored[pos]
+                if len(scored.group_positions(item.group)) > 1:
+                    multi[pos] = True
+                    before = mass_above.get(item.group, 0.0)
+                    mass_above[item.group] = before + item.prob
+                    denom = 1.0 - before
+                    take[pos] = item.prob / denom
+                    skip[pos] = max(0.0, (denom - item.prob) / denom)
+                else:
+                    take[pos] = item.prob
+                    skip[pos] = 1.0 - item.prob
+            tick = itertools.count()
+            heap = [(-1.0, next(tick), 0, 0, (), frozenset())]
+            while heap:
+                neg_prob, _, pos, count, chosen, groups = heapq.heappop(heap)
+                prob = -neg_prob
+                if prob <= 0.0:
+                    break
+                if count == k:
+                    return (
+                        tuple(scored[q].tid for q in chosen),
+                        prob,
+                        sum(scored[q].score for q in chosen),
+                    )
+                if pos >= n or n - pos < k - count:
+                    continue
+                item = scored[pos]
+                consumed = multi[pos] and item.group in groups
+                if not consumed and take[pos] > 0.0:
+                    grown = groups | {item.group} if multi[pos] else groups
+                    heapq.heappush(heap, (-(prob * take[pos]), next(tick),
+                                          pos + 1, count + 1, chosen + (pos,),
+                                          grown))
+                skip_prob = prob if consumed else prob * skip[pos]
+                if skip_prob > 0.0:
+                    heapq.heappush(heap, (-skip_prob, next(tick), pos + 1,
+                                          count, chosen, groups))
+            return None
+
+        rng = np.random.default_rng(404)
+        for trial in range(60):
+            scored = scored_of(random_table(rng, n=int(rng.integers(3, 12))))
+            for k in (1, 2, 3, 5):
+                got = u_topk_scored(scored, k)
+                want = reference(scored, k) if len(scored) >= k else None
+                assert (None if got is None else tuple(got)) == want
 
     def test_short_table_returns_none(self):
         t = make_table([("a", 1, 0.5)])
