@@ -26,11 +26,12 @@ from repro.core.dp import (
     DEFAULT_MAX_LINES,
     _Cell,
     _cell_to_pmf,
-    _dp_run,
+    _concat_cells,
+    _dp_run_multi,
     _ending_units,
     _merge_cells,
-    _rows,
-    _Unit,
+    _row_units,
+    _Units,
 )
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
@@ -42,8 +43,9 @@ def _compressed_units(
     scored: ScoredTable,
     cutoff: int,
     exclude_group: int | None,
-) -> list[_Unit]:
-    """Rule tuples for the rows above ``cutoff`` (positions < cutoff).
+) -> list[list[int]]:
+    """Rule tuples for the rows above ``cutoff`` (positions < cutoff),
+    as their members' rank positions.
 
     Every ME group is reduced to its members ranked above the cutoff
     (the truncation of Section 3.3.2) and compressed into one rule
@@ -54,12 +56,37 @@ def _compressed_units(
     determinism (order is semantically irrelevant once the ending is
     fixed).
     """
-    members_by_group: dict[int, list[tuple[float, float, int]]] = {}
-    groups = scored.group_column.tolist()
-    for row in _rows(scored)[:cutoff]:
-        if groups[row[2]] != exclude_group:
-            members_by_group.setdefault(groups[row[2]], []).append(row)
-    return [_Unit(members) for members in members_by_group.values()]
+    members_by_group: dict[int, list[int]] = {}
+    groups = scored.group_column[:cutoff].tolist()
+    for pos, group in enumerate(groups):
+        if group != exclude_group:
+            members_by_group.setdefault(group, []).append(pos)
+    return list(members_by_group.values())
+
+
+def _bottom_up(
+    scored: ScoredTable,
+    members: list[list[int]],
+    k: int,
+    exits: list[bool],
+    max_lines: int,
+    backend: str | None = None,
+) -> _Cell | None:
+    """Final cell of one bottom-up program over units given by their
+    constituents' rank positions (a unit's absent probability sums its
+    constituents' probabilities left to right, as the sweep's rule
+    tuples do)."""
+    probs = scored.prob_column.tolist()
+    length = np.array([len(unit) for unit in members], dtype=np.int64)
+    units = _Units(
+        np.cumsum(length) - length,
+        length,
+        np.array([pos for unit in members for pos in unit], dtype=np.int64),
+        np.array([max(0.0, 1.0 - sum(probs[p] for p in unit)) for unit in members]),
+        scored.score_column,
+        scored.prob_column,
+    )
+    return _dp_run_multi(units, (k,), exits, max_lines, backend)[k]
 
 
 def _per_ending_cell(
@@ -77,19 +104,18 @@ def _per_ending_cell(
     if end <= k - 1:
         # A top-k vector's ending tuple sits at position >= k - 1.
         return None
-    rows = _rows(scored)
     if end - start == 1 and not scored.is_lead(start):
         units = _compressed_units(scored, start, scored[start].group)
-        units.append(_Unit((rows[start],)))
+        units.append([start])
         exits = [False] * len(units)
         exits[-1] = True
     else:
         units = _compressed_units(scored, start, None)
         exits = [False] * len(units)
         for pos in range(start, end):
-            units.append(_Unit((rows[pos],)))
+            units.append([pos])
             exits.append(True)
-    return _dp_run(units, k, exits, max_lines, backend)
+    return _bottom_up(scored, units, k, exits, max_lines, backend)
 
 
 def dp_distribution_per_ending(
@@ -117,16 +143,16 @@ def dp_distribution_per_ending(
         return ScorePMF(())
 
     if scored.me_member_count() == 0:
-        units = [_Unit((row,)) for row in _rows(scored)]
-        cell = _dp_run(units, k, [True] * n, max_lines, backend)
-        return _cell_to_pmf(cell, scored)
+        units = _row_units(scored)
+        cells = _dp_run_multi(units, (k,), [True] * n, max_lines, backend)
+        return _cell_to_pmf(cells[k], scored)
 
     partial = []
     for start, end in _ending_units(scored):
         cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
         if cell is not None:
             partial.append(cell)
-    return _cell_to_pmf(_merge_cells(partial, max_lines), scored)
+    return _cell_to_pmf(_merge_cells(_concat_cells(partial), max_lines), scored)
 
 
 def dp_distribution_without_lead_regions(
@@ -148,17 +174,16 @@ def dp_distribution_without_lead_regions(
     n = len(scored)
     if n < k:
         return ScorePMF(())
-    rows = _rows(scored)
     partial: list[_Cell] = []
     for pos in range(k - 1, n):
         units = _compressed_units(scored, pos, scored[pos].group)
-        units.append(_Unit((rows[pos],)))
+        units.append([pos])
         exits = [False] * len(units)
         exits[-1] = True
-        cell = _dp_run(units, k, exits, max_lines)
+        cell = _bottom_up(scored, units, k, exits, max_lines)
         if cell is not None:
             partial.append(cell)
-    return _cell_to_pmf(_merge_cells(partial, max_lines), scored)
+    return _cell_to_pmf(_merge_cells(_concat_cells(partial), max_lines), scored)
 
 
 def sample_worlds_per_world(

@@ -23,7 +23,10 @@ is ``{"python": seconds, "native": seconds}``, with ``native`` only
 where the compiled kernel loads (a ``REPRO_BACKEND`` pin times that
 backend alone).  The guard compares each backend present in both
 files and reads a schema-1 entry (``{"seconds": s}``, recorded under
-``REPRO_BACKEND=python``) as python-only.
+``REPRO_BACKEND=python``) as python-only; a backend the run timed but
+the committed file never did is reported by
+:func:`uncompared_backends`, and ``repro bench --check`` fails on it
+rather than pass having compared nothing.
 """
 
 from __future__ import annotations
@@ -274,3 +277,20 @@ def check_against_baseline(
                     f"{now / before:.1f}x > {factor:.1f}x guard)"
                 )
     return violations
+
+
+def uncompared_backends(current: dict, committed: dict) -> list[str]:
+    """The backends ``current`` timed that ``committed`` holds no
+    timing for in any workload both files name, so that
+    :func:`check_against_baseline` compared nothing for them."""
+    committed_workloads = committed.get("workloads", {})
+    timed: list[str] = []
+    compared: set[str] = set()
+    for name, entry in current.get("workloads", {}).items():
+        reference = _backend_seconds(committed_workloads.get(name, {}))
+        for backend in _backend_seconds(entry):
+            if backend not in timed:
+                timed.append(backend)
+            if backend in reference:
+                compared.add(backend)
+    return [backend for backend in timed if backend not in compared]

@@ -783,6 +783,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         check_against_baseline,
         read_baseline,
         run_baseline,
+        uncompared_backends,
         write_baseline,
     )
 
@@ -799,6 +800,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check is not None:
         committed = read_baseline(args.check)
         violations = check_against_baseline(data, committed)
+        violations += [
+            f"{backend}: not compared, {args.check} holds no {backend} "
+            "timing for any workload this run timed"
+            for backend in uncompared_backends(data, committed)
+        ]
         if violations:
             for line in violations:
                 print(f"PERF REGRESSION: {line}", file=sys.stderr)
@@ -1131,7 +1137,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timing repeats per workload (best-of, default 3)")
     p.add_argument("--check", metavar="PATH", default=None,
                    help="compare against a committed baseline file and "
-                   "fail on a >3x slowdown")
+                   "fail on a >3x slowdown, or when a timed backend "
+                   "has no timing there")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -40,32 +40,46 @@ implementation lives on, with the Section-3.3.2 per-tuple variant, in
 
 Implementation notes
 --------------------
+Every dynamic program is lowered once into a :class:`_Program`: a flat
+int32 array of steps over a few *state slots* (each one DP state, a
+row of column cells), plus a unit table (:class:`_Units`: each unit's
+constituents as rank positions, and its absent probability).  Every
+decision of the recurrence — unit order, which rule tuples an ending
+excludes, the column range a fold can still affect, the emit points —
+is made by the lowering (:func:`_dp_run_multi`,
+:func:`_sweep_program`).  An *engine* only runs the steps: the numpy
+engine (:class:`_PythonEngine`) walks them with :func:`_combine`, and
+the native engine (:mod:`repro.core.kernels.native`) hands the whole
+program to one C call.  Both return each request's lines as one
+``(scores, probs, rows)`` triple in emit order, byte for byte alike.
+
 Cell distributions are ``(scores, probs, vectors)`` triples with the
 numeric columns as ascending numpy arrays.  Inside the dynamic
 programs a row is known only by its rank position in the
 :class:`ScoredTable`, and a representative vector is an int64 id into
-a vector arena (:class:`_Arena`, or the native engine's registries)
-that records, per line, its parent vector and the position it adds.
-No Python object is built per line: a final cell's vectors are walked
-into a ``(lines, k)`` int64 array of positions, and only the lines
-that survive the last reduce become tid tuples (:func:`_cell_to_pmf`).
-Distribution unions concatenate their already-ascending parts and
-take one stable ``np.argsort`` (:func:`_stable_merge`), so equal
-scores keep part order: the permutation of the native kernel's
-sequential merge.  Intermediate coalescing uses an equi-width grid
-over the cell's own span (weighted-mean score, summed probability,
-heavier line's vector per occupied bucket): every merge joins lines at
-most ``cell span / max_lines`` apart, and since intermediate spans
-never exceed the final span (Section 3.2.1), the merge radius is
-bounded by the same δ as the paper's closest-pair strategy.  The
-public :func:`repro.core.coalesce.coalesce_lines` keeps the exact
-pairwise strategy for presentation-time coalescing.
+a vector arena (:class:`_Arena`, or the native kernel's chunk
+registry) that records, per line, its parent vector and the position
+it adds.  No Python object is built per line: an emitted or exported
+cell's vectors are walked into a ``(lines, k)`` int32 array of
+positions, and only the lines that survive the last reduce become tid
+tuples (:func:`_cell_to_pmf`).  Distribution unions concatenate their
+already-ascending parts and take one stable ``np.argsort``
+(:func:`_stable_merge`), so equal scores keep part order: the
+permutation of the native kernel's sequential merge.  Intermediate
+coalescing uses an equi-width grid over the cell's own span
+(weighted-mean score, summed probability, heavier line's vector per
+occupied bucket): every merge joins lines at most ``cell span /
+max_lines`` apart, and since intermediate spans never exceed the final
+span (Section 3.2.1), the merge radius is bounded by the same δ as the
+paper's closest-pair strategy.  The public
+:func:`repro.core.coalesce.coalesce_lines` keeps the exact pairwise
+strategy for presentation-time coalescing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +107,7 @@ def _count_sweep() -> None:
 def dp_sweep_count() -> int:
     """Dynamic programs launched since import (monotonic counter).
 
-    Each bottom-up program (:func:`_dp_run` — single- or multi-k) and
+    Each bottom-up program (:func:`_dp_run_multi`, one or more k) and
     each forward shared-prefix sweep counts once, regardless of how
     many ``(k, depth)`` slices it serves; the per-ending ablation
     counts once per ending unit.  Fusion tests snapshot this counter
@@ -110,35 +124,6 @@ _Cell = tuple
 #: weighted-mean scores are too quantized to preserve the ascending
 #: invariant of the merge step (and can reach NaN at exactly 0).
 _MIN_CELL_MASS = float(np.finfo(np.float64).tiny)
-
-
-class _Unit:
-    """One DP row: an independent tuple or a compressed rule tuple.
-
-    :ivar constituents: ``(score, prob, pos)`` per original tuple,
-        ``pos`` being its rank position; a plain tuple has exactly one
-        constituent.
-    :ivar absent_prob: probability that no constituent exists
-        (``1 - sum of constituent probabilities``, clamped at 0).
-    """
-
-    __slots__ = ("constituents", "absent_prob")
-
-    def __init__(self, constituents: Sequence[tuple[float, float, int]]):
-        self.constituents = tuple(constituents)
-        mass = sum(p for _, p, _ in constituents)
-        self.absent_prob = max(0.0, 1.0 - mass)
-
-
-def _rows(scored: ScoredTable) -> list[tuple[float, float, int]]:
-    """Each row's ``(score, prob, rank position)`` constituent."""
-    return list(
-        zip(
-            scored.score_column.tolist(),
-            scored.prob_column.tolist(),
-            range(len(scored)),
-        )
-    )
 
 
 class _Arena:
@@ -174,9 +159,9 @@ class _Arena:
         return np.arange(base, end, dtype=np.int64)
 
     def walk(self, ids: np.ndarray, k: int) -> np.ndarray:
-        """Length-``k`` vectors as ``(lines, k)`` positions, last pick
-        first."""
-        rows = np.empty((len(ids), k), dtype=np.int64)
+        """Length-``k`` vectors as ``(lines, k)`` int32 positions, last
+        pick first."""
+        rows = np.empty((len(ids), k), dtype=np.int32)
         for step in range(k):
             rows[:, step] = self.positions[ids]
             ids = self.parents[ids]
@@ -212,18 +197,20 @@ def _segment_sums(weights: np.ndarray, segments: np.ndarray) -> np.ndarray:
 
 
 def _segment_winners(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Index of the heaviest line per segment (vectorized).
+    """Index of the heaviest line per segment, the last one on ties.
 
-    Sorting by (segment id, prob) puts each segment's heaviest line
-    last within its run, so the positions just before the next
-    segment's start are the per-segment argmaxes.
+    Two linear passes: each segment's maximum (``np.maximum.reduceat``
+    is exact in any order), then the largest index holding it.  This
+    is the choice of a stable sort by (segment, prob) and of the
+    native kernel's running ``>=`` — for finite probabilities, which
+    every cell holds: a NaN would pick a different line.
     """
     counts = np.diff(np.append(starts, len(probs)))
     if counts.max() == 1:
         return starts
-    segment_ids = np.repeat(np.arange(len(starts)), counts)
-    order = np.lexsort((probs, segment_ids))
-    return order[np.append(starts[1:], len(probs)) - 1]
+    best = np.repeat(np.maximum.reduceat(probs, starts), counts)
+    hits = np.where(probs == best, np.arange(len(probs)), -1)
+    return np.maximum.reduceat(hits, starts)
 
 
 def _stable_merge(parts: list[_Cell]) -> _Cell:
@@ -307,7 +294,8 @@ def _reduce_cell(
 
 
 def _combine(
-    unit: _Unit,
+    constituents: Sequence[tuple[float, float, int]],
+    absent_prob: float,
     skip_cell: _Cell | None,
     take_cell: _Cell | None,
     arena: _Arena,
@@ -315,16 +303,18 @@ def _combine(
 ) -> _Cell | None:
     """One distribution-merging step (Section 3.2, steps 1-3).
 
-    ``skip_cell`` is ``D[r+1][j]`` (unit absent), ``take_cell`` is
-    ``D[r+1][j-1]`` (one constituent exists and is prepended).
+    ``skip_cell`` is ``D[r+1][j]`` (the unit absent, with probability
+    ``absent_prob``), ``take_cell`` is ``D[r+1][j-1]`` (one of the
+    unit's ``(score, prob, pos)`` constituents exists and is
+    prepended).
     """
     parts: list[_Cell] = []
-    if skip_cell is not None and unit.absent_prob > 0.0:
+    if skip_cell is not None and absent_prob > 0.0:
         scores, probs, vectors = skip_cell
-        parts.append((scores, probs * unit.absent_prob, vectors))
+        parts.append((scores, probs * absent_prob, vectors))
     if take_cell is not None:
         scores, probs, vectors = take_cell
-        for c_score, c_prob, c_pos in unit.constituents:
+        for c_score, c_prob, c_pos in constituents:
             parts.append(
                 (
                     scores + c_score,
@@ -337,75 +327,124 @@ def _combine(
     return _reduce_cell(*_stable_merge(parts), max_lines)
 
 
-class _PythonEngine:
-    """The numpy cell engine (always available).
+def _concat_cells(cells: Sequence[_Cell]) -> _Cell | None:
+    """The cells' lines as one cell, in order (``None`` when none)."""
+    if len(cells) > 1:
+        cells = [tuple(np.concatenate(column) for column in zip(*cells))]
+    return cells[0] if cells and len(cells[0][0]) else None
 
-    The DP control flow in this module — sweep order, column pruning,
-    emit points — is parameterized over an *engine* so the compiled
-    backend (:class:`repro.core.kernels.native.NativeEngine`) shares
-    the orchestration by construction and can only differ in how a
-    cell's arrays are combined, never in which combinations happen.
-    Both engines produce bit-identical cells.
 
-    Engine protocol:
+# ----------------------------------------------------------------------
+# Programs: a dynamic program lowered to steps an engine runs
+# ----------------------------------------------------------------------
+#: Step opcodes (``_kernel.c`` mirrors them); a step is ``_STEP_WIDTH``
+#: int32 fields (units, slots, columns, positions and requests), the
+#: unused ones 0.
+_FOLD, _EMIT, _EXPORT, _EXIT, _MARK, _RELEASE = range(6)
+_STEP_WIDTH = 6
 
-    * ``const_cell()`` — the {0.0: 1.0} distribution, empty vector;
-    * ``new_chain(ncols)`` — storage handle for one DP column chain
-      (meaningful to the native engine's ping/pong slabs; ``None``
-      here);
-    * ``fold_into(chain, unit, pairs)`` — one :func:`_combine` per
-      ``(skip, take)`` pair;
-    * ``take_reduce(cell, constituent)`` — attach one ``(score, prob,
-      pos)`` as the last pick and reduce, exported as ``(scores,
-      probs, ids)``;
-    * ``export_cell(cell)`` — a final cell as numpy arrays;
-    * ``positions(ids, k)`` — length-``k`` vectors as a ``(lines, k)``
-      int64 array of rank positions, last pick first;
-    * ``mark()`` / ``release(mark)`` — scratch vector-arena windows.
+
+class _Units(NamedTuple):
+    """A program's unit table.
+
+    Unit ``u``'s constituents are the rank positions ``pos[off[u]:
+    off[u] + length[u]]``, and ``absent[u]`` is the probability that
+    none of them exists; ``scores`` and ``probs`` are the prefix's
+    columns, indexed by rank position.
     """
 
-    backend = "python"
+    off: np.ndarray
+    length: np.ndarray
+    pos: np.ndarray
+    absent: np.ndarray
+    scores: np.ndarray
+    probs: np.ndarray
 
-    __slots__ = ("max_lines", "arena")
 
-    def __init__(self, max_lines: int) -> None:
-        self.max_lines = max_lines
-        self.arena = _Arena()
+class _Program(NamedTuple):
+    """One dynamic program, lowered.
 
-    def const_cell(self) -> _Cell:
-        return (np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64))
+    ``steps`` is an ``(nsteps, _STEP_WIDTH)`` int32 array over
+    ``nslots`` state slots of ``ncols`` column cells each (all start
+    with no cell):
 
-    def new_chain(self, ncols: int) -> None:
-        return None
+    * ``(_FOLD, unit, src, dst, lo, hi)`` — for ``lo <= j <= hi``,
+      ``dst[j]`` is the :func:`_combine` of ``unit`` over ``src[j]``
+      (skip) and ``src[j - 1]`` (take; none at ``j = 0``); every other
+      column of ``dst`` holds no cell;
+    * ``(_EMIT, slot, col, pos, request)`` — attach row ``pos`` as the
+      last pick of ``slot[col]`` and append the reduced lines, with
+      their ``col + 1``-pick vectors, to the request;
+    * ``(_EXPORT, slot, col, request)`` — append ``slot[col]``'s lines
+      with their ``col``-pick vectors;
+    * ``(_EXIT, slot, on)`` — column 0 of ``slot`` becomes the exit
+      cell {0.0: 1.0} with the empty vector when ``on``, else no cell;
+    * ``(_MARK,)`` / ``(_RELEASE,)`` — drop every vector id made
+      between them (the sweep's per-ending scratch).
 
-    def fold_into(
-        self, chain: None, unit: _Unit, pairs: Sequence[tuple]
-    ) -> list[_Cell | None]:
-        return [
-            _combine(unit, skip, take, self.arena, self.max_lines)
-            for skip, take in pairs
-        ]
+    ``walks[r]`` is the picks per vector of request ``r``.
+    """
 
-    def take_reduce(self, cell: _Cell | None, constituent) -> _Cell | None:
-        return _combine(
-            _Unit((constituent,)), None, cell, self.arena, self.max_lines
+    steps: np.ndarray
+    units: _Units
+    ncols: int
+    nslots: int
+    walks: list[int]
+    max_lines: int
+
+
+class _PythonEngine:
+    """The numpy engine: walks a :class:`_Program` with :func:`_combine`.
+
+    An engine's one method, ``run(program)``, returns each request's
+    lines as one ``(scores, probs, rows)`` triple in emit order —
+    ``rows`` the ``(lines, k)`` int32 rank positions of the vectors,
+    last pick first — or ``None``.  This engine is the reference the
+    native one (:mod:`repro.core.kernels.native`) matches byte for byte.
+    """
+
+    def run(self, program: _Program) -> list[_Cell | None]:
+        off, length, positions, absent, scores, probs = (
+            column.tolist() for column in program.units
         )
+        arena = _Arena()
+        max_lines = program.max_lines
+        exit_cell = (np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64))
+        slots = [[None] * program.ncols for _ in range(program.nslots)]
+        out: list[list[_Cell]] = [[] for _ in program.walks]
+        mark = 0
+        for op, a, b, c, d, e in program.steps.tolist():
+            if op == _FOLD:
+                at = positions[off[a] : off[a] + length[a]]
+                unit = ([(scores[p], probs[p], p) for p in at], absent[a])
+                src = slots[b]
+                dst = slots[c] = [None] * program.ncols
+                for j in range(d, e + 1):
+                    take = src[j - 1] if j else None
+                    dst[j] = _combine(*unit, src[j], take, arena, max_lines)
+            elif op == _EMIT:
+                take = slots[a][b]
+                if take is not None:
+                    size = arena.mark()
+                    ending = [(scores[c], probs[c], c)]
+                    cell = _combine(ending, 0.0, None, take, arena, max_lines)
+                    out[d].append((*cell[:2], arena.walk(cell[2], b + 1)))
+                    arena.release(size)
+            elif op == _EXPORT:
+                cell = slots[a][b]
+                if cell is not None:
+                    out[c].append((*cell[:2], arena.walk(cell[2], b)))
+            elif op == _EXIT:
+                slots[a][0] = exit_cell if b else None
+            elif op == _MARK:
+                mark = arena.mark()
+            else:
+                arena.release(mark)
+        return [_concat_cells(cells) for cells in out]
 
-    def export_cell(self, cell: _Cell) -> _Cell:
-        return cell
 
-    def positions(self, ids: np.ndarray, k: int) -> np.ndarray:
-        return self.arena.walk(ids, k)
-
-    def mark(self):
-        return self.arena.mark()
-
-    def release(self, mark) -> None:
-        self.arena.release(mark)
-
-
-def _engine_for(backend: str | None, max_lines: int):
-    """Build the cell engine for one DP run.
+def _run(program: _Program, backend: str | None) -> list[_Cell | None]:
+    """Run one lowered dynamic program (counted by :func:`dp_sweep_count`).
 
     ``backend`` is the resolved planner choice (or ``None`` for auto);
     the ``REPRO_BACKEND`` environment variable overrides either way.
@@ -415,15 +454,29 @@ def _engine_for(backend: str | None, max_lines: int):
     """
     from repro.core import kernels
 
+    _count_sweep()
+    engine = None
     if kernels.resolve_backend(backend) == "native":
-        engine = kernels.native_engine(max_lines)
-        if engine is not None:
-            return engine
-    return _PythonEngine(max_lines)
+        engine = kernels.native_engine(program.max_lines)
+    return (engine or _PythonEngine()).run(program)
+
+
+def _row_units(scored: ScoredTable) -> _Units:
+    """Every row of ``scored`` a unit of its own, in rank order."""
+    iota = np.arange(len(scored))
+    probs = scored.prob_column
+    return _Units(
+        iota,
+        np.ones_like(iota),
+        iota,
+        np.maximum(0.0, 1.0 - probs),
+        scored.score_column,
+        probs,
+    )
 
 
 def _dp_run_multi(
-    units: Sequence[_Unit],
+    units: _Units,
     ks: Sequence[int],
     exit_enabled: Sequence[bool],
     max_lines: int,
@@ -432,96 +485,73 @@ def _dp_run_multi(
     """One bottom-up dynamic program, read out at several columns.
 
     ``exit_enabled[r]`` states whether a top-k vector may *end* with
-    the tuple at row ``r`` (i.e. whether the column-0 cell below row
-    ``r`` holds the enabling distribution ``(0, 1)`` instead of the
-    blocking ``(0, 0)`` of Section 3.3.2).
+    unit ``r`` (i.e. whether the column-0 cell below row ``r`` holds
+    the enabling distribution ``(0, 1)`` instead of the blocking
+    ``(0, 0)`` of Section 3.3.2).
 
-    The recurrence of column ``j`` reads only columns ``j`` and
-    ``j - 1``, so computing extra columns never changes a column's
-    cells: the ``k``-column of a multi-k run is byte-identical to a
-    dedicated ``k``-run (the column-range pruning below only widens).
-    Returns the final row-0 cells per requested ``k`` — vectors as
-    ``(lines, k)`` rank positions (the engine's ``positions``) — with
-    ``None`` where no vector can be formed.
+    Row ``r`` (taken from the bottom) reads one slot and writes the
+    other; before its fold, an ``_EXIT`` step sets the read slot's
+    column 0 to that exit point.  The recurrence of column ``j`` reads
+    only columns ``j`` and ``j - 1``, so computing extra columns never
+    changes a column's cells: the ``k``-column of a multi-k run is
+    byte-identical to a dedicated ``k``-run (the column-range pruning
+    below only widens).  Returns the final row-0 cells per requested
+    ``k`` — vectors as ``(lines, k)`` rank positions — with ``None``
+    where no vector can be formed.
     """
-    _count_sweep()
-    n = len(units)
+    n = len(units.off)
     ks = sorted(set(ks))
-    results: dict[int, _Cell | None] = {k: None for k in ks}
+    results: dict[int, _Cell | None] = dict.fromkeys(ks)
     live = [k for k in ks if k <= n]
     if not live:
+        _count_sweep()
         return results
     k_min, k_max = live[0], live[-1]
-    engine = _engine_for(backend, max_lines)
-    exit_cell = engine.const_cell()
-    chain = engine.new_chain(k_max + 1)
-    # below[j] holds D[r+1][j]; initially r+1 == n (virtual bottom row).
-    below: list[_Cell | None] = [None] * (k_max + 1)
-    for r in range(n - 1, -1, -1):
-        unit = units[r]
-        # Column 0 below row r: the exit point after picking row r last.
-        below[0] = exit_cell if exit_enabled[r] else None
-        cur: list[_Cell | None] = [None] * (k_max + 1)
-        # Only columns completable from above matter: rows 0..r-1 can
-        # supply at most r more picks (j >= k_min - r) and rows r..n-1
-        # at most n - r picks (j <= n - r).
-        j_low = max(1, k_min - r)
-        j_high = min(k_max, n - r)
-        js = range(j_low, j_high + 1)
-        outs = engine.fold_into(
-            chain, unit, [(below[j], below[j - 1]) for j in js]
-        )
-        for j, out in zip(js, outs):
-            cur[j] = out
-        below = cur
-    for k in live:
-        final = below[k]
-        if final is not None:
-            scores, probs, ids = engine.export_cell(final)
-            results[k] = (scores, probs, engine.positions(ids, k))
+    r = np.arange(n - 1, -1, -1)
+    src = np.arange(n) & 1
+    steps = np.zeros((n, 2, _STEP_WIDTH), dtype=np.int32)
+    steps[:, 0, 0] = _EXIT
+    steps[:, 0, 1] = src
+    steps[:, 0, 2] = np.asarray(exit_enabled, dtype=bool)[r]
+    steps[:, 1, 0] = _FOLD
+    steps[:, 1, 1] = r
+    steps[:, 1, 2] = src
+    steps[:, 1, 3] = 1 - src
+    # Only columns completable from above matter: rows 0..r-1 can
+    # supply at most r more picks (j >= k_min - r) and rows r..n-1 at
+    # most n - r picks (j <= n - r).
+    steps[:, 1, 4] = np.maximum(1, k_min - r)
+    steps[:, 1, 5] = np.minimum(k_max, n - r)
+    exports = [(_EXPORT, n & 1, k, index, 0, 0) for index, k in enumerate(live)]
+    program = _Program(
+        np.concatenate([steps.reshape(-1, _STEP_WIDTH), np.int32(exports)]),
+        units,
+        k_max + 1,
+        2,
+        live,
+        max_lines,
+    )
+    results.update(zip(live, _run(program, backend)))
     return results
 
 
-def _dp_run(
-    units: Sequence[_Unit],
-    k: int,
-    exit_enabled: Sequence[bool],
-    max_lines: int,
-    backend: str | None = None,
-) -> _Cell | None:
-    """One bottom-up dynamic program over ``units`` (single read-out).
+def _merge_cells(cell: _Cell | None, max_lines: int) -> _Cell | None:
+    """A request's emitted lines reduced to one distribution.
 
-    Returns the final cell — row 0, column k — with vectors as
-    ``(lines, k)`` rank positions, or ``None`` when no vector can be
-    formed.
+    ``cell`` holds every ending's final lines in emit order.  Equal
+    scores merge exactly; the line budget is enforced by the same grid
+    coalescing as the intermediate distributions.  The reduce runs on
+    line ids (one stable argsort of the scores), and only the
+    surviving lines' position rows are gathered.
     """
-    return _dp_run_multi(units, (k,), exit_enabled, max_lines, backend)[k]
-
-
-def _merge_cells(cells: list[_Cell], max_lines: int) -> _Cell | None:
-    """Union of per-ending final cells, reduced to the line budget.
-
-    Equal scores merge exactly; the line budget is enforced by the same
-    grid coalescing as the intermediate distributions.  The cells'
-    vectors are ``(lines, k)`` position rows: the union reduces line
-    ids (indices into the cells' concatenation) and then gathers only
-    the surviving lines' rows.
-    """
-    if not cells:
+    if cell is None:
         return None
-    scores = np.concatenate([cell[0] for cell in cells])
+    scores, probs, rows = cell
     order = np.argsort(scores, kind="stable")
-    probs = np.concatenate([cell[1] for cell in cells])[order]
-    scores, probs, lines = _reduce_cell(scores[order], probs, order, max_lines)
-    sizes = np.array([len(cell[0]) for cell in cells])
-    starts = np.cumsum(sizes) - sizes
-    owners = np.searchsorted(starts, lines, side="right") - 1
-    rows = np.empty((len(lines), cells[0][2].shape[1]), dtype=np.int64)
-    for index, (owner, line) in enumerate(
-        zip(owners.tolist(), (lines - starts[owners]).tolist())
-    ):
-        rows[index] = cells[owner][2][line]
-    return scores, probs, rows
+    scores, probs, lines = _reduce_cell(
+        scores[order], probs[order], order, max_lines
+    )
+    return scores, probs, rows[lines]
 
 
 def _cell_to_pmf(cell: _Cell | None, scored: ScoredTable) -> ScorePMF:
@@ -576,13 +606,14 @@ def dp_distribution(
     if scored.me_member_count() == 0:
         # Basic case (Section 3.2): tuples are independent; a single
         # dynamic program with every exit point enabled suffices.
-        units = [_Unit((row,)) for row in _rows(scored)]
-        cell = _dp_run(units, k, [True] * n, max_lines, backend)
+        cell = _dp_run_multi(
+            _row_units(scored), (k,), [True] * n, max_lines, backend
+        )[k]
     else:
         # Mutual-exclusion case (Section 3.3): one shared-prefix forward
         # sweep over all ending units (Section 3.3.3, the O(kmn) path).
-        partial = _shared_prefix_sweep(scored, k, max_lines, backend)
-        cell = _merge_cells(partial, max_lines)
+        program = _sweep_program(scored, [(k, n)], max_lines)
+        cell = _merge_cells(_run(program, backend)[0], max_lines)
     return _cell_to_pmf(cell, scored)
 
 
@@ -667,9 +698,12 @@ def dp_distribution_sliced(
                 "independent-prefix requests must all share the sweep "
                 "depth; group nested depths into separate sweeps"
             )
-        units = [_Unit((row,)) for row in _rows(scored)]
         cells = _dp_run_multi(
-            units, [k for k, _ in requests], [True] * n, max_lines, backend
+            _row_units(scored),
+            [k for k, _ in requests],
+            [True] * n,
+            max_lines,
+            backend,
         )
         return [_cell_to_pmf(cells[k], scored) for k, _ in requests]
 
@@ -680,200 +714,138 @@ def dp_distribution_sliced(
                 "prefix's rule-tuple structure differs (straddled or "
                 "absent ME group)"
             )
-    partial = _shared_prefix_sweep_multi(scored, requests, max_lines, backend)
+    program = _sweep_program(scored, requests, max_lines)
     return [
-        _cell_to_pmf(_merge_cells(cells, max_lines), scored)
-        for cells in partial
+        _cell_to_pmf(_merge_cells(cell, max_lines), scored)
+        for cell in _run(program, backend)
     ]
 
 
-def _fold_unit(
-    state: list[_Cell | None],
-    unit: _Unit,
-    engine,
-    chain,
-    low: int = 0,
-) -> list[_Cell | None]:
-    """Advance forward DP columns by one unit (non-destructively).
-
-    ``state[j]`` is the distribution over picking exactly ``j``
-    constituents among the folded units, with the absent factor of
-    every unpicked unit applied — i.e. the transposed view of the
-    bottom-up recurrence, which yields the same distributions because
-    the unit set is what matters, not the fold order.
-
-    ``low`` prunes columns that can no longer matter: when only ``r``
-    folds remain before the last read of column ``k-1``, a column
-    ``j < k-1-r`` cannot climb there in time, so callers pass
-    ``low = k-1-r`` (the mirror of the ``j_low``/``j_high`` range
-    pruning in :func:`_dp_run`).  Pruned columns are ``None``.
-    """
-    columns = len(state)
-    js = list(range(columns - 1, max(low, 1) - 1, -1))
-    pairs = [(state[j], state[j - 1]) for j in js]
-    if low == 0:
-        js.append(0)
-        pairs.append((state[0], None))
-    outs = engine.fold_into(chain, unit, pairs)
-    new: list[_Cell | None] = [None] * columns
-    for j, out in zip(js, outs):
-        new[j] = out
-    return new
 
 
-def _shared_prefix_sweep_multi(
+def _sweep_program(
     scored: ScoredTable,
     requests: Sequence[tuple[int, int]],
     max_lines: int,
-    backend: str | None = None,
-) -> list[list[_Cell]]:
-    """Per-ending final cells from one forward pass (Section 3.3.3),
-    sliced per ``(k, depth)`` request.
+) -> _Program:
+    """Lower the forward shared-prefix sweep (Section 3.3.3).
 
-    The sweep maintains, incrementally:
+    Slots 0 and 1 take turns holding the shared prefix state: DP
+    columns ``0..k_max-1`` over every singleton-group tuple passed so
+    far.  Each multi-member group's members passed so far form its rule
+    tuple, one unit per member added.  At an ending unit, the current
+    rule tuples are folded on top of the shared state, in order of
+    their first member and without the ending's own group (its mates
+    are absent once the ending exists), then the ending's rows are
+    attached; a lead-tuple region folds the rules once and extends the
+    state row by row.  These folds are scratch, in slots 2 and 3
+    between a ``_MARK`` and a ``_RELEASE``.  A fold with ``r`` folds
+    left before the last read of column ``k_min - 1`` cannot lift a
+    column below ``k_min - 1 - r`` there in time, so its range starts
+    at that column.  A span's rule chain is lowered as one numpy block:
+    the Python work follows the rows and spans, not the rule folds.
 
-    * ``ind_state`` — DP columns ``0..k_max-1`` over every
-      singleton-group tuple passed so far (the shared compressed
-      prefix);
-    * ``members[g]`` — the constituents of each multi-member group
-      passed so far (the group's rule tuple, grown member-by-member
-      instead of being rebuilt from scratch per ending).
-
-    Reaching an ending unit, only the current rule tuples (at most the
-    paper's ``m``) are folded on top of the shared state — excluding
-    the ending's own group, whose mates are absent with probability 1
-    once the ending is fixed — and the ending's own rows are attached.
-    Lead-tuple regions pay the rule fold once and then extend the
-    state row by row, emitting one exit cell per region row.
-
-    Multi-request slicing: each request ``(k, depth)`` collects the
-    exit cells at column ``k - 1`` for ending positions ``< depth``.
-    A per-ending cell depends only on the rows *above* the ending and
-    on its own column, so the collected cells — and hence the merged
-    per-request distribution — are byte-identical to a dedicated
-    sweep over ``scored.prefix(depth)`` with that ``k``, provided no
-    multi-member group of ``scored`` is split by ``depth`` down to a
-    single member (the planner's straddle check; see
-    :func:`dp_distribution_sliced`).  Column-range pruning is driven
-    by the smallest requested ``k``, which only widens the computed
-    range and never changes a column's cells.
-
-    Each emitted cell is kept as ``(scores, probs, rows)``: its
-    vectors are walked into ``(lines, k)`` rank positions at once, and
-    the per-ending fold ids are then released from the arena, so the
-    arena footprint tracks the shared prefix, not the whole sweep.
-    Only the lines that survive a request's final reduce become tid
-    tuples (:func:`_merge_cells`, :func:`_cell_to_pmf`).
+    Each request ``(k, depth)`` emits column ``k - 1`` at the ending
+    positions ``< depth``.  An ending's lines depend only on the rows
+    above it and on its own column, so they are byte-identical to a
+    dedicated sweep over ``scored.prefix(depth)`` with that ``k``,
+    provided no multi-member group is split by ``depth`` down to one
+    member (the planner's straddle check; see
+    :func:`dp_distribution_sliced`).  Pruning by the smallest ``k``
+    only widens the computed range and never changes a column's cells.
     """
-    _count_sweep()
-    engine = _engine_for(backend, max_lines)
+    n = len(scored)
     k_min = min(k for k, _ in requests)
-    k_max = max(k for k, _ in requests)
-    multi = {
-        g
-        for g in scored.groups()
-        if len(scored.group_positions(g)) > 1
-    }
-    rows = _rows(scored)
+    last = max(k for k, _ in requests) - 1
+    probs = scored.prob_column.tolist()
     groups = scored.group_column.tolist()
-    members: dict[int, list[tuple[float, float, int]]] = {g: [] for g in multi}
-    rule_order: list[int] = []  # multi groups by first (lead) appearance
-    rule_cache: dict[int, _Unit] = {}
-    ind_state: list[_Cell | None] = (
-        [engine.const_cell()] + [None] * (k_max - 1)
-    )
-    # The shared prefix and the per-ending scratch folds advance on
-    # separate chains: scratch ping/pong must never clobber the live
-    # shared-prefix cells it reads from.
-    ind_chain = engine.new_chain(k_max)
-    scratch_chain = engine.new_chain(k_max)
-
-    def folded_rules(
-        exclude_group: int | None, row_slack: int
-    ) -> list[_Cell | None]:
-        """Fold the current rule tuples on top of the shared state.
-
-        ``row_slack`` is how many more per-row folds the caller will
-        apply before its last exit (region width minus one); it widens
-        the column range that can still reach ``k_min - 1``.
-        """
-        rules = [
-            g for g in rule_order if g != exclude_group and members[g]
-        ]
-        state = ind_state
-        for index, g in enumerate(rules):
-            unit = rule_cache.get(g)
-            if unit is None:
-                unit = rule_cache[g] = _Unit(members[g])
-            remaining = len(rules) - index - 1 + row_slack
-            state = _fold_unit(
-                state, unit, engine, scratch_chain,
-                max(0, k_min - 1 - remaining),
-            )
-        return state
-
-    partial: list[list[_Cell]] = [[] for _ in requests]
-
-    def emit(state: list[_Cell | None], pos: int) -> None:
-        for index, (k, depth) in enumerate(requests):
-            if pos >= depth:
-                continue
-            exported = engine.take_reduce(state[k - 1], rows[pos])
-            if exported is not None:
-                scores, probs, ids = exported
-                partial[index].append(
-                    (scores, probs, engine.positions(ids, k))
-                )
-
+    multi = {g for g in scored.groups() if len(scored.group_positions(g)) > 1}
+    # Each group's members sit together, in rank order, in ``order``:
+    # a rule tuple is a prefix of its group's run.  Unit ``pos`` is row
+    # ``pos`` alone; rule units follow, one per member added.
+    order = np.argsort(scored.group_column, kind="stable")
+    where = np.empty(n, dtype=np.int64)
+    where[order] = np.arange(n)
+    starts = where.tolist()
+    rule_off: list[int] = []
+    rule_len: list[int] = []
+    rule_absent: list[float] = []
+    rule_of: dict[int, int] = {}  # group -> rule index (first member order)
+    mates: dict[int, list[float]] = {}  # group -> member probs so far
+    rule_unit = np.zeros(len(multi), dtype=np.int64)  # rule index -> unit
+    # A chain of rule folds alternates between scratch slots 2 and 3.
+    iota = np.arange(len(multi))
+    chain_steps = np.zeros((len(multi), _STEP_WIDTH), dtype=np.int32)
+    chain_steps[:, 0] = _FOLD
+    chain_steps[:, 2] = 3 - (iota & 1)
+    chain_steps[:, 3] = 2 + (iota & 1)
+    chain_steps[:, 5] = last
+    blocks: list[np.ndarray] = []  # the program so far, but for `steps`
+    steps = [_EXIT, 0, 1, 0, 0, 0]
+    ind = 0
     for start, end in _ending_units(scored):
         # Emit this span's exit cells from the state accumulated so
-        # far; the fold chunks are scratch, released after emitting.
+        # far; the folds are scratch, released after emitting.
         if end > k_min - 1:
-            scratch = engine.mark()
-            if end - start == 1 and not scored.is_lead(start):
-                state = folded_rules(groups[start], 0)
-                emit(state, start)
-            else:
-                state = folded_rules(None, end - start - 1)
-                for pos in range(start, end):
-                    emit(state, pos)
-                    if pos + 1 < end:
-                        state = _fold_unit(
-                            state,
-                            _Unit((rows[pos],)),
-                            engine,
-                            scratch_chain,
-                            max(0, k_min - 1 - (end - 2 - pos)),
-                        )
-            engine.release(scratch)
+            slack = end - start - 1
+            chain = rule_unit[: len(rule_of)]
+            if slack == 0 and not scored.is_lead(start):
+                own = rule_of[groups[start]]
+                chain = np.concatenate((chain[:own], chain[own + 1 :]))
+            cur = ind
+            count = len(chain)
+            steps += (_MARK, 0, 0, 0, 0, 0)
+            if count:
+                block = chain_steps[:count].copy()
+                block[:, 1] = chain
+                block[0, 2] = ind
+                block[:, 4] = np.maximum(0, k_min - count - slack + iota[:count])
+                blocks += (np.int32(steps), block.ravel())
+                steps = []
+                cur = 2 + ((count - 1) & 1)
+            for pos in range(start, end):
+                for index, (k, depth) in enumerate(requests):
+                    if pos < depth:
+                        steps += (_EMIT, cur, k - 1, pos, index, 0)
+                if pos + 1 < end:
+                    low = max(0, k_min - 1 - (end - 2 - pos))
+                    nxt = 5 - cur if cur > 1 else 2
+                    steps += (_FOLD, pos, cur, nxt, low, last)
+                    cur = nxt
+            steps += (_RELEASE, 0, 0, 0, 0, 0)
         # Advance the shared prefix past the span's rows.
         for pos in range(start, end):
             group = groups[pos]
             if group in multi:
-                if not members[group]:
-                    rule_order.append(group)
-                members[group].append(rows[pos])
-                rule_cache.pop(group, None)
+                members = mates.get(group)
+                if members is None:
+                    members = mates[group] = []
+                    rule_of[group] = len(rule_of)
+                members.append(probs[pos])
+                rule_unit[rule_of[group]] = n + len(rule_off)
+                rule_off.append(starts[pos] + 1 - len(members))
+                rule_len.append(len(members))
+                rule_absent.append(max(0.0, 1.0 - sum(members)))
             else:
-                ind_state = _fold_unit(
-                    ind_state,
-                    _Unit((rows[pos],)),
-                    engine,
-                    ind_chain,
-                )
-    return partial
-
-
-def _shared_prefix_sweep(
-    scored: ScoredTable,
-    k: int,
-    max_lines: int,
-    backend: str | None = None,
-) -> list[_Cell]:
-    """Per-ending final cells for one ``k`` over the whole table."""
-    return _shared_prefix_sweep_multi(
-        scored, [(k, len(scored))], max_lines, backend
-    )[0]
+                steps += (_FOLD, pos, ind, 1 - ind, 0, last)
+                ind = 1 - ind
+    units = _Units(
+        np.concatenate([where, rule_off]).astype(np.int64),
+        np.concatenate([np.ones(n), rule_len]).astype(np.int64),
+        order,
+        np.concatenate([np.maximum(0.0, 1.0 - scored.prob_column), rule_absent]),
+        scored.score_column,
+        scored.prob_column,
+    )
+    blocks.append(np.int32(steps))
+    return _Program(
+        np.concatenate(blocks).reshape(-1, _STEP_WIDTH),
+        units,
+        last + 1,
+        4,
+        [k for k, _ in requests],
+        max_lines,
+    )
 
 
 def _ending_units(scored: ScoredTable) -> list[tuple[int, int]]:

@@ -11,9 +11,9 @@ Backend names:
 ``python``
     The numpy path.  Always available.
 ``native``
-    The compiled fused-fold kernel.  Forcing it on a machine where
-    the extension cannot build or load raises
-    :class:`repro.exceptions.KernelBackendError`.
+    The compiled kernel: one C call runs a whole lowered program.
+    Forcing it on a machine where the extension cannot build or load
+    raises :class:`repro.exceptions.KernelBackendError`.
 ``auto``
     ``native`` when loadable, else ``python`` (the default).
 
@@ -42,9 +42,9 @@ __all__ = [
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Line budgets above this fall back to the numpy path even under the
-#: native backend: the native engine preallocates per-column slabs of
-#: ``max_lines`` doubles, and budgets that large only appear in
-#: exact-reference test helpers where coalescing is disabled entirely.
+#: native backend: the native engine's slabs hold ``max_lines`` lines
+#: per DP cell, and budgets that large only appear in exact-reference
+#: test helpers where coalescing is disabled entirely.
 NATIVE_MAX_LINES = 1024
 
 _VALID = ("python", "native", "auto")
@@ -96,7 +96,7 @@ def native_engine(max_lines: int):
         return None
     from repro.core.kernels.native import NativeEngine
 
-    return NativeEngine(lib, max_lines)
+    return NativeEngine(lib)
 
 
 def backends_report() -> dict:

@@ -53,25 +53,19 @@ _ERROR: str | None = None
 
 
 class KernelLib:
-    """Loaded kernel entry points plus provenance for reporting.
+    """Loaded kernel entry point plus provenance for reporting.
 
-    :ivar fold: ``repro_fold`` — fused combine over DP columns.
-    :ivar vectors: ``repro_vectors`` — arena ids to rank-position rows.
+    :ivar run: ``repro_run`` — runs (or resumes) one lowered dynamic
+        program, given the address of its int64 context array; returns
+        0 when done, else the code of the buffer to grow.
     :ivar strategy: binding used (``ctypes``).
     :ivar path: the shared library file that was loaded.
     """
 
-    __slots__ = ("fold", "vectors", "strategy", "path")
+    __slots__ = ("run", "strategy", "path")
 
-    def __init__(
-        self,
-        fold: Callable[..., int],
-        vectors: Callable[..., None],
-        strategy: str,
-        path: str,
-    ) -> None:
-        self.fold = fold
-        self.vectors = vectors
+    def __init__(self, run: Callable[[int], int], strategy: str, path: str) -> None:
+        self.run = run
         self.strategy = strategy
         self.path = path
 
@@ -152,40 +146,11 @@ def ensure_built() -> Path | None:
     return target
 
 
-_FOLD_ARGS = [
-    ctypes.c_void_p,  # ihdr
-    ctypes.c_void_p,  # fhdr
-    ctypes.c_void_p,  # slabs
-    ctypes.c_void_p,  # tags
-    ctypes.c_longlong,  # tag_start
-    ctypes.c_void_p,  # ws
-    ctypes.c_longlong,  # ws_cap
-    ctypes.c_void_p,  # wsi
-    ctypes.c_void_p,  # out_lens
-]
-
-_VECTORS_ARGS = [
-    ctypes.c_void_p,  # ids
-    ctypes.c_longlong,  # n
-    ctypes.c_longlong,  # k
-    ctypes.c_void_p,  # bases
-    ctypes.c_void_p,  # offs
-    ctypes.c_void_p,  # positions
-    ctypes.c_longlong,  # nchunks
-    ctypes.c_void_p,  # tags
-    ctypes.c_void_p,  # out
-]
-
-
 def _bind_ctypes(path: Path) -> KernelLib:
-    lib = ctypes.CDLL(str(path))
-    fold = lib.repro_fold
-    fold.restype = ctypes.c_longlong
-    fold.argtypes = _FOLD_ARGS
-    vectors = lib.repro_vectors
-    vectors.restype = None
-    vectors.argtypes = _VECTORS_ARGS
-    return KernelLib(fold, vectors, "ctypes", str(path))
+    run = ctypes.CDLL(str(path)).repro_run
+    run.restype = ctypes.c_longlong
+    run.argtypes = [ctypes.c_void_p]
+    return KernelLib(run, "ctypes", str(path))
 
 
 def load() -> KernelLib | None:

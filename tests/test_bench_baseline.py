@@ -12,6 +12,7 @@ from repro.bench.baseline import (
     read_baseline,
     run_baseline,
     timed_backends,
+    uncompared_backends,
     workload_factories,
     write_baseline,
 )
@@ -60,6 +61,19 @@ class TestBaselineModule:
         python_only = {"workloads": {"w": {"python": 0.1}}}
         assert check_against_baseline(python_only, schema2) == []
         assert check_against_baseline(schema2, python_only) == []
+
+    def test_uncompared_backends(self):
+        schema1 = {"schema": 1, "workloads": {"w": {"seconds": 0.1}}}
+        schema2 = {"workloads": {"w": {"python": 0.1, "native": 0.01}}}
+        python_only = {"workloads": {"w": {"python": 0.1}}}
+        native_only = {"workloads": {"w": {"native": 0.01}}}
+        assert uncompared_backends(schema2, schema2) == []
+        assert uncompared_backends(python_only, schema2) == []
+        assert uncompared_backends(schema2, schema1) == ["native"]
+        assert uncompared_backends(native_only, schema1) == ["native"]
+        # A workload the committed file lacks compares nothing either.
+        other = {"workloads": {"v": {"python": 0.1, "native": 0.01}}}
+        assert uncompared_backends(other, schema2) == ["python", "native"]
 
     def test_roundtrip(self, tmp_path):
         data = run_baseline(tiny_only=True, repeats=1)
@@ -146,3 +160,20 @@ class TestBenchCLI:
             ["bench", "--tiny", "--repeats", "1", "--check", str(path)]
         ) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
+
+    def test_bench_check_fails_when_nothing_is_compared(
+        self, tmp_path, capsys
+    ):
+        # A baseline that shares no (workload, backend) timing with the
+        # run cannot vouch for it, on any backend pin.
+        path = tmp_path / "BENCH_core.json"
+        timings = {"python": 1.0, "native": 1.0}
+        path.write_text(json.dumps(
+            {"schema": 2, "workloads": {"no_such_workload": timings}}
+        ))
+        assert main(
+            ["bench", "--tiny", "--repeats", "1", "--check", str(path)]
+        ) == 1
+        err = capsys.readouterr().err
+        for backend in timed_backends():
+            assert f"{backend}: not compared" in err

@@ -12,11 +12,18 @@ import numpy as np
 import pytest
 
 from repro.bench.ablations import (
+    _bottom_up,
     dp_distribution_per_ending,
     dp_distribution_without_lead_regions,
 )
+from repro.core import kernels
 from repro.core.distribution import prepare_scored_prefix
-from repro.core.dp import dp_distribution
+from repro.core.dp import (
+    _ending_units,
+    dp_distribution,
+    dp_distribution_sliced,
+)
+from repro.core.kernels import build
 from repro.datasets.specs import generate_from_spec
 from repro.uncertain.scoring import ScoredTable, attribute_scorer
 from tests.conftest import (
@@ -157,10 +164,26 @@ class TestCoalescedEquivalence:
         ) < span / 4
 
 
+#: ME prefixes for the cost checks: a full 400-row table (~16,800 rule
+#: folds at k = 5) and the 46-60-row prefixes of the ME table that
+#: perfbench's ``cold_reads`` reads.
+COST_FIXTURES = [
+    ("synthetic:tuples=400,me=0.5,seed=101", 0.0),
+    ("synthetic:tuples=2000,me=0.5,seed=101", 0.01),
+]
+
+
+def native_leg() -> None:
+    if kernels.resolve_backend(None) == "python":
+        pytest.skip("the resolved backend is python")
+
+
 class TestSweepCost:
     """An ME sweep's Python-level work does not grow with the lines its
     endings emit: vectors stay int64 rank positions through the final
-    reduce, and only the surviving lines become tid tuples."""
+    reduce, and only the surviving lines become tid tuples.  With the
+    native engine it follows the sweep's rows and ending spans, never
+    its folds: a whole DP is one call of the kernel's entry point."""
 
     @pytest.mark.parametrize("k", [5, 10])
     def test_python_calls_grow_with_output_lines_only(self, k) -> None:
@@ -172,3 +195,44 @@ class TestSweepCost:
         large = python_calls(lambda: dp_distribution(prefix, k, max_lines=200))
         # O(k) calls for each extra output line, none per emitted line.
         assert large - small <= (200 - 50) * (2 * k + 10), (small, large)
+
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("spec,p_tau", COST_FIXTURES)
+    def test_python_calls_follow_rows_not_folds(self, spec, p_tau, k):
+        native_leg()
+        table = generate_from_spec(spec)
+        prefix = prepare_scored_prefix(table, "score", k, p_tau=p_tau)
+        assert prefix.me_member_count() > 0
+        dp_distribution(prefix, k)  # loads the kernel
+        calls = python_calls(lambda: dp_distribution(prefix, k))
+        spans = len(_ending_units(prefix))
+        assert calls <= 50 * (len(prefix) + spans), (calls, len(prefix), spans)
+
+    def test_entry_point_called_once_per_dp(self, monkeypatch):
+        native_leg()
+        lib = build.load()
+        calls = []
+        real = lib.run
+
+        def counted(address):
+            calls.append(address)
+            return real(address)
+
+        monkeypatch.setattr(lib, "run", counted)
+        table = generate_from_spec("synthetic:tuples=2000,me=0.5,seed=101")
+        prefix = prepare_scored_prefix(table, "score", 10, p_tau=0.01)
+        table = generate_from_spec("synthetic:tuples=500,me=0.0,seed=101")
+        plain = prepare_scored_prefix(table, "score", 10, p_tau=0.01)
+        assert plain.me_member_count() == 0
+        n, m = len(prefix), len(plain)
+        runs = [
+            lambda: dp_distribution(prefix, 5),
+            lambda: dp_distribution_sliced(prefix, [(5, n), (10, n)]),
+            lambda: dp_distribution(plain, 4),
+            lambda: dp_distribution_sliced(plain, [(2, m), (10, m)]),
+            lambda: _bottom_up(prefix, [[0, 1, 2], [3]], 2, [False, True], 200),
+        ]
+        for run in runs:
+            calls.clear()
+            run()
+            assert len(calls) == 1

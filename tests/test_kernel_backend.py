@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.ablations import dp_distribution_per_ending
 from repro.bench.workloads import (
@@ -26,10 +27,12 @@ from repro.core import kernels
 from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import (
     _segment_sums,
+    _segment_winners,
     dp_distribution,
     dp_distribution_sliced,
+    sliceable_depth,
 )
-from repro.core.kernels import build
+from repro.core.kernels import build, native
 from repro.exceptions import KernelBackendError
 from tests.conftest import random_table
 
@@ -136,6 +139,101 @@ class TestByteIdentity:
             dp_distribution(prefix, 4, max_lines=big, backend="native"),
             dp_distribution(prefix, 4, max_lines=big, backend="python"),
         )
+
+
+@needs_native
+class TestExecutorGrowth:
+    """The native executor started from one-entry buffers grows each
+    one on demand, resumes at the step that found it short, and still
+    matches the numpy engine line for line."""
+
+    @pytest.fixture(autouse=True)
+    def _smallest_buffers(self, monkeypatch) -> None:
+        for name in (
+            "_INITIAL_TAGS",
+            "_INITIAL_CHUNKS",
+            "_INITIAL_WS",
+            "_INITIAL_LINES",
+        ):
+            monkeypatch.setattr(native, name, 1)
+        self.grown: list[tuple[int, int]] = []
+        grow = native._grow
+
+        def spy(ctx, held, code, need, width) -> None:
+            self.grown.append((code, need))
+            grow(ctx, held, code, need, width)
+
+        monkeypatch.setattr(native, "_grow", spy)
+
+    def outgrown(self) -> set[str]:
+        names = {1: "tags", 2: "chunks", 3: "workspace", 4: "output"}
+        return {names[code] for code, need in self.grown if need > 1}
+
+    def prefix(self, k: int):
+        return prepare_scored_prefix(
+            cartel_workload(segments=20), congestion_scorer(), k, p_tau=0.0
+        )
+
+    def test_me_sweep(self) -> None:
+        prefix = self.prefix(6)
+        native_pmf = dp_distribution(prefix, 6, backend="native")
+        assert self.outgrown() == {"tags", "chunks", "workspace", "output"}
+        assert_identical(native_pmf, dp_distribution(prefix, 6, backend="python"))
+
+    def test_sliced_batch(self) -> None:
+        prefix = self.prefix(6)
+        n = len(prefix)
+        depth = next(d for d in range(n - 1, 0, -1) if sliceable_depth(prefix, d))
+        requests = [(3, depth), (6, depth), (3, n), (6, n)]
+        got = dp_distribution_sliced(prefix, requests, backend="native")
+        assert self.outgrown() == {"tags", "chunks", "workspace", "output"}
+        want = dp_distribution_sliced(prefix, requests, backend="python")
+        for a, b in zip(got, want):
+            assert_identical(a, b)
+
+    def test_per_ending_ablation(self) -> None:
+        # Bottom-up programs with blocked exits and rule-tuple units.
+        prefix = self.prefix(5)
+        got = dp_distribution_per_ending(prefix, 5, backend="native")
+        assert {"tags", "chunks", "output"} <= self.outgrown()
+        assert_identical(
+            got, dp_distribution_per_ending(prefix, 5, backend="python")
+        )
+
+
+def lexsort_winners(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The reference: a stable sort by (segment, prob) puts each
+    segment's heaviest line, the last one on ties, at the segment's
+    end."""
+    counts = np.diff(np.append(starts, len(probs)))
+    segment_ids = np.repeat(np.arange(len(starts)), counts)
+    order = np.lexsort((probs, segment_ids))
+    return order[np.append(starts[1:], len(probs)) - 1]
+
+
+class TestSegmentWinners:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-310, 2.5e-308, 0.25, 1.0]),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.data(),
+    )
+    def test_matches_the_lexsort(self, probs, data) -> None:
+        probs = np.array(probs)
+        cuts = data.draw(
+            st.sets(st.integers(1, len(probs) - 1), max_size=len(probs) - 1)
+            if len(probs) > 1
+            else st.just(set())
+        )
+        starts = np.array([0, *sorted(cuts)], dtype=np.int64)
+        got = _segment_winners(probs, starts)
+        assert got.tolist() == lexsort_winners(probs, starts).tolist()
 
 
 class TestSegmentSums:
