@@ -6,8 +6,10 @@ combinations, expanded states, sampled world-rows).  Turning units
 into milliseconds — and deriving the ``auto`` thresholds — needs
 per-machine unit costs, which is what ``repro calibrate`` measures:
 
-* ``dp_unit_ns`` — one unit of the exact shared-prefix DP
-  (:func:`~repro.api.plan.exact_cost` units, i.e. ``k·n·(m+1)``);
+* ``dp_unit_ns`` — one unit of the exact shared-prefix DP on the
+  numpy engine (:func:`~repro.api.plan.exact_cost` units, i.e.
+  ``k·n·(m+1)``), and ``dp_native_unit_ns`` the same on the compiled
+  kernel, where it loads;
 * ``k_combo_unit_ns`` — one enumerated k-combination;
 * ``state_unit_ns`` — one expanded state row
   (``n · 2^n`` units for a depth-``n`` prefix);
@@ -22,7 +24,8 @@ From those, the ``auto`` thresholds are derived instead of frozen:
 * ``mc_cost_budget`` — the exact-DP unit count affordable within
   ``--target-ms`` (default 1000 ms, matching the intent of the frozen
   literal: "the exact sweep at the budget takes on the order of a
-  second"); beyond it ``auto`` routes to the sampling estimator;
+  second") at the rate of the engine this machine's DPs run on;
+  beyond it ``auto`` routes to the sampling estimator;
 * ``k_combo_max_combinations`` — combinations affordable within
   ``--small-case-ms`` (default 0.5 ms: exhaustive enumeration is the
   cheapest plan only while it is effectively free);
@@ -195,8 +198,9 @@ def run_calibration(
     """
     from repro.api.plan import exact_cost
     from repro.bench.workloads import synthetic_workload
+    from repro.core import kernels
     from repro.core.distribution import prepare_scored_prefix
-    from repro.core.dp import dp_distribution
+    from repro.core.dp import DEFAULT_MAX_LINES, dp_distribution
     from repro.core.k_combo import k_combo_distribution
     from repro.core.state_expansion import state_expansion_distribution
     from repro.mc.engine import MCEngine
@@ -211,27 +215,23 @@ def run_calibration(
     )
 
     # Exact DP, per exact_cost unit (independent shape; the ME factor
-    # is already part of the unit count).
+    # is already part of the unit count), on each engine this machine
+    # has: each probe pins the engine it names.
     dp_prefix = prepare_scored_prefix(table, "score", 8, p_tau=0.0)
     dp_prefix = dp_prefix.prefix(150)
     dp_units = exact_cost(len(dp_prefix), 8, 0)
-    dp_s = _warm_seconds(lambda: dp_distribution(dp_prefix, 8), repeats)
 
-    # The same DP under the compiled kernel, when this machine has one
-    # (and REPRO_BACKEND does not pin it off).
-    from repro.core import kernels
+    def dp_seconds(backend: str) -> float:
+        with kernels.pinned(backend):
+            return _warm_seconds(
+                lambda: dp_distribution(dp_prefix, 8), repeats
+            )
 
     backends = kernels.backends_report()
+    dp_s = dp_seconds("python")
     dp_native_s: float | None = None
-    try:
-        probe_native = kernels.resolve_backend(None) == "native"
-    except Exception:
-        probe_native = False
-    if probe_native:
-        dp_native_s = _warm_seconds(
-            lambda: dp_distribution(dp_prefix, 8, backend="native"),
-            repeats,
-        )
+    if backends["native"]["available"]:
+        dp_native_s = dp_seconds("native")
 
     # k-Combo, per enumerated combination.
     combo_prefix = dp_prefix.prefix(12)
@@ -302,8 +302,13 @@ def run_calibration(
         else DEFAULT_DP_NATIVE_UNIT_NS
     )
 
+    # The MC escape hatch prices exact work at the rate of the engine
+    # the planner's DPs will run on.
+    resolved_unit_ns = dp_unit_ns
+    if kernels.dp_backend(DEFAULT_MAX_LINES) == "native":
+        resolved_unit_ns = dp_native_unit_ns
     constants = {
-        "mc_cost_budget": max(1, int(target_ms * 1e6 / dp_unit_ns)),
+        "mc_cost_budget": max(1, int(target_ms * 1e6 / resolved_unit_ns)),
         "k_combo_max_combinations": max(
             1, int(small_case_ns / k_combo_unit_ns)
         ),

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.api.logical import LogicalPlan
+from repro.core import kernels
 from repro.core.pmf import ScorePMF
 from repro.uncertain.scoring import ScoredTable
 
@@ -143,13 +144,12 @@ class SharedPrefixDPOp(_PmfOp):
 
     name = "SharedPrefixDPOp"
     me_members: int = 0
-    backend: str = "python"
 
     def run(self, prefix: ScoredTable, spec) -> ScorePMF:
         from repro.api import plan as stages
 
         return stages.dp_distribution(
-            prefix, self.k, max_lines=self.max_lines, backend=self.backend
+            prefix, self.k, max_lines=self.max_lines
         )
 
     def cost_units(self) -> float:
@@ -157,15 +157,20 @@ class SharedPrefixDPOp(_PmfOp):
 
         return float(exact_cost(self.n, self.k, self.me_members))
 
+    def native(self) -> bool:
+        """Whether the compiled kernel runs this DP (asked by EXPLAIN
+        only, so lowering a read never looks the engine up)."""
+        return kernels.dp_backend(self.max_lines) == "native"
+
     def unit_ns(self, model) -> float:
-        if self.backend == "native":
+        if self.native():
             return model.dp_native_unit_ns
         return model.dp_unit_ns
 
     def describe(self) -> dict[str, Any]:
         document = {**super().describe(), "me_members": self.me_members}
-        if self.backend != "python":
-            document["backend"] = self.backend
+        if self.native():
+            document["backend"] = "native"
         return document
 
 
@@ -285,16 +290,12 @@ class FusedSweepOp:
 
     requests: tuple[tuple[int, int], ...] = ()
     max_lines: int = 0
-    backend: str = "python"
 
     def run(self, scored: ScoredTable) -> list[ScorePMF]:
         from repro.api import plan as stages
 
         return stages.dp_distribution_sliced(
-            scored,
-            self.requests,
-            max_lines=self.max_lines,
-            backend=self.backend,
+            scored, self.requests, max_lines=self.max_lines
         )
 
 
@@ -382,6 +383,9 @@ class PhysicalPlan:
             "total_cost_units": round(self.cost_units(), 1),
             "total_est_ms": round(total_ms, 4),
         }
-        if self.notes:
-            document["notes"] = list(self.notes)
+        notes = list(self.notes)
+        if isinstance(self.pmf_op, SharedPrefixDPOp) and self.pmf_op.native():
+            notes.append("dp backend: native (compiled kernel)")
+        if notes:
+            document["notes"] = notes
         return document

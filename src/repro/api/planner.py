@@ -142,24 +142,6 @@ class Planner:
             )
         return spec.algorithm
 
-    def choose_backend(self, max_lines: int) -> str:
-        """Pick the DP kernel backend for this machine and line budget.
-
-        ``native`` whenever the compiled kernel is loadable and the
-        line budget fits its slab preallocation; the ``REPRO_BACKEND``
-        environment variable overrides (and forcing ``native`` on a
-        machine without the kernel raises
-        :class:`~repro.exceptions.KernelBackendError` at plan time —
-        fail fast, not mid-execution).  Backends are byte-identical,
-        so this only ever trades wall-clock.
-        """
-        from repro.core import kernels
-
-        backend = kernels.resolve_backend(None)
-        if backend == "native" and max_lines > kernels.NATIVE_MAX_LINES:
-            return "python"
-        return backend
-
     # ------------------------------------------------------------------
     # Lowering
     # ------------------------------------------------------------------
@@ -204,17 +186,13 @@ class Planner:
             requires = get_semantics(spec.semantics, algorithm).requires
         needs_pmf = not include_semantics or requires != "prefix"
         pmf_op: _PmfOp | None = None
-        backend: str | None = None
         if needs_pmf:
             op_type = PMF_OPERATORS.get(algorithm)
             if op_type is None:
                 raise AlgorithmError(f"unknown algorithm {algorithm!r}")
             common = {"k": spec.k, "n": n, "max_lines": spec.max_lines}
             if op_type is SharedPrefixDPOp:
-                backend = self.choose_backend(spec.max_lines)
-                pmf_op = SharedPrefixDPOp(
-                    **common, me_members=me_members, backend=backend
-                )
+                pmf_op = SharedPrefixDPOp(**common, me_members=me_members)
             elif op_type is StateExpansionOp:
                 pmf_op = StateExpansionOp(**common, p_tau=spec.p_tau)
             elif op_type is MCSampleOp:
@@ -243,8 +221,6 @@ class Planner:
         notes: tuple[str, ...] = ()
         if spec.algorithm == "auto":
             notes = (f"algorithm resolved by cost model: {algorithm}",)
-        if backend == "native":
-            notes += ("dp backend: native (compiled kernel)",)
         return PhysicalPlan(
             logical=logical,
             algorithm=algorithm,
@@ -315,11 +291,7 @@ class Planner:
             # A single distinct slice gains nothing over the ordinary
             # path (duplicates already share its cache entry).
             return
-        op = FusedSweepOp(
-            requests=requests,
-            max_lines=members[0].max_lines,
-            backend=self.choose_backend(members[0].max_lines),
-        )
+        op = FusedSweepOp(requests=requests, max_lines=members[0].max_lines)
         groups.append(
             FusionGroup(anchor=anchor, op=op, members=tuple(members))
         )

@@ -70,7 +70,6 @@ def _bottom_up(
     k: int,
     exits: list[bool],
     max_lines: int,
-    backend: str | None = None,
 ) -> _Cell | None:
     """Final cell of one bottom-up program over units given by their
     constituents' rank positions (a unit's absent probability sums its
@@ -86,7 +85,7 @@ def _bottom_up(
         scored.score_column,
         scored.prob_column,
     )
-    return _dp_run_multi(units, (k,), exits, max_lines, backend)[k]
+    return _dp_run_multi(units, (k,), exits, max_lines)[k]
 
 
 def _per_ending_cell(
@@ -95,7 +94,6 @@ def _per_ending_cell(
     start: int,
     end: int,
     max_lines: int,
-    backend: str | None = None,
 ) -> _Cell | None:
     """Final cell of one ending unit's bottom-up program (or None).
 
@@ -115,7 +113,7 @@ def _per_ending_cell(
         for pos in range(start, end):
             units.append([pos])
             exits.append(True)
-    return _bottom_up(scored, units, k, exits, max_lines, backend)
+    return _bottom_up(scored, units, k, exits, max_lines)
 
 
 def dp_distribution_per_ending(
@@ -123,7 +121,6 @@ def dp_distribution_per_ending(
     k: int,
     *,
     max_lines: int = DEFAULT_MAX_LINES,
-    backend: str | None = None,
 ) -> ScorePMF:
     """Ablation: one bottom-up dynamic program per ending unit.
 
@@ -144,12 +141,12 @@ def dp_distribution_per_ending(
 
     if scored.me_member_count() == 0:
         units = _row_units(scored)
-        cells = _dp_run_multi(units, (k,), [True] * n, max_lines, backend)
+        cells = _dp_run_multi(units, (k,), [True] * n, max_lines)
         return _cell_to_pmf(cells[k], scored)
 
     partial = []
     for start, end in _ending_units(scored):
-        cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
+        cell = _per_ending_cell(scored, k, start, end, max_lines)
         if cell is not None:
             partial.append(cell)
     return _cell_to_pmf(_merge_cells(_concat_cells(partial), max_lines), scored)

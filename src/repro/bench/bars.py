@@ -549,12 +549,13 @@ def backend() -> list[Row]:
     )
 
     def timed(name: str) -> Any:
-        return time_callable(
-            lambda: dp_distribution(
-                prefix, BACKEND_K, max_lines=BACKEND_MAX_LINES, backend=name
-            ),
-            repeats=BACKEND_REPEATS,
-        )
+        with kernels.pinned(name):
+            return time_callable(
+                lambda: dp_distribution(
+                    prefix, BACKEND_K, max_lines=BACKEND_MAX_LINES
+                ),
+                repeats=BACKEND_REPEATS,
+            )
 
     python = timed("python")
     rows: list[dict[str, Any]] = [

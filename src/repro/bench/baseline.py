@@ -34,9 +34,8 @@ from __future__ import annotations
 import json
 import os
 import platform
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -162,27 +161,8 @@ def timed_backends() -> list[str]:
     ``REPRO_BACKEND``, else python, plus native where the kernel
     loads."""
     if os.environ.get(kernels.BACKEND_ENV, "").strip():
-        return [kernels.resolve_backend(None)]
+        return [kernels.resolve_backend()]
     return ["python", "native"] if kernels.native_available() else ["python"]
-
-
-@contextmanager
-def _pinned(backend: str) -> Iterator[None]:
-    """Run the block with ``REPRO_BACKEND`` set to ``backend``.
-
-    The streaming workload reaches the DP through a session whose
-    planner picks the backend; the variable is the one switch every
-    path obeys.
-    """
-    before = os.environ.get(kernels.BACKEND_ENV)
-    os.environ[kernels.BACKEND_ENV] = backend
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ[kernels.BACKEND_ENV]
-        else:
-            os.environ[kernels.BACKEND_ENV] = before
 
 
 def run_baseline(
@@ -196,7 +176,7 @@ def run_baseline(
         case = factory()  # setup (dataset + prefix) outside the timer
         workloads[name] = {}
         for backend in backends:
-            with _pinned(backend):
+            with kernels.pinned(backend):
                 timing = time_callable(case, repeats=repeats)
             workloads[name][backend] = timing.seconds
     calibration = time_callable(

@@ -102,6 +102,28 @@ def coalesce_lines(lines: list, max_lines: int) -> list:
     return lines
 
 
+def reduce_lines(lines: list, max_lines: int) -> None:
+    """Sort ``lines`` by score, merge equal scores, then coalesce to
+    ``max_lines``, all in place.
+
+    Equal scores become one line whose probability sums theirs in
+    order; a later line's vector replaces the kept one only when that
+    line is heavier than the sum so far.  This is the buffer flush of
+    the k-Combo and StateExpansion baselines.
+    """
+    lines.sort(key=lambda line: line[0])
+    merged: list = []
+    for line in lines:
+        if merged and merged[-1][0] == line[0]:
+            if line[1] > merged[-1][1]:
+                merged[-1][2] = line[2]
+            merged[-1][1] += line[1]
+        else:
+            merged.append(line)
+    coalesce_lines(merged, max_lines)
+    lines[:] = merged
+
+
 def merge_sorted_lines(a: list, b: list) -> list:
     """Merge two score-sorted line lists, combining equal scores.
 

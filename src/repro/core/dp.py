@@ -83,6 +83,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable
@@ -443,22 +444,14 @@ class _PythonEngine:
         return [_concat_cells(cells) for cells in out]
 
 
-def _run(program: _Program, backend: str | None) -> list[_Cell | None]:
-    """Run one lowered dynamic program (counted by :func:`dp_sweep_count`).
-
-    ``backend`` is the resolved planner choice (or ``None`` for auto);
-    the ``REPRO_BACKEND`` environment variable overrides either way.
-    Line budgets beyond the native slab cap silently use the python
-    engine — the budgets that large only appear in exact-reference
-    test helpers, and the outputs are identical regardless.
-    """
-    from repro.core import kernels
-
+def _run(program: _Program) -> list[_Cell | None]:
+    """Run one lowered dynamic program (counted by :func:`dp_sweep_count`)
+    on the engine :func:`repro.core.kernels.dp_backend` names for its
+    line budget; the outputs are identical either way."""
     _count_sweep()
-    engine = None
-    if kernels.resolve_backend(backend) == "native":
-        engine = kernels.native_engine(program.max_lines)
-    return (engine or _PythonEngine()).run(program)
+    if kernels.dp_backend(program.max_lines) == "native":
+        return kernels.native_engine().run(program)
+    return _PythonEngine().run(program)
 
 
 def _row_units(scored: ScoredTable) -> _Units:
@@ -480,7 +473,6 @@ def _dp_run_multi(
     ks: Sequence[int],
     exit_enabled: Sequence[bool],
     max_lines: int,
-    backend: str | None = None,
 ) -> dict[int, _Cell | None]:
     """One bottom-up dynamic program, read out at several columns.
 
@@ -531,7 +523,7 @@ def _dp_run_multi(
         live,
         max_lines,
     )
-    results.update(zip(live, _run(program, backend)))
+    results.update(zip(live, _run(program)))
     return results
 
 
@@ -579,21 +571,19 @@ def dp_distribution(
     k: int,
     *,
     max_lines: int = DEFAULT_MAX_LINES,
-    backend: str | None = None,
 ) -> ScorePMF:
     """Top-k total-score distribution of a rank-ordered scored table.
 
     ``scored`` should already be truncated to the Theorem-2 scan depth
     (the :func:`repro.core.distribution.top_k_score_distribution`
     facade does this).  Handles independent tuples, mutual exclusion
-    and score ties, per Sections 3.2–3.4.
+    and score ties, per Sections 3.2–3.4.  The engine that runs it is
+    the process's choice (:func:`repro.core.kernels.dp_backend`), and
+    both engines give byte-identical results.
 
     :param scored: canonical rank-ordered input.
     :param k: how many tuples a top-k vector holds (>= 1).
     :param max_lines: coalescing budget per distribution.
-    :param backend: kernel backend — ``python``, ``native`` or
-        ``auto``/``None``; results are byte-identical either way (the
-        ``REPRO_BACKEND`` environment variable overrides).
     :returns: the (possibly sub-unit-mass) score distribution, each
         line carrying the most probable vector attaining its score.
     """
@@ -606,14 +596,13 @@ def dp_distribution(
     if scored.me_member_count() == 0:
         # Basic case (Section 3.2): tuples are independent; a single
         # dynamic program with every exit point enabled suffices.
-        cell = _dp_run_multi(
-            _row_units(scored), (k,), [True] * n, max_lines, backend
-        )[k]
+        units = _row_units(scored)
+        cell = _dp_run_multi(units, (k,), [True] * n, max_lines)[k]
     else:
         # Mutual-exclusion case (Section 3.3): one shared-prefix forward
         # sweep over all ending units (Section 3.3.3, the O(kmn) path).
         program = _sweep_program(scored, [(k, n)], max_lines)
-        cell = _merge_cells(_run(program, backend)[0], max_lines)
+        cell = _merge_cells(_run(program)[0], max_lines)
     return _cell_to_pmf(cell, scored)
 
 
@@ -657,7 +646,6 @@ def dp_distribution_sliced(
     requests: Sequence[tuple[int, int]],
     *,
     max_lines: int = DEFAULT_MAX_LINES,
-    backend: str | None = None,
 ) -> list[ScorePMF]:
     """Several ``(k, depth)`` distributions from one dynamic program.
 
@@ -703,7 +691,6 @@ def dp_distribution_sliced(
             [k for k, _ in requests],
             [True] * n,
             max_lines,
-            backend,
         )
         return [_cell_to_pmf(cells[k], scored) for k, _ in requests]
 
@@ -717,7 +704,7 @@ def dp_distribution_sliced(
     program = _sweep_program(scored, requests, max_lines)
     return [
         _cell_to_pmf(_merge_cells(cell, max_lines), scored)
-        for cell in _run(program, backend)
+        for cell in _run(program)
     ]
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 
-from repro.core.coalesce import coalesce_lines
+from repro.core.coalesce import reduce_lines
 from repro.core.dp import DEFAULT_MAX_LINES
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
@@ -112,19 +112,6 @@ def k_combo_distribution(
 
     emitted: list[list] = []
 
-    def flush() -> None:
-        emitted.sort(key=lambda line: line[0])
-        merged: list[list] = []
-        for line in emitted:
-            if merged and merged[-1][0] == line[0]:
-                if line[1] > merged[-1][1]:
-                    merged[-1][2] = line[2]
-                merged[-1][1] += line[1]
-            else:
-                merged.append(line)
-        coalesce_lines(merged, max_lines)
-        emitted[:] = merged
-
     for combo in itertools.combinations(range(n), k):
         chosen_groups = set()
         # Division order below must not depend on gid *values* (set
@@ -161,6 +148,6 @@ def k_combo_distribution(
         vector = tuple(scored[pos].tid for pos in combo)
         emitted.append([score, prob, vector])
         if len(emitted) > _BUFFER_FACTOR * max_lines:
-            flush()
-    flush()
+            reduce_lines(emitted, max_lines)
+    reduce_lines(emitted, max_lines)
     return ScorePMF((s, p, v) for s, p, v in emitted)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gc
 
-from repro.core.coalesce import coalesce_lines
+from repro.core.coalesce import reduce_lines
 from repro.core.dp import DEFAULT_MAX_LINES
 from repro.core.pmf import ScorePMF
 from repro.exceptions import AlgorithmError
@@ -51,8 +51,8 @@ class _State:
     :ivar score: total score of the chosen tuples.
     :ivar count: number of chosen tuples.
     :ivar groups: frozenset of multi-member group ids already consumed.
-    :ivar vector: cons-list of chosen tids (highest rank innermost...
-        actually outermost; unwound at emission).
+    :ivar vector: cons-list ``(tid, parent)`` of chosen tids, the
+        newest (lowest-ranked) pick outermost; unwound at emission.
     """
 
     __slots__ = ("prob", "score", "count", "groups", "vector")
@@ -86,7 +86,6 @@ def state_expansion_distribution(
         raise AlgorithmError(f"k must be >= 1, got {k}")
     if p_tau < 0.0:
         raise AlgorithmError(f"p_tau must be >= 0, got {p_tau!r}")
-    n = len(scored)
     multi_groups = {
         item.group
         for item in scored
@@ -99,19 +98,6 @@ def state_expansion_distribution(
     states: list[_State] = [_State(1.0, 0.0, 0, frozenset(), None)]
     emitted: list[list] = []
 
-    def flush(final: bool = False) -> None:
-        emitted.sort(key=lambda line: line[0])
-        merged: list[list] = []
-        for line in emitted:
-            if merged and merged[-1][0] == line[0]:
-                if line[1] > merged[-1][1]:
-                    merged[-1][2] = line[2]
-                merged[-1][1] += line[1]
-            else:
-                merged.append(line)
-        coalesce_lines(merged, max_lines)
-        emitted[:] = merged
-
     # The expansion allocates millions of short-lived container objects;
     # with a large surrounding heap CPython's generational collector
     # re-scans it on every threshold crossing, slowing the loop by more
@@ -121,11 +107,11 @@ def state_expansion_distribution(
     gc.disable()
     try:
         _expand(scored, k, p_tau, max_lines, states, emitted,
-                multi_groups, mass_above, flush)
+                multi_groups, mass_above)
     finally:
         if gc_was_enabled:
             gc.enable()
-    flush(final=True)
+    reduce_lines(emitted, max_lines)
     # States prepend the newest (lowest-ranked) pick, so the unwound
     # cons-list is in reverse rank order; flip it for presentation.
     return ScorePMF(
@@ -143,7 +129,6 @@ def _expand(
     emitted: list[list],
     multi_groups: set,
     mass_above: dict[int, float],
-    flush,
 ) -> None:
     """The Figure-4 expansion loop (see the caller for GC notes)."""
     n = len(scored)
@@ -193,4 +178,4 @@ def _expand(
                 )
         states[:] = next_states
         if len(emitted) > _BUFFER_FACTOR * max_lines:
-            flush()
+            reduce_lines(emitted, max_lines)

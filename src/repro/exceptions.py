@@ -32,10 +32,9 @@ class ScoringError(ReproError):
 class KernelBackendError(ReproError):
     """A kernel backend was requested that is unavailable or unknown.
 
-    Raised when ``REPRO_BACKEND=native`` (or an explicit
-    ``backend="native"``) is forced on a machine where the compiled
-    kernel could not be built or loaded, or when the backend name is
-    not one of ``python``/``native``/``auto``.
+    Raised when ``REPRO_BACKEND=native`` is forced on a machine where
+    the compiled kernel could not be built or loaded, or when the
+    backend name is not one of ``python``/``native``/``auto``.
     """
 
 

@@ -30,6 +30,7 @@ much earlier.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Any
 
@@ -516,10 +517,13 @@ class MCEngine:
 #: running e.g. pt_k, global_topk and u_kranks over the same prefix
 #: and knobs must not redraw the sample set per call.  Weakly keyed:
 #: entries die with their prefix (the Session's prefix cache keeps hot
-#: prefixes alive).
+#: prefixes alive).  Guarded by :data:`_ENGINE_CACHE_LOCK`: service
+#: executor threads run MC batches with different knobs over one
+#: prefix at once.
 _ENGINE_CACHE: "weakref.WeakKeyDictionary[ScoredTable, dict]" = (
     weakref.WeakKeyDictionary()
 )
+_ENGINE_CACHE_LOCK = threading.Lock()
 
 #: Engines remembered per prefix (knob sweeps evict oldest-first).
 _ENGINE_CACHE_PER_PREFIX = 8
@@ -535,13 +539,16 @@ def engine_from_spec(
     *different* semantics — share one sample set.  An engine tracking
     expected ranks is a superset and also serves non-tracking requests.
     """
-    per_prefix = _ENGINE_CACHE.setdefault(prefix, {})
     base = (spec.k,) + spec.mc_params()
     wanted = (True,) if track_expected_ranks else (True, False)
-    for tracked in wanted:
-        engine = per_prefix.get(base + (tracked,))
-        if engine is not None:
-            return engine
+    with _ENGINE_CACHE_LOCK:
+        per_prefix = _ENGINE_CACHE.setdefault(prefix, {})
+        for tracked in wanted:
+            engine = per_prefix.get(base + (tracked,))
+            if engine is not None:
+                return engine
+    # Run outside the lock: two threads missing on one key may both
+    # run the (deterministic) engine, and the later one is kept.
     engine = MCEngine(
         prefix,
         spec.k,
@@ -551,9 +558,10 @@ def engine_from_spec(
         seed=spec.seed,
         track_expected_ranks=track_expected_ranks,
     ).run()
-    per_prefix[base + (track_expected_ranks,)] = engine
-    while len(per_prefix) > _ENGINE_CACHE_PER_PREFIX:
-        per_prefix.pop(next(iter(per_prefix)))
+    with _ENGINE_CACHE_LOCK:
+        per_prefix[base + (track_expected_ranks,)] = engine
+        while len(per_prefix) > _ENGINE_CACHE_PER_PREFIX:
+            per_prefix.pop(next(iter(per_prefix)))
     return engine
 
 

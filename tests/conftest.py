@@ -23,6 +23,25 @@ def soldiers() -> UncertainTable:
 
 
 @pytest.fixture
+def engine_runs(monkeypatch) -> list[str]:
+    """The DP engines that ran during the test, in order, by name
+    (``python`` or ``native``)."""
+    from repro.core.dp import _PythonEngine
+    from repro.core.kernels.native import NativeEngine
+
+    ran: list[str] = []
+    for name, engine in (("python", _PythonEngine), ("native", NativeEngine)):
+        real = engine.run
+
+        def spy(self, program, name=name, real=real):
+            ran.append(name)
+            return real(self, program)
+
+        monkeypatch.setattr(engine, "run", spy)
+    return ran
+
+
+@pytest.fixture
 def slow_semantics():
     """A registered semantics that sleeps, to control worker timing."""
 

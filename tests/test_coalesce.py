@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.coalesce import coalesce_lines, merge_sorted_lines
+from repro.core.coalesce import (
+    coalesce_lines,
+    merge_sorted_lines,
+    reduce_lines,
+)
 from repro.exceptions import AlgorithmError
 
 
@@ -117,3 +121,22 @@ class TestMergeSortedLines:
         assert merge_sorted_lines(a, []) == a
         assert merge_sorted_lines([], a) == a
         assert merge_sorted_lines([], []) == []
+
+
+class TestReduceLines:
+    def test_sorts_and_merges_equal_scores_in_place(self):
+        lines = lines_of(
+            (2, 0.1, "a"), (1, 0.3, "b"), (2, 0.2, "c"), (2, 0.25, "d")
+        )
+        reduce_lines(lines, 10)
+        assert [line[0] for line in lines] == [1.0, 2.0]
+        # "c" outweighs the 0.1 kept so far; "d" does not outweigh the
+        # merged 0.3, so the merged line keeps "c".
+        assert lines[1][2] == "c"
+        assert lines[1][1] == pytest.approx(0.55)
+
+    def test_coalesces_to_the_budget(self):
+        lines = lines_of((3, 0.1, "x"), (1, 0.2, "y"), (2, 0.3, "z"))
+        reduce_lines(lines, 2)
+        assert len(lines) == 2
+        assert sum(line[1] for line in lines) == pytest.approx(0.6)

@@ -6,13 +6,17 @@ ties, ``p_tau`` truncation and explicit depth cuts, and asserts the
 native backend's PMFs — scores, probabilities and vectors — are
 ``==``-identical (bitwise, not approximately) to the numpy path's.
 
-The rest covers the machinery around the kernel: the
-``REPRO_BACKEND`` override, forced-fallback when the extension cannot
-load, the planner's backend decision surfacing in EXPLAIN, and the
-``max_lines`` slab cap.
+Each comparison runs both engines under the process's one switch,
+pinned for the call with :func:`repro.core.kernels.pinned`, so an
+ambient ``REPRO_BACKEND`` pin cannot turn it into a same-vs-same
+check.  The rest covers the machinery around the kernel: the switch,
+forced-fallback when the extension cannot load, the engine surfacing
+in EXPLAIN, and the ``max_lines`` slab cap.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -42,22 +46,28 @@ needs_native = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _unpinned_backend(monkeypatch) -> None:
-    """Drop any ambient ``REPRO_BACKEND`` pin.
-
-    CI legs run the whole suite with the variable exported; these
-    tests compare explicit backends, which the env would silently
-    override into vacuous same-vs-same comparisons.
-    """
-    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-
-
 def assert_identical(a, b) -> None:
     """Bitwise PMF equality: scores, probs, and materialized vectors."""
     assert a.scores == b.scores
     assert a.probs == b.probs
     assert a.vectors == b.vectors
+
+
+def on(backend: str, call):
+    """``call()`` with the DP engine switch pinned to ``backend``."""
+    with kernels.pinned(backend):
+        return call()
+
+
+def assert_engines_agree(call) -> None:
+    """``call()`` gives bitwise-equal PMFs (one or a list) on the native
+    engine and on the numpy engine."""
+    native_result, python_result = on("native", call), on("python", call)
+    if not isinstance(native_result, list):
+        native_result, python_result = [native_result], [python_result]
+    assert len(native_result) == len(python_result)
+    for a, b in zip(native_result, python_result):
+        assert_identical(a, b)
 
 
 @needs_native
@@ -81,35 +91,24 @@ class TestByteIdentity:
             table, "score", k, p_tau=p_tau, depth=depth
         )
         for max_lines in (8, 200):
-            assert_identical(
-                dp_distribution(
-                    prefix, k, max_lines=max_lines, backend="native"
-                ),
-                dp_distribution(
-                    prefix, k, max_lines=max_lines, backend="python"
-                ),
+            assert_engines_agree(
+                lambda: dp_distribution(prefix, k, max_lines=max_lines)
             )
 
     def test_dense_me_workload(self) -> None:
         prefix = prepare_scored_prefix(
             cartel_workload(segments=40), congestion_scorer(), 8, p_tau=1e-3
         )
-        assert_identical(
-            dp_distribution(prefix, 8, max_lines=200, backend="native"),
-            dp_distribution(prefix, 8, max_lines=200, backend="python"),
+        assert_engines_agree(
+            lambda: dp_distribution(prefix, 8, max_lines=200)
         )
 
     def test_per_ending_ablation(self) -> None:
         prefix = prepare_scored_prefix(
             cartel_workload(segments=15), congestion_scorer(), 5, p_tau=0.0
         )
-        assert_identical(
-            dp_distribution_per_ending(
-                prefix, 5, max_lines=200, backend="native"
-            ),
-            dp_distribution_per_ending(
-                prefix, 5, max_lines=200, backend="python"
-            ),
+        assert_engines_agree(
+            lambda: dp_distribution_per_ending(prefix, 5, max_lines=200)
         )
 
     def test_sliced_fused_sweep(self) -> None:
@@ -119,25 +118,21 @@ class TestByteIdentity:
         # Same-depth slices are always sliceable; differing depths
         # would need sliceable_depth() and are covered elsewhere.
         requests = ((3, len(prefix)), (6, len(prefix)))
-        native = dp_distribution_sliced(
-            prefix, requests, max_lines=200, backend="native"
+        assert_engines_agree(
+            lambda: dp_distribution_sliced(prefix, requests, max_lines=200)
         )
-        python = dp_distribution_sliced(
-            prefix, requests, max_lines=200, backend="python"
-        )
-        for a, b in zip(native, python):
-            assert_identical(a, b)
 
     def test_max_lines_above_slab_cap_falls_back_silently(self) -> None:
         """Huge line budgets run the numpy path even under native."""
-        assert kernels.native_engine(kernels.NATIVE_MAX_LINES + 1) is None
+        cap = kernels.NATIVE_MAX_LINES
+        assert on("native", lambda: kernels.dp_backend(cap)) == "native"
+        assert on("native", lambda: kernels.dp_backend(cap + 1)) == "python"
         prefix = prepare_scored_prefix(
             cartel_workload(segments=10), congestion_scorer(), 4, p_tau=0.0
         )
         big = kernels.NATIVE_MAX_LINES * 4
-        assert_identical(
-            dp_distribution(prefix, 4, max_lines=big, backend="native"),
-            dp_distribution(prefix, 4, max_lines=big, backend="python"),
+        assert_engines_agree(
+            lambda: dp_distribution(prefix, 4, max_lines=big)
         )
 
 
@@ -176,29 +171,22 @@ class TestExecutorGrowth:
 
     def test_me_sweep(self) -> None:
         prefix = self.prefix(6)
-        native_pmf = dp_distribution(prefix, 6, backend="native")
+        assert_engines_agree(lambda: dp_distribution(prefix, 6))
         assert self.outgrown() == {"tags", "chunks", "workspace", "output"}
-        assert_identical(native_pmf, dp_distribution(prefix, 6, backend="python"))
 
     def test_sliced_batch(self) -> None:
         prefix = self.prefix(6)
         n = len(prefix)
         depth = next(d for d in range(n - 1, 0, -1) if sliceable_depth(prefix, d))
         requests = [(3, depth), (6, depth), (3, n), (6, n)]
-        got = dp_distribution_sliced(prefix, requests, backend="native")
+        assert_engines_agree(lambda: dp_distribution_sliced(prefix, requests))
         assert self.outgrown() == {"tags", "chunks", "workspace", "output"}
-        want = dp_distribution_sliced(prefix, requests, backend="python")
-        for a, b in zip(got, want):
-            assert_identical(a, b)
 
     def test_per_ending_ablation(self) -> None:
         # Bottom-up programs with blocked exits and rule-tuple units.
         prefix = self.prefix(5)
-        got = dp_distribution_per_ending(prefix, 5, backend="native")
+        assert_engines_agree(lambda: dp_distribution_per_ending(prefix, 5))
         assert {"tags", "chunks", "output"} <= self.outgrown()
-        assert_identical(
-            got, dp_distribution_per_ending(prefix, 5, backend="python")
-        )
 
 
 def lexsort_winners(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -249,15 +237,11 @@ class TestSegmentSums:
 
 
 class TestBackendResolution:
-    def test_env_overrides_explicit_backend(self, monkeypatch) -> None:
-        monkeypatch.setenv(kernels.BACKEND_ENV, "python")
-        assert kernels.resolve_backend("native") == "python"
-        assert kernels.resolve_backend("auto") == "python"
-
     @needs_native
     def test_env_forces_native(self, monkeypatch) -> None:
         monkeypatch.setenv(kernels.BACKEND_ENV, "native")
-        assert kernels.resolve_backend("python") == "native"
+        assert kernels.resolve_backend() == "native"
+        assert kernels.dp_backend(200) == "native"
 
     def test_unknown_backend_raises(self, monkeypatch) -> None:
         with pytest.raises(KernelBackendError):
@@ -270,6 +254,57 @@ class TestBackendResolution:
         assert kernels.resolve_backend(None) in ("python", "native")
         assert kernels.resolve_backend("python") == "python"
 
+    def test_pin_is_scoped(self, monkeypatch) -> None:
+        monkeypatch.setenv(kernels.BACKEND_ENV, "auto")
+        with kernels.pinned("python"):
+            assert kernels.dp_backend(200) == "python"
+        assert os.environ[kernels.BACKEND_ENV] == "auto"
+        monkeypatch.delenv(kernels.BACKEND_ENV)
+        with pytest.raises(RuntimeError):
+            with kernels.pinned("python"):
+                raise RuntimeError("the block failed")
+        assert kernels.BACKEND_ENV not in os.environ
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_pin_runs_the_named_engine(
+        self, backend, monkeypatch, engine_runs
+    ) -> None:
+        """The comparisons above are not same-vs-same: a pin picks the
+        engine that runs, whatever the ambient switch says."""
+        if backend == "native" and not NATIVE:
+            pytest.skip("no C compiler / native kernel on this machine")
+        other = "native" if backend == "python" else "python"
+        monkeypatch.setenv(kernels.BACKEND_ENV, other)
+        prefix = prepare_scored_prefix(
+            cartel_workload(segments=10), congestion_scorer(), 4, p_tau=0.0
+        )
+        on(backend, lambda: dp_distribution(prefix, 4))
+        assert engine_runs == [backend]
+
+
+def test_lowering_leaves_the_engine_to_explain(monkeypatch) -> None:
+    """A read's plan carries no engine: only EXPLAIN looks it up."""
+    from repro.api import QuerySpec
+    from repro.api.calibration import CostModel
+    from repro.api.logical import LogicalPlan
+    from repro.api.planner import Planner
+
+    def looked_up(max_lines: int) -> str:
+        raise AssertionError("lowering looked the DP engine up")
+
+    monkeypatch.setattr(kernels, "dp_backend", looked_up)
+    prefix = prepare_scored_prefix(
+        cartel_workload(segments=10), congestion_scorer(), 4, p_tau=0.0
+    )
+    spec = QuerySpec(
+        table="area", scorer=congestion_scorer(), k=4, p_tau=0.0,
+        semantics="typical",
+    )
+    physical = Planner(CostModel()).lower(
+        LogicalPlan.from_spec(spec), prefix, table_rows=len(prefix)
+    )
+    assert physical.algorithm == "dp"
+
 
 class TestForcedFallback:
     """Behavior when the compiled kernel is absent (simulated)."""
@@ -280,10 +315,11 @@ class TestForcedFallback:
         monkeypatch.setattr(build, "_ERROR", "simulated: kernel absent")
         yield
 
-    def test_auto_falls_back_to_python(self) -> None:
+    def test_auto_falls_back_to_python(self, monkeypatch) -> None:
+        monkeypatch.setenv(kernels.BACKEND_ENV, "auto")
         assert not kernels.native_available()
         assert kernels.resolve_backend(None) == "python"
-        assert kernels.native_engine(200) is None
+        assert kernels.dp_backend(200) == "python"
 
     def test_forced_native_raises(self) -> None:
         with pytest.raises(KernelBackendError, match="simulated"):
@@ -294,7 +330,7 @@ class TestForcedFallback:
             cartel_workload(segments=5), congestion_scorer(), 3, p_tau=0.0
         )
         with pytest.raises(KernelBackendError):
-            dp_distribution(prefix, 3, max_lines=200, backend="native")
+            on("native", lambda: dp_distribution(prefix, 3, max_lines=200))
 
     def test_backends_report_carries_the_error(self) -> None:
         report = kernels.backends_report()
@@ -305,11 +341,12 @@ class TestForcedFallback:
 
 @needs_native
 class TestPlannerDecision:
-    def test_explain_shows_native_backend(self) -> None:
+    def test_explain_shows_native_backend(self, monkeypatch) -> None:
         from repro.api import QuerySpec, Session
         from repro.api.calibration import CostModel
         from repro.api.planner import Planner
 
+        monkeypatch.setenv(kernels.BACKEND_ENV, "auto")
         session = Session(
             {"area": cartel_workload(segments=40)},
             planner=Planner(CostModel()),

@@ -447,3 +447,46 @@ class TestWorldSamplerEquivalence:
         exists = sampler.sample_existence(1000)
         assert exists.shape == (1000, len(me_table))
         assert not (exists[:, 0] & exists[:, 1]).any()
+
+
+class TestEngineCacheThreads:
+    def test_concurrent_knob_sweeps_over_one_prefix(self):
+        """Threads that fill and evict one prefix's engine cache at once
+        (as the service's MC batches with different knobs do) leave it
+        intact: every call returns a ran engine, none raises."""
+        import sys
+        import threading
+
+        from repro.bench.workloads import synthetic_workload
+        from repro.mc.engine import engine_from_spec
+
+        prefix = _prefix(synthetic_workload(tuples=40, me_fraction=0.3), k=3)
+        spec = QuerySpec(
+            table="t", scorer="score", k=3, p_tau=0.0,
+            algorithm="mc", samples=16,
+        )
+        errors: list[Exception] = []
+
+        def sweep(offset: int) -> None:
+            try:
+                for seed in range(offset * 400, (offset + 1) * 400):
+                    engine = engine_from_spec(prefix, spec.with_(seed=seed))
+                    assert engine.samples_drawn == 16
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=sweep, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -290,6 +290,42 @@ class TestCostModelCalibration:
         assert document["constants"]["dp_unit_ns"] < first_call_unit_ns / 2
         assert len(calls) >= 2  # one untimed call, then the timed ones
 
+    @pytest.mark.parametrize("switch", ["auto", "python", "native"])
+    def test_each_dp_probe_runs_the_engine_it_names(
+        self, monkeypatch, engine_runs, switch
+    ) -> None:
+        """``dp_s`` times only the numpy engine and ``dp_native_s`` only
+        the kernel, whatever the switch says; ``mc_cost_budget`` is
+        priced at the rate of the engine the switch resolves to."""
+        from repro.api import calibration
+        from repro.api.plan import exact_cost
+        from repro.core import kernels
+
+        has_kernel = kernels.native_available()
+        if switch == "native" and not has_kernel:
+            pytest.skip("no C compiler / native kernel on this machine")
+        monkeypatch.setenv(kernels.BACKEND_ENV, switch)
+        probes: list[set[str]] = []
+        warm = calibration._warm_seconds
+
+        def engines_per_probe(case, repeats):
+            engine_runs.clear()
+            seconds = warm(case, repeats)
+            probes.append(set(engine_runs))
+            return seconds
+
+        monkeypatch.setattr(calibration, "_warm_seconds", engines_per_probe)
+        document = run_calibration(repeats=1, target_ms=100.0)
+        dp_probes = [engines for engines in probes if engines]
+        expected = [{"python"}, {"native"}] if has_kernel else [{"python"}]
+        assert dp_probes == expected
+        resolved = kernels.resolve_backend()
+        seconds = document["probes"][
+            "dp_native_s" if resolved == "native" else "dp_s"
+        ]
+        unit_ns = seconds * 1e9 / exact_cost(150, 8, 0)
+        assert document["constants"]["mc_cost_budget"] == int(100e6 / unit_ns)
+
     def test_schema_1_file_loads_with_backend_defaults(
         self, tmp_path
     ) -> None:
