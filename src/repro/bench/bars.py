@@ -108,7 +108,7 @@ def _canonical(answer: Any) -> str:
     """An answer as canonical JSON: equal strings, identical answers."""
     from repro.io.json_io import answer_to_jsonable
 
-    return json.dumps(answer_to_jsonable(answer), sort_keys=True)
+    return json.dumps(answer_to_jsonable(answer), sort_keys=True, default=str)
 
 
 @contextlib.contextmanager

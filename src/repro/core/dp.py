@@ -34,7 +34,11 @@ ending unit, the per-ending work is only (a) folding the current rule
 tuples — at most ``m`` of them — on top of the shared prefix state and
 (b) attaching the ending's own rows, which realizes the per-ending
 O(km) cost (hence O(kmn) total) of Section 3.3.3 instead of re-running
-the whole O(kn) program per ending.  The former per-ending
+the whole O(kn) program per ending.  Each fold of that rule chain is a
+*level* with a state of its own, and consecutive endings share the
+chain's levels up to the first rule tuple that differs (while no
+independent tuple joins the shared prefix between them), so most
+endings fold only the tail of the chain.  The former per-ending
 implementation lives on, with the Section-3.3.2 per-tuple variant, in
 :mod:`repro.bench.ablations` for the ablations of ``repro figures``.
 
@@ -59,7 +63,9 @@ programs a row is known only by its rank position in the
 :class:`ScoredTable`, and a representative vector is an int64 id into
 a vector arena (:class:`_Arena`, or the native kernel's chunk
 registry) that records, per line, its parent vector and the position
-it adds.  No Python object is built per line: an emitted or exported
+it adds.  The arena is a stack with one mark per rule-chain level, so
+releasing a level frees what it and the levels above it made.  No
+Python object is built per line: an emitted or exported
 cell's vectors are walked into a ``(lines, k)`` int32 array of
 positions, and only the lines that survive the last reduce become tid
 tuples (:func:`_cell_to_pmf`).  Distribution unions concatenate their
@@ -175,11 +181,12 @@ class _Arena:
     def release(self, mark: int) -> None:
         """Drop every id appended since ``mark``.
 
-        The shared-prefix sweep uses per-ending folds as scratch work:
-        once an emitted cell's vectors are walked, its ids are dead,
-        and releasing them keeps the arena's footprint proportional to
-        the shared prefix instead of the whole sweep.  Ids appended
-        before the mark stay valid.
+        The shared-prefix sweep's rule-chain levels and per-ending
+        folds are scratch work: once a level's unit changes, or an
+        emitted cell's vectors are walked, their ids are dead, and
+        releasing them keeps the arena's footprint proportional to the
+        shared prefix and one chain instead of the whole sweep.  Ids
+        appended before the mark stay valid.
         """
         self.size = mark
 
@@ -370,9 +377,9 @@ class _Program(NamedTuple):
     with no cell):
 
     * ``(_FOLD, unit, src, dst, lo, hi)`` — for ``lo <= j <= hi``,
-      ``dst[j]`` is the :func:`_combine` of ``unit`` over ``src[j]``
-      (skip) and ``src[j - 1]`` (take; none at ``j = 0``); every other
-      column of ``dst`` holds no cell;
+      ``dst[j]`` becomes the :func:`_combine` of ``unit`` over
+      ``src[j]`` (skip) and ``src[j - 1]`` (take; none at ``j = 0``);
+      the other columns of ``dst`` stay as they are;
     * ``(_EMIT, slot, col, pos, request)`` — attach row ``pos`` as the
       last pick of ``slot[col]`` and append the reduced lines, with
       their ``col + 1``-pick vectors, to the request;
@@ -380,9 +387,12 @@ class _Program(NamedTuple):
       with their ``col``-pick vectors;
     * ``(_EXIT, slot, on)`` — column 0 of ``slot`` becomes the exit
       cell {0.0: 1.0} with the empty vector when ``on``, else no cell;
-    * ``(_MARK,)`` / ``(_RELEASE,)`` — drop every vector id made
-      between them (the sweep's per-ending scratch).
+    * ``(_MARK, level)`` / ``(_RELEASE, level)`` — the vector ids form
+      a stack: a mark records its top for ``level`` (``< nslots``),
+      and a release drops every id made since that level's mark (the
+      sweep's rule-chain levels and per-ending scratch).
 
+    A program reads no cell whose ids a release has dropped.
     ``walks[r]`` is the picks per vector of request ``r``.
     """
 
@@ -404,6 +414,9 @@ class _PythonEngine:
     native one (:mod:`repro.core.kernels.native`) matches byte for byte.
     """
 
+    # A score sum past the float range is inf on either engine; the C
+    # kernel's addition does not warn, and neither does this one.
+    @np.errstate(over="ignore")
     def run(self, program: _Program) -> list[_Cell | None]:
         off, length, positions, absent, scores, probs = (
             column.tolist() for column in program.units
@@ -412,14 +425,14 @@ class _PythonEngine:
         max_lines = program.max_lines
         exit_cell = (np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64))
         slots = [[None] * program.ncols for _ in range(program.nslots)]
+        marks = [0] * program.nslots
         out: list[list[_Cell]] = [[] for _ in program.walks]
-        mark = 0
         for op, a, b, c, d, e in program.steps.tolist():
             if op == _FOLD:
                 at = positions[off[a] : off[a] + length[a]]
                 unit = ([(scores[p], probs[p], p) for p in at], absent[a])
                 src = slots[b]
-                dst = slots[c] = [None] * program.ncols
+                dst = slots[c]
                 for j in range(d, e + 1):
                     take = src[j - 1] if j else None
                     dst[j] = _combine(*unit, src[j], take, arena, max_lines)
@@ -438,9 +451,9 @@ class _PythonEngine:
             elif op == _EXIT:
                 slots[a][0] = exit_cell if b else None
             elif op == _MARK:
-                mark = arena.mark()
+                marks[a] = arena.mark()
             else:
-                arena.release(mark)
+                arena.release(marks[a])
         return [_concat_cells(cells) for cells in out]
 
 
@@ -725,12 +738,25 @@ def _sweep_program(
     their first member and without the ending's own group (its mates
     are absent once the ending exists), then the ending's rows are
     attached; a lead-tuple region folds the rules once and extends the
-    state row by row.  These folds are scratch, in slots 2 and 3
-    between a ``_MARK`` and a ``_RELEASE``.  A fold with ``r`` folds
-    left before the last read of column ``k_min - 1`` cannot lift a
-    column below ``k_min - 1 - r`` there in time, so its range starts
-    at that column.  A span's rule chain is lowered as one numpy block:
-    the Python work follows the rows and spans, not the rule folds.
+    state row by row.  A fold with ``r`` folds left before the last
+    read of column ``k_min - 1`` cannot lift a column below
+    ``k_min - 1 - r`` there in time, so its range starts at that
+    column.
+
+    Level ``i`` of a span's rule chain (its ``i``-th rule fold) has
+    slot ``2 + i`` and arena mark ``i``; the lead rows fold in the two
+    slots above the last level, over arena mark ``count`` (the chain's
+    length).  A level's cells depend only on the shared state and the
+    units of the levels up to it, so they stay valid from one span to
+    the next while no independent row is folded into the shared state:
+    a span releases the chain from its first level whose unit differs
+    and folds only from there, and a kept level whose range must start
+    lower folds just the missing low columns.  Those extra columns sit
+    above the kept levels' ids, so releasing a kept level drops them
+    too, and the lowering forgets them (``undo``).  Level 0 is released
+    before every shared fold.  Each span's reuse decision and folds are
+    a few numpy operations: the Python work follows the rows and spans,
+    not the rule folds.
 
     Each request ``(k, depth)`` emits column ``k - 1`` at the ending
     positions ``< depth``.  An ending's lines depend only on the rows
@@ -760,46 +786,80 @@ def _sweep_program(
     rule_of: dict[int, int] = {}  # group -> rule index (first member order)
     mates: dict[int, list[float]] = {}  # group -> member probs so far
     rule_unit = np.zeros(len(multi), dtype=np.int64)  # rule index -> unit
-    # A chain of rule folds alternates between scratch slots 2 and 3.
+    # Level i: mark i, then fold level i - 1's slot (the shared state's
+    # at level 0) into slot 2 + i.
     iota = np.arange(len(multi))
-    chain_steps = np.zeros((len(multi), _STEP_WIDTH), dtype=np.int32)
-    chain_steps[:, 0] = _FOLD
-    chain_steps[:, 2] = 3 - (iota & 1)
-    chain_steps[:, 3] = 2 + (iota & 1)
-    chain_steps[:, 5] = last
+    level_steps = np.zeros((len(multi), 2, _STEP_WIDTH), dtype=np.int32)
+    level_steps[:, 0, 0] = _MARK
+    level_steps[:, 0, 1] = iota
+    level_steps[:, 1, 0] = _FOLD
+    level_steps[:, 1, 2] = 1 + iota
+    level_steps[:, 1, 3] = 2 + iota
+    level_steps[:, 1, 5] = last
+    lead = 2 + len(multi)  # the lead rows' slots: lead and lead + 1
+    held = iota[:0]  # the live chain: each level's unit ...
+    have = np.zeros(len(multi), dtype=np.int64)  # ... and lowest column
+    # (last kept level, first extended level, their `have` before)
+    undo: list[tuple[int, int, np.ndarray]] = []
+    live = False  # whether arena marks sit above the shared state
     blocks: list[np.ndarray] = []  # the program so far, but for `steps`
     steps = [_EXIT, 0, 1, 0, 0, 0]
     ind = 0
     for start, end in _ending_units(scored):
         # Emit this span's exit cells from the state accumulated so
-        # far; the folds are scratch, released after emitting.
+        # far, over the rule chain's levels.
         if end > k_min - 1:
             slack = end - start - 1
             chain = rule_unit[: len(rule_of)]
             if slack == 0 and not scored.is_lead(start):
                 own = rule_of[groups[start]]
                 chain = np.concatenate((chain[:own], chain[own + 1 :]))
-            cur = ind
             count = len(chain)
-            steps += (_MARK, 0, 0, 0, 0, 0)
-            if count:
-                block = chain_steps[:count].copy()
-                block[:, 1] = chain
-                block[0, 2] = ind
-                block[:, 4] = np.maximum(0, k_min - count - slack + iota[:count])
+            need = np.maximum(0, k_min - count - slack + iota[:count])
+            same = held[:count] == chain[: len(held)]
+            keep = len(same) if same.all() else int(same.argmin())
+            if live:
+                steps += (_RELEASE, keep, 0, 0, 0, 0)
+                while undo and undo[-1][0] >= keep:
+                    _, first, had = undo.pop()
+                    have[first : first + len(had)] = had
+            short = need[:keep] < have[:keep]
+            if short.any():
+                # Kept levels whose range must start lower fold just
+                # the missing columns, lowest level first.
+                first = int(short.argmax())
+                undo.append((keep - 1, first, have[first:keep].copy()))
+                block = level_steps[first:keep, 1].copy()
+                block[:, 1] = chain[first:keep]
+                block[:, 4] = need[first:keep]
+                block[:, 5] = have[first:keep] - 1
+                if first == 0:
+                    block[0, 2] = ind
+                have[first:keep] = np.minimum(have[first:keep], need[first:keep])
                 blocks += (np.int32(steps), block.ravel())
                 steps = []
-                cur = 2 + ((count - 1) & 1)
+            if count > keep:
+                block = level_steps[keep:count].copy()
+                block[:, 1, 1] = chain[keep:]
+                block[:, 1, 4] = need[keep:]
+                if keep == 0:
+                    block[0, 1, 2] = ind
+                have[keep:count] = need[keep:]
+                blocks += (np.int32(steps), block.ravel())
+                steps = []
+            held = chain.copy()
+            live = True
+            steps += (_MARK, count, 0, 0, 0, 0)
+            cur = 1 + count if count else ind
             for pos in range(start, end):
                 for index, (k, depth) in enumerate(requests):
                     if pos < depth:
                         steps += (_EMIT, cur, k - 1, pos, index, 0)
                 if pos + 1 < end:
-                    low = max(0, k_min - 1 - (end - 2 - pos))
-                    nxt = 5 - cur if cur > 1 else 2
-                    steps += (_FOLD, pos, cur, nxt, low, last)
+                    col = max(0, k_min - 1 - (end - 2 - pos))
+                    nxt = lead + 1 if cur == lead else lead
+                    steps += (_FOLD, pos, cur, nxt, col, last)
                     cur = nxt
-            steps += (_RELEASE, 0, 0, 0, 0, 0)
         # Advance the shared prefix past the span's rows.
         for pos in range(start, end):
             group = groups[pos]
@@ -814,6 +874,11 @@ def _sweep_program(
                 rule_len.append(len(members))
                 rule_absent.append(max(0.0, 1.0 - sum(members)))
             else:
+                if live:
+                    steps += (_RELEASE, 0, 0, 0, 0, 0)
+                    live = False
+                    held = iota[:0]
+                    undo.clear()
                 steps += (_FOLD, pos, ind, 1 - ind, 0, last)
                 ind = 1 - ind
     units = _Units(
@@ -829,7 +894,7 @@ def _sweep_program(
         np.concatenate(blocks).reshape(-1, _STEP_WIDTH),
         units,
         last + 1,
-        4,
+        lead + 2,
         [k for k, _ in requests],
         max_lines,
     )

@@ -8,20 +8,27 @@
  *
  *   FOLD    unit src dst lo hi   dst[j] = fold of `unit` over src[j]
  *                                (skip) and src[j-1] (take), lo <= j
- *                                <= hi; no cell elsewhere in dst
+ *                                <= hi; dst's other columns stay
  *   EMIT    slot col pos req     row `pos` taken last after slot[col]:
  *                                append the lines to request `req`
  *   EXPORT  slot col req         append slot[col]'s lines to `req`
  *   EXIT    slot on              slot[0] = {0.0: 1.0} if on, else none
- *   MARK / RELEASE               drop the arena ids and tags made between
+ *   MARK    level                marks[level] = the tag and chunk tops
+ *   RELEASE level                drop the tags and chunks made since
+ *                                marks[level]
  *
  * A unit's constituents are rank positions (unit_pos[unit_off[u] ..],
  * unit_len[u] of them) whose scores and probs are read from the
- * prefix's columns.  A vector id names an arena entry: chunk c covers
- * ids [base[c], base[c] + len), adds rank position pos[c], and keeps
- * its lines' parent ids in the tag slab at off[c]; id 0 is the empty
- * vector.  Output lines are walked into rank positions (last pick
- * first) before any RELEASE drops their ids.
+ * prefix's columns.  A vector id is `chunk << LINE_BITS | line`: chunk
+ * c is one take part of a fold (one constituent over one source
+ * cell), adds rank position pos[c], and its line i's parent id is
+ * tags[off[c] + i]; id 0 is the empty vector (chunk 0 is a sentinel).
+ * No cell holds more than NATIVE_MAX_LINES = 1024 lines, so a line
+ * fits in LINE_BITS, and walking a pick is two loads.  Tags and chunks
+ * are stacks: the sweep marks one level per rule-chain level (and one
+ * for the lead rows above them), and releasing a level drops what the
+ * levels above it made too.  Output lines are walked into rank
+ * positions (last pick first) before any RELEASE drops their ids.
  *
  * Buffer rule: a step first checks the room it may need in the tag
  * slab, the chunk registry, the workspace and the output.  When one is
@@ -76,20 +83,25 @@ enum {
     /* the program */
     X_STEPS, X_NSTEPS, X_UNIT_OFF, X_UNIT_LEN, X_UNIT_POS, X_UNIT_ABSENT,
     X_SCORES, X_PROBS, X_NCOLS, X_MAX_LINES, X_ROW_WIDTH,
-    /* fixed buffers: slot cells and their (lines, tag offset) table */
-    X_SLABS, X_CELLS,
+    /* fixed buffers: slot cells, their (lines, tag offset) table, and
+     * the (tag top, chunk top) mark of each level */
+    X_SLABS, X_CELLS, X_MARKS,
     /* growable buffers: addresses, then capacity */
     X_TAGS, X_TAGS_CAP,
-    X_CHUNK_BASE, X_CHUNK_OFF, X_CHUNK_POS, X_CHUNKS_CAP,
+    X_CHUNK_OFF, X_CHUNK_POS, X_CHUNKS_CAP,
     X_WS, X_WSI, X_WS_CAP,
     X_OUT_SCORES, X_OUT_PROBS, X_OUT_REQ, X_OUT_ROWS, X_OUT_CAP,
     /* run state */
-    X_STEP, X_BUMP, X_NCHUNKS, X_ARENA,
-    X_MARK_BUMP, X_MARK_CHUNKS, X_MARK_ARENA, X_NOUT, X_NEED
+    X_STEP, X_BUMP, X_NCHUNKS, X_NOUT, X_NEED
 };
 
 /* repro_run's return codes: done, or which buffer to grow. */
 enum { RUN_DONE, GROW_TAGS, GROW_CHUNKS, GROW_WS, GROW_OUT };
+
+/* A vector id's line bits: every cell holds at most NATIVE_MAX_LINES
+ * (1024) lines. */
+#define LINE_BITS 11
+#define LINE_MASK ((1 << LINE_BITS) - 1)
 
 #define PTR(type, field) ((type *)(intptr_t)ctx[field])
 
@@ -122,8 +134,8 @@ typedef struct {
 /* One cell of a fold: the skip part (ss/sp/st, skip_m lines, scaled by
  * `absent`; skip_m < 0 for no cell), one take part per constituent
  * (ts/tp, take_m lines shifted and scaled by the constituent, the line
- * i of constituent q getting vector id base + q * take_m + i; take_m
- * < 0 for no cell), merged, reduced and coalesced to max_lines.  The
+ * i of constituent q getting vector id (chunk + q) << LINE_BITS | i;
+ * take_m < 0 for no cell), merged, reduced and coalesced to max_lines.  The
  * result is left in one of the three workspace runs `ws` (each at
  * least skip_m + nconst * take_m lines) and described by *out.
  * Returns its line count, or -1 when there is no part (no cell). */
@@ -131,7 +143,7 @@ static i64
 fold_column(const f64 *ss, const f64 *sp, const i64 *st, i64 skip_m,
             const f64 *ts, const f64 *tp, i64 take_m, f64 absent,
             const i64 *cpos, i64 nconst, const f64 *scores,
-            const f64 *probs, i64 base, i64 max_lines, const lines_t *ws,
+            const f64 *probs, i64 chunk, i64 max_lines, const lines_t *ws,
             lines_t *out)
 {
     lines_t A = ws[0], B = ws[1], C = ws[2];
@@ -154,11 +166,11 @@ fold_column(const f64 *ss, const f64 *sp, const i64 *st, i64 skip_m,
         for (i64 q = 0; q < nconst; q++) {
             const f64 cs = scores[cpos[q]];
             const f64 cp = probs[cpos[q]];
-            const i64 qbase = base + q * take_m;
+            const i64 qbase = (chunk + q) << LINE_BITS;
             for (i64 i = 0; i < take_m; i++) {
                 B.s[i] = ts[i] + cs;
                 B.p[i] = tp[i] * cp;
-                B.t[i] = qbase + i;
+                B.t[i] = qbase | i;
             }
             if (acc == 0) {
                 SWAP_LINES(A, B);
@@ -292,23 +304,15 @@ fold_column(const f64 *ss, const f64 *sp, const i64 *st, i64 skip_m,
 }
 
 /* Walk vector id `id` through k picks into row[0 .. k), last pick
- * first, over chunks [0, nchunks) of the arena. */
+ * first. */
 static void
-walk(i64 id, i64 k, const i64 *bases, const i64 *offs, const i64 *pos,
-     i64 nchunks, const i64 *tags, i32 *row)
+walk(i64 id, i64 k, const i64 *offs, const i64 *pos, const i64 *tags,
+     i32 *row)
 {
     for (i64 step = 0; step < k; step++) {
-        /* bisect_right(bases, id) - 1 */
-        i64 lo = 0, hi = nchunks;
-        while (lo < hi) {
-            i64 mid = (lo + hi) >> 1;
-            if (bases[mid] <= id)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        row[step] = (i32)pos[lo - 1];
-        id = tags[offs[lo - 1] + (id - bases[lo - 1])];
+        const i64 chunk = id >> LINE_BITS;
+        row[step] = (i32)pos[chunk];
+        id = tags[offs[chunk] + (id & LINE_MASK)];
     }
 }
 
@@ -331,8 +335,8 @@ repro_run(i64 *ctx)
     const i64 row_width = ctx[X_ROW_WIDTH];
     f64 *slabs = PTR(f64, X_SLABS);
     i64 *cells = PTR(i64, X_CELLS);
+    i64 *marks = PTR(i64, X_MARKS);
     i64 *tags = PTR(i64, X_TAGS);
-    i64 *bases = PTR(i64, X_CHUNK_BASE);
     i64 *offs = PTR(i64, X_CHUNK_OFF);
     i64 *cpos_of = PTR(i64, X_CHUNK_POS);
     f64 *wsf = PTR(f64, X_WS);
@@ -349,7 +353,6 @@ repro_run(i64 *ctx)
     };
     i64 bump = ctx[X_BUMP];
     i64 nchunks = ctx[X_NCHUNKS];
-    i64 arena = ctx[X_ARENA];
     i64 nout = ctx[X_NOUT];
     i64 code = RUN_DONE;
     i64 at;
@@ -368,10 +371,10 @@ repro_run(i64 *ctx)
 
     for (at = ctx[X_STEP]; at < nsteps; at++) {
         const i32 *s = steps + STEP_WIDTH * at;
-        /* An EMIT's or EXPORT's output: m lines of k picks, walked over
-         * `walked` chunks, for request `req`. */
+        /* An EMIT's or EXPORT's output: m lines of k picks for request
+         * `req`. */
         lines_t res = {NULL, NULL, NULL};
-        i64 m = 0, k = 0, walked = nchunks;
+        i64 m = 0, k = 0;
         i32 req = 0;
         switch (s[0]) {
         case OP_FOLD: {
@@ -397,37 +400,32 @@ repro_run(i64 *ctx)
                 NEED(GROW_CHUNKS, nchunks + cols * nconst);
             if (need_ws > ws_cap)
                 NEED(GROW_WS, need_ws);
-            for (i64 c = 0; c < ncols; c++)
-                CELL_M(dst, c) = -1;
             for (i64 j = lo; j <= hi; j++) {
                 const i64 skip_m = CELL_M(src, j);
                 const i64 take_m = j >= 1 ? CELL_M(src, j - 1) : -1;
                 const f64 *ss = CELL_S(src, j);
                 const f64 *ts = j >= 1 ? CELL_S(src, j - 1) : NULL;
-                const i64 base = arena;
+                const i64 chunk = nchunks;
                 lines_t cell;
                 i64 lines;
                 if (take_m >= 0) {
-                    for (i64 q = 0; q < nconst; q++) {
-                        bases[nchunks] = arena;
+                    for (i64 q = 0; q < nconst; q++, nchunks++) {
                         offs[nchunks] = CELL_TAG(src, j - 1);
                         cpos_of[nchunks] = cpos[q];
-                        nchunks++;
-                        arena += take_m;
                     }
                 }
                 lines = fold_column(
                     ss, ss + max_lines,
                     skip_m >= 0 ? tags + CELL_TAG(src, j) : NULL, skip_m, ts,
                     ts ? ts + max_lines : NULL, take_m, absent, cpos, nconst,
-                    scores, probs, base, max_lines, ws, &cell);
+                    scores, probs, chunk, max_lines, ws, &cell);
+                CELL_M(dst, j) = lines;
                 if (lines < 0)
                     continue;
                 memcpy(CELL_S(dst, j), cell.s, (size_t)lines * sizeof(f64));
                 memcpy(CELL_S(dst, j) + max_lines, cell.p,
                        (size_t)lines * sizeof(f64));
                 memcpy(tags + bump, cell.t, (size_t)lines * sizeof(i64));
-                CELL_M(dst, j) = lines;
                 CELL_TAG(dst, j) = bump;
                 bump += lines;
             }
@@ -447,14 +445,12 @@ repro_run(i64 *ctx)
             if (nout + most > ctx[X_OUT_CAP])
                 NEED(GROW_OUT, nout + most);
             /* The ending's chunk lives only while its lines are walked. */
-            bases[nchunks] = arena;
             offs[nchunks] = CELL_TAG(slot, col);
             cpos_of[nchunks] = pos;
             m = fold_column(NULL, NULL, NULL, -1, ts, ts + max_lines, take_m,
-                            0.0, &pos, 1, scores, probs, arena, max_lines, ws,
-                            &res);
+                            0.0, &pos, 1, scores, probs, nchunks, max_lines,
+                            ws, &res);
             k = col + 1;
-            walked = nchunks + 1;
             req = s[4];
             break;
         }
@@ -485,21 +481,19 @@ repro_run(i64 *ctx)
             break;
         }
         case OP_MARK:
-            ctx[X_MARK_BUMP] = bump;
-            ctx[X_MARK_CHUNKS] = nchunks;
-            ctx[X_MARK_ARENA] = arena;
+            marks[2 * s[1]] = bump;
+            marks[2 * s[1] + 1] = nchunks;
             break;
         default: /* OP_RELEASE */
-            bump = ctx[X_MARK_BUMP];
-            nchunks = ctx[X_MARK_CHUNKS];
-            arena = ctx[X_MARK_ARENA];
+            bump = marks[2 * s[1]];
+            nchunks = marks[2 * s[1] + 1];
             break;
         }
         for (i64 i = 0; i < m; i++, nout++) {
             out_s[nout] = res.s[i];
             out_p[nout] = res.p[i];
             out_req[nout] = req;
-            walk(res.t[i], k, bases, offs, cpos_of, walked, tags,
+            walk(res.t[i], k, offs, cpos_of, tags,
                  out_rows + row_width * nout);
         }
     }
@@ -507,7 +501,6 @@ suspend:
     ctx[X_STEP] = at;
     ctx[X_BUMP] = bump;
     ctx[X_NCHUNKS] = nchunks;
-    ctx[X_ARENA] = arena;
     ctx[X_NOUT] = nout;
     return code;
 }

@@ -14,11 +14,12 @@ The engine passes one int64 *context* array: the addresses of the
 program's arrays and of its buffers, their capacities, and the run
 state (:data:`_CONTEXT` follows the kernel's field order).  Slot cells
 live in one float64 slab sized from the program (slots × columns ×
-``max_lines`` lines).  Vector ids (*tags*), the arena's chunk registry,
-the kernel's workspace and the emitted lines live in buffers that
-start at fixed capacities (:data:`_INITIAL_TAGS` and its siblings;
-pages never written cost no memory).  A step that finds a buffer
-short writes nothing and returns its code, and
+``max_lines`` lines), beside one (tag top, chunk top) mark per level.
+Vector ids (*tags*), the arena's chunk registry, the kernel's
+workspace and the emitted lines live in buffers that start at fixed
+capacities (:data:`_INITIAL_TAGS` and its siblings; pages never
+written cost no memory).  A step that finds a buffer short writes
+nothing and returns its code, and
 :meth:`NativeEngine.run` grows that buffer (at least doubling it),
 keeping its live part, and calls again to resume at the same step.
 The Python work per dynamic program is a few allocations and calls,
@@ -29,15 +30,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import NATIVE_MAX_LINES
+
 __all__ = ["NativeEngine"]
 
 #: Context fields, in the order of the kernel's ``X_*`` enum.
 _CONTEXT = """
     steps nsteps unit_off unit_len unit_pos unit_absent
-    scores probs ncols max_lines row_width slabs cells
-    tags tags_cap chunk_base chunk_off chunk_pos chunks_cap
+    scores probs ncols max_lines row_width slabs cells marks
+    tags tags_cap chunk_off chunk_pos chunks_cap
     ws wsi ws_cap out_scores out_probs out_req out_rows out_cap
-    step bump nchunks arena mark_bump mark_chunks mark_arena nout need
+    step bump nchunks nout need
 """.split()
 _X = {name: index for index, name in enumerate(_CONTEXT)}
 
@@ -54,7 +57,6 @@ _INITIAL_LINES = 1 << 15
 #: entries per unit of capacity; 0 for the output rows' width).
 _BUFFERS = {
     "tags": (1, np.int64, 1),
-    "chunk_base": (2, np.int64, 1),
     "chunk_off": (2, np.int64, 1),
     "chunk_pos": (2, np.int64, 1),
     "ws": (3, np.float64, 6),
@@ -84,6 +86,12 @@ class NativeEngine:
     def run(self, program) -> list:
         """Each request's lines as one ``(scores, probs, rows)`` triple
         in emit order (``None`` for a request with no line)."""
+        if program.max_lines > NATIVE_MAX_LINES:
+            # A vector id keeps a line of its chunk in 11 bits.
+            raise ValueError(
+                f"line budget {program.max_lines} is above the kernel's "
+                f"{NATIVE_MAX_LINES}"
+            )
         ctx = np.zeros(len(_CONTEXT), dtype=np.int64)
         held: dict[str, np.ndarray] = {}
         width = max(program.walks)
@@ -101,6 +109,7 @@ class NativeEngine:
         cells = program.nslots * program.ncols
         held["slabs"] = np.empty(cells * 2 * program.max_lines)
         held["cells"] = np.full(2 * cells, -1, dtype=np.int64)
+        held["marks"] = np.zeros(2 * program.nslots, dtype=np.int64)
         for name, array in held.items():
             ctx[_X[name]] = array.ctypes.data
         ctx[_X["nsteps"]] = len(program.steps)
@@ -110,10 +119,10 @@ class NativeEngine:
         initial = (_INITIAL_TAGS, _INITIAL_CHUNKS, _INITIAL_WS, _INITIAL_LINES)
         for code, size in zip(_CAPACITY, initial):
             _grow(ctx, held, code, size, width)
-        # Tag 0 is the empty vector; chunk 0 is a sentinel below id 1.
-        for name in ("tags", "chunk_base", "chunk_off", "chunk_pos"):
+        # Tag 0 is the empty vector, id 0 of the sentinel chunk 0.
+        for name in ("tags", "chunk_off", "chunk_pos"):
             held[name][0] = 0
-        ctx[_X["bump"]] = ctx[_X["nchunks"]] = ctx[_X["arena"]] = 1
+        ctx[_X["bump"]] = ctx[_X["nchunks"]] = 1
 
         address = ctx.ctypes.data
         while code := self._run(address):

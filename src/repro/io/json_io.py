@@ -66,28 +66,39 @@ def read_table_json(path: str | Path) -> UncertainTable:
         return table_from_document(json.load(handle))
 
 
-def pmf_to_json(pmf: ScorePMF) -> str:
-    """Serialize a score distribution to a JSON string."""
+def pmf_document(pmf: ScorePMF) -> dict[str, Any]:
+    """The JSON-ready pmf document of a score distribution.
+
+    Vector tids stay as they are: every encoder of these documents
+    passes ``default=str``, so a tid with no JSON form (a numpy int,
+    say) is written as its string, as :func:`pmf_to_json` writes it.
+    """
     lines = []
     for line in pmf:
         entry: dict[str, Any] = {"score": line.score, "prob": line.prob}
         if line.vector is not None:
             entry["vector"] = list(line.vector)
         lines.append(entry)
-    return json.dumps({"lines": lines}, default=str)
+    return {"lines": lines}
+
+
+def pmf_to_json(pmf: ScorePMF) -> str:
+    """Serialize a score distribution to a JSON string."""
+    return json.dumps(pmf_document(pmf), default=str)
 
 
 def answer_to_jsonable(answer: Any) -> Any:
     """Any registered semantics' answer as JSON-ready data.
 
-    :class:`ScorePMF` values use the pmf document shape (so they
-    round-trip through :func:`pmf_from_json`); NamedTuple results
+    :class:`ScorePMF` values use the pmf document shape
+    (:func:`pmf_document`, so they round-trip through
+    :func:`pmf_from_json`); NamedTuple results
     become objects, sequences become arrays, and anything exotic
     falls back to ``str``.  Shared by ``repro answer --json`` and the
     ``/v1/answer`` service endpoint, so both emit identical documents.
     """
     if isinstance(answer, ScorePMF):
-        return json.loads(pmf_to_json(answer))
+        return pmf_document(answer)
     if hasattr(answer, "_asdict"):  # NamedTuple results
         return {
             key: answer_to_jsonable(value)

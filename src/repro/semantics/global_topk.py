@@ -17,7 +17,7 @@ from repro.core.distribution import (
     prepare_scored_prefix,
 )
 from repro.exceptions import AlgorithmError
-from repro.semantics.marginals import top_k_probability
+from repro.semantics.marginals import top_k_probabilities
 from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
 
@@ -45,9 +45,6 @@ def global_topk_scored(
     scored: ScoredTable, k: int
 ) -> list[tuple[Any, float]]:
     """Global-Topk over an already rank-ordered (truncated) input."""
-    probs = [
-        (scored[pos].tid, top_k_probability(scored, pos, k))
-        for pos in range(len(scored))
-    ]
+    probs = list(top_k_probabilities(scored, k).items())
     probs.sort(key=lambda pair: -pair[1])
     return probs[:k]

@@ -17,7 +17,8 @@ which the Section-3 algorithms operate (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -25,22 +26,41 @@ from repro.exceptions import AlgorithmError
 from repro.uncertain.scoring import ScoredTable
 
 
-def _group_masses_above(
-    scored: ScoredTable, pos: int, exclude_group: int
-) -> list[float]:
-    """Per-group probability of contributing one tuple above ``pos``.
+def _masses_above(scored: ScoredTable) -> Iterator[tuple[int, dict[int, float]]]:
+    """Each position's group and the group masses above it, in rank order.
 
-    Groups without members above ``pos`` contribute nothing and are
-    omitted; ``exclude_group`` (the target tuple's own group) is always
-    omitted because its above-``pos`` members cannot coexist with the
-    target tuple.
+    The masses map each group with a member above the position to those
+    members' summed probability (added left to right), in first-member
+    order.  It is one dict, updated after each position is yielded:
+    read it before advancing.
     """
     masses: dict[int, float] = {}
-    groups = scored.group_column[:pos].tolist()
-    for group, prob in zip(groups, scored.prob_column[:pos].tolist()):
-        if group != exclude_group:
-            masses[group] = masses.get(group, 0.0) + prob
-    return [mass for mass in masses.values() if mass > 0.0]
+    groups = scored.group_column.tolist()
+    for group, prob in zip(groups, scored.prob_column.tolist()):
+        yield group, masses
+        masses[group] = masses.get(group, 0.0) + prob
+
+
+def _counts(masses: dict[int, float], own: int, max_count: int) -> np.ndarray:
+    """P(exactly i of the groups in ``masses`` but ``own`` contribute a
+    tuple), for i = 0..max_count.
+
+    ``own`` (the target tuple's group) is left out because its members
+    above the target cannot coexist with it, and so is every group of
+    mass 0.
+    """
+    dist = [1.0] + [0.0] * max_count
+    for group, q in masses.items():
+        if group == own or not q > 0.0:
+            continue
+        # dist'[i] = dist[i] * (1-q) + dist[i-1] * q, truncated (plain
+        # floats: the same IEEE ops as the array form, without numpy's
+        # per-call overhead on a k-entry array).
+        keep = 1.0 - q
+        dist = [dist[0] * keep] + [
+            above * keep + below * q for above, below in zip(dist[1:], dist)
+        ]
+    return np.array(dist)
 
 
 def higher_count_distribution(
@@ -56,17 +76,9 @@ def higher_count_distribution(
     """
     if max_count < 0:
         raise AlgorithmError(f"max_count must be >= 0, got {max_count}")
-    masses = _group_masses_above(scored, pos, scored[pos].group)
-    dist = [1.0] + [0.0] * max_count
-    for q in masses:
-        # dist'[i] = dist[i] * (1-q) + dist[i-1] * q, truncated (plain
-        # floats: the same IEEE ops as the array form, without numpy's
-        # per-call overhead on a k-entry array).
-        keep = 1.0 - q
-        dist = [dist[0] * keep] + [
-            above * keep + below * q for above, below in zip(dist[1:], dist)
-        ]
-    return np.array(dist)
+    own = scored[pos].group
+    _, masses = next(islice(_masses_above(scored), pos, None))
+    return _counts(masses, own, max_count)
 
 
 def rank_distribution(
@@ -91,6 +103,22 @@ def top_k_probability(scored: ScoredTable, pos: int, k: int) -> float:
     return float(rank_distribution(scored, pos, k).sum())
 
 
+def rank_distributions(scored: ScoredTable, k: int) -> list[np.ndarray]:
+    """:func:`rank_distribution` of every position, in rank order.
+
+    One pass keeps the group masses above the current position, so the
+    whole table costs what its rank rows cost.
+    """
+    if k < 1:
+        raise AlgorithmError(f"k must be >= 1, got {k}")
+    return [
+        prob * _counts(masses, group, k - 1)
+        for prob, (group, masses) in zip(
+            scored.prob_column.tolist(), _masses_above(scored)
+        )
+    ]
+
+
 def top_k_probabilities(
     scored: ScoredTable, k: int
 ) -> dict[Any, float]:
@@ -100,6 +128,6 @@ def top_k_probabilities(
     works with.
     """
     return {
-        scored[pos].tid: top_k_probability(scored, pos, k)
-        for pos in range(len(scored))
+        tid: float(ranks.sum())
+        for tid, ranks in zip(scored.tid_column, rank_distributions(scored, k))
     }

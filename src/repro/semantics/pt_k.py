@@ -17,7 +17,7 @@ from repro.core.distribution import (
     prepare_scored_prefix,
 )
 from repro.exceptions import AlgorithmError
-from repro.semantics.marginals import top_k_probability
+from repro.semantics.marginals import top_k_probabilities
 from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
 
@@ -50,10 +50,10 @@ def pt_k_scored(
     scored: ScoredTable, k: int, threshold: float
 ) -> list[tuple[Any, float]]:
     """PT-k over an already rank-ordered (truncated) input."""
-    answers: list[tuple[Any, float]] = []
-    for pos in range(len(scored)):
-        prob = top_k_probability(scored, pos, k)
-        if prob >= threshold:
-            answers.append((scored[pos].tid, prob))
+    answers = [
+        (tid, prob)
+        for tid, prob in top_k_probabilities(scored, k).items()
+        if prob >= threshold
+    ]
     answers.sort(key=lambda pair: -pair[1])
     return answers

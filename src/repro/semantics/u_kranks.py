@@ -18,7 +18,7 @@ from repro.core.distribution import (
     prepare_scored_prefix,
 )
 from repro.exceptions import AlgorithmError
-from repro.semantics.marginals import rank_distribution
+from repro.semantics.marginals import rank_distributions
 from repro.uncertain.scoring import ScoredTable
 from repro.uncertain.table import UncertainTable
 
@@ -59,15 +59,13 @@ def u_kranks(
 
 def u_kranks_scored(scored: ScoredTable, k: int) -> list[URankAnswer]:
     """U-kRanks over an already rank-ordered (truncated) input."""
-    n = len(scored)
     best_prob = [0.0] * k
     best_tid: list[Any] = [None] * k
-    for pos in range(n):
-        ranks = rank_distribution(scored, pos, k)
+    for tid, ranks in zip(scored.tid_column, rank_distributions(scored, k)):
         for i in range(k):
             if ranks[i] > best_prob[i]:
                 best_prob[i] = float(ranks[i])
-                best_tid[i] = scored[pos].tid
+                best_tid[i] = tid
     return [
         URankAnswer(i + 1, best_tid[i], best_prob[i])
         for i in range(k)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
+from repro.api import QuerySpec
 from repro.core.pmf import ScorePMF
 from repro.exceptions import DataModelError
 from repro.io.csv_io import read_table_csv, write_table_csv
 from repro.io.json_io import (
+    answer_to_jsonable,
+    pmf_document,
     pmf_from_json,
     pmf_to_json,
     read_table_json,
@@ -103,3 +109,48 @@ class TestJsonRoundTrip:
         pmf = exact_distribution(soldiers, 2)
         back = pmf_from_json(pmf_to_json(pmf))
         assert back.expectation() == pytest.approx(164.1)
+
+
+#: One pmf's tids under each naming a table may use.
+TID_KINDS = {
+    "str": ("a", "b", "c"),
+    "int": (3, 1, 2),
+    "tuple": (("row", 0), ("row", 1), ("row", 2)),
+    "numpy-int": tuple(np.arange(3, dtype=np.int64)),
+}
+
+
+def round_trip(pmf: ScorePMF) -> dict:
+    """The pmf document as a JSON text round trip leaves it."""
+    return json.loads(pmf_to_json(pmf))
+
+
+class TestPmfDocument:
+    """A pmf document is built once and encoded once: its bytes equal
+    those of the document that the JSON text round trip gave."""
+
+    @pytest.mark.parametrize("kind", sorted(TID_KINDS))
+    def test_bodies_match_the_round_trip(self, kind) -> None:
+        from repro.service.server import _answer_document, _wire_json
+
+        a, b, c = TID_KINDS[kind]
+        pmf = ScorePMF([(1.5, 0.25, (a, b)), (2.0, 0.5, (b, c)), (3.0, 0.25, None)])
+        assert pmf_to_json(pmf) == json.dumps(pmf_document(pmf), default=str)
+        for answer in (pmf_document(pmf), answer_to_jsonable(pmf)):
+            assert json.dumps(answer, default=str) == json.dumps(
+                round_trip(pmf), default=str
+            )
+        spec = QuerySpec(table="t", scorer="score", k=2)
+        body = _wire_json(_answer_document("distribution", spec, pmf))
+        expected = {"table": "t", "k": 2, **round_trip(pmf)}
+        assert body == json.dumps(expected, default=str, allow_nan=False)
+
+    def test_non_finite_score_still_has_no_wire_form(self) -> None:
+        from repro.service.server import _answer_document, _wire_json
+
+        pmf = ScorePMF([(float("inf"), 1.0, ("a", "b"))])
+        spec = QuerySpec(table="t", scorer="score", k=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            _wire_json(_answer_document("distribution", spec, pmf))
+        with pytest.raises(ValueError, match="non-finite"):
+            _wire_json({"table": "t", "k": 2, **round_trip(pmf)})

@@ -17,6 +17,7 @@ in EXPLAIN, and the ``max_lines`` slab cap.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from repro.core.dp import (
 )
 from repro.core.kernels import build, native
 from repro.exceptions import KernelBackendError
-from tests.conftest import random_table
+from tests.conftest import make_table, random_table
 
 NATIVE = kernels.native_available()
 needs_native = pytest.mark.skipif(
@@ -187,6 +188,22 @@ class TestExecutorGrowth:
         prefix = self.prefix(5)
         assert_engines_agree(lambda: dp_distribution_per_ending(prefix, 5))
         assert {"tags", "chunks", "output"} <= self.outgrown()
+
+
+@pytest.mark.parametrize("rules", [(), [("t0", "t2")]])
+def test_overflowing_sums_are_silent_on_both_engines(rules) -> None:
+    """Every 2-pick sum of four 1.5e308 scores overflows to inf: each
+    engine computes the same lines, and neither warns."""
+    table = make_table([(f"t{i}", 1.5e308, 0.4) for i in range(4)], rules=rules)
+    prefix = prepare_scored_prefix(table, "score", 2, p_tau=0.0)
+    results = []
+    for backend in ("python", "native") if NATIVE else ("python",):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append(on(backend, lambda: dp_distribution(prefix, 2)))
+    assert results[0].scores == (float("inf"),)
+    for result in results[1:]:
+        assert_identical(result, results[0])
 
 
 def lexsort_winners(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:

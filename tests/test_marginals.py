@@ -9,6 +9,7 @@ from repro.exceptions import AlgorithmError
 from repro.semantics.marginals import (
     higher_count_distribution,
     rank_distribution,
+    rank_distributions,
     top_k_probabilities,
     top_k_probability,
 )
@@ -39,6 +40,50 @@ def topk_prob_by_enumeration(table, tid, k):
     return sum(
         rank_prob_by_enumeration(table, tid, r) for r in range(1, k + 1)
     )
+
+
+def group_masses_above(scored, pos: int, exclude_group: int) -> list[float]:
+    """The reference: per-group mass above ``pos`` by a rescan of rows
+    0..pos-1, without ``exclude_group`` and groups of mass 0, in
+    first-member order."""
+    masses: dict[int, float] = {}
+    groups = scored.group_column[:pos].tolist()
+    for group, prob in zip(groups, scored.prob_column[:pos].tolist()):
+        if group != exclude_group:
+            masses[group] = masses.get(group, 0.0) + prob
+    return [mass for mass in masses.values() if mass > 0.0]
+
+
+class TestRunningMasses:
+    """One running pass over the group masses gives every position the
+    rows that a rescan of the rows above it gives, bit for bit."""
+
+    def test_rows_match_the_rescan(self):
+        rng = np.random.default_rng(91)
+        for trial in range(30):
+            table = random_table(rng, n=int(rng.integers(1, 16)), allow_me=True)
+            scored = scored_of(table)
+            for k in (1, 3, 6):
+                rows = rank_distributions(scored, k)
+                assert len(rows) == len(scored)
+                for pos, ranks in enumerate(rows):
+                    dist = [1.0] + [0.0] * (k - 1)
+                    for q in group_masses_above(scored, pos, scored[pos].group):
+                        dist = [dist[0] * (1.0 - q)] + [
+                            above * (1.0 - q) + below * q
+                            for above, below in zip(dist[1:], dist)
+                        ]
+                    want = np.array(dist)
+                    got = higher_count_distribution(scored, pos, k - 1)
+                    assert got.tobytes() == want.tobytes()
+                    assert ranks.tobytes() == (scored[pos].prob * want).tobytes()
+                    single = rank_distribution(scored, pos, k)
+                    assert single.tobytes() == ranks.tobytes()
+
+    def test_invalid_k(self):
+        t = make_table([("a", 3, 0.5)])
+        with pytest.raises(AlgorithmError):
+            rank_distributions(scored_of(t), 0)
 
 
 class TestHigherCountDistribution:
